@@ -15,8 +15,8 @@ from .profile_analysis import (kappa, phi0_curve, f0_curve, analyze,
                                AnalysisSummary, twelve_point_configurations,
                                finiteness_check)
 from .synthesis import (decompose_annuli, extend_fk, glue_f, assemble_metric,
-                        synthesize, verify_synthesis, SynthesisResult,
-                        SynthesisError)
+                        synthesize, verify_synthesis, verify_grid,
+                        SynthesisResult, SynthesisError)
 from .calibration import CheckerConstants, default_constants, load_constants
 from .report import CheckerRecord, CheckerReport
 
@@ -34,7 +34,8 @@ __all__ = [
     "kappa", "phi0_curve", "f0_curve", "analyze", "AnalysisSummary",
     "twelve_point_configurations", "finiteness_check",
     "decompose_annuli", "extend_fk", "glue_f", "assemble_metric",
-    "synthesize", "verify_synthesis", "SynthesisResult", "SynthesisError",
+    "synthesize", "verify_synthesis", "verify_grid", "SynthesisResult",
+    "SynthesisError",
     "CheckerConstants", "default_constants", "load_constants",
     "CheckerRecord", "CheckerReport",
 ]

@@ -9,15 +9,14 @@ checker or verification failed, 2 malformed input.
 import argparse
 import sys
 
-import numpy as np
-
 from .calibration import (default_constants, load_constants, save_constants,
                           calibrate_constants)
 from .profiles import read_profile_csv, write_profile_csv, ProfileError
 from .profile_analysis import (analyze, twelve_point_configurations,
                                finiteness_check, kappa)
-from .synthesis import synthesize, verify_synthesis, SynthesisError
-from .geodesy import load_metric_json, save_metric_json, GeodesicPath
+from .synthesis import (synthesize, verify_synthesis, verify_grid,
+                        SynthesisError)
+from .geodesy import load_metric_json, save_metric_json
 from .report import dumps_deterministic
 from . import surfaces
 
@@ -112,51 +111,12 @@ def cmd_synthesize(args):
 
 
 def cmd_verify(args):
-    """Re-verify an existing grid against a profile.
-
-    The deformed angle of the curve is re-integrated from the grid
-    coefficient (convention: the angle vanishes at the profile minimum),
-    then the standard verification battery runs.
-    """
+    """Re-verify an existing grid against a profile."""
     p = _load_profile(args.input)
     consts = _constants(args)
     grid = load_metric_json(args.grid, validate=False)
-    t = p.t_nodes
-    rd = np.asarray(p.deriv(t), dtype=float)
-    speed = np.sqrt(np.clip(1 - rd * rd, 0.0, None))
-    i0 = p.argmin_node()
-    phi = np.zeros_like(t)
-    tm = 0.5 * (t[1:] + t[:-1])
-    rho_m = np.asarray(p.value(tm), dtype=float)
-    rd_m = np.asarray(p.deriv(tm), dtype=float)
-    speed_m = np.sqrt(np.clip(1 - rd_m * rd_m, 0.0, None))
-    dt = np.diff(t)
-    integ = speed
-    # fixed-point sweeps of Simpson for phi' = speed / G(rho, phi)
-    for _ in range(5):
-        integ = speed / grid.value(p.rho, phi)
-        phi_m = 0.5 * (phi[1:] + phi[:-1])
-        integ_m = speed_m / grid.value(rho_m, phi_m)
-        pieces = dt / 6.0 * (integ[:-1] + 4.0 * integ_m + integ[1:])
-        cum = np.concatenate(([0.0], np.cumsum(pieces)))
-        phi = cum - cum[i0]
-    rdd = np.asarray(p.second_deriv(t), dtype=float)
-    gamma = GeodesicPath(t_nodes=t, rho=p.rho, phi=phi, rho_dot=rd,
-                         phi_dot=integ, rho_ddot=rdd,
-                         unit_speed_residual=0.0)
-
-    class _Shim:
-        pass
-
-    shim = _Shim()
-    shim.metric = grid
-    shim.gamma = gamma
-    shim.summary = analyze(p, H=consts.H, alpha=consts.alpha)
-    shim.correction = None
-    shim.diagnostics = {"bilipschitz": 1.0}
-    report = verify_synthesis(shim, p, consts, tol_geo=args.tol_geo,
-                              tol_dist=args.tol_dist, seed=args.seed,
-                              skip_correction=True)
+    report = verify_grid(grid, p, consts, tol_geo=args.tol_geo,
+                         tol_dist=args.tol_dist, seed=args.seed)
     _write(args.out, report.to_json())
     print("\n".join(report.summary_lines()))
     return 0 if report.verdict else 1

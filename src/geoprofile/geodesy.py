@@ -19,6 +19,7 @@ from scipy.optimize import brentq
 
 from .special_functions import psi, PI_SQUARED
 from .profiles import DistanceProfile
+from .ode_core import rk4_step
 from .report import dumps_deterministic
 
 R_FLOOR_FACTOR = 1e-3       # geodesics below this fraction of R are radial
@@ -69,18 +70,16 @@ class MetricGrid:
     """Immutable polar metric grid with anisotropic interpolation.
 
     ``G`` has one row per theta node (theta in [-pi, pi), periodic) and
-    one column per r node.  ``dG_dr``/``d2G_dr2`` rows are optional; when
-    absent they come from the per-ray cubic splines.
+    one column per r node.  ``dG_dr`` is optional; when absent it comes
+    from the per-ray cubic splines.
     """
 
-    def __init__(self, r_nodes, theta_nodes, G, dG_dr=None, d2G_dr2=None,
-                 H=1.0, alpha=0.5, validate=True):
+    def __init__(self, r_nodes, theta_nodes, G, dG_dr=None, H=1.0, alpha=0.5,
+                 validate=True):
         self.r_nodes = np.asarray(r_nodes, dtype=float)
         self.theta_nodes = np.asarray(theta_nodes, dtype=float)
         self.G = np.asarray(G, dtype=float)
         self.dG_dr = None if dG_dr is None else np.asarray(dG_dr, dtype=float)
-        self.d2G_dr2 = (None if d2G_dr2 is None
-                        else np.asarray(d2G_dr2, dtype=float))
         self.H = float(H)
         self.alpha = float(alpha)
         n_t, n_r = self.G.shape
@@ -173,9 +172,9 @@ class MetricGrid:
     def curvature_fd(self, with_resolution=False):
         """K = -G''/G by radial finite differences on the grid nodes.
 
-        Deliberately independent of any stored d2G_dr2 so it can flag
-        inconsistencies injected into G.  Three-point non-uniform stencil;
-        endpoints copy their neighbours.  With ``with_resolution`` the
+        Deliberately independent of any analytic second derivative so it
+        can flag inconsistencies injected into G.  Three-point non-uniform
+        stencil; endpoints copy their neighbours.  With ``with_resolution`` the
         rounding amplification 6*eps/(h1*h2) per node is returned too, so
         callers can discount sub-resolution values near the origin.
         """
@@ -207,6 +206,7 @@ class MetricGrid:
 
 
 def _geodesic_rhs(grid, state, sign):
+    """d/dt of the state (rho, rho_dot, phi)."""
     rho, rho_dot, phi = state
     g, h = grid.value_and_h(rho, phi)
     one_minus = 1.0 - rho_dot * rho_dot
@@ -215,7 +215,7 @@ def _geodesic_rhs(grid, state, sign):
         one_minus = max(one_minus, 0.0)
     else:
         phi_dot = sign * np.sqrt(one_minus) / g
-    return np.array([rho_dot, h * one_minus, phi_dot]), g
+    return np.array([rho_dot, h * one_minus, phi_dot])
 
 
 def geodesic_integrate(grid, start, rho_dot0, direction_sign, length,
@@ -257,22 +257,22 @@ def geodesic_integrate(grid, start, rho_dot0, direction_sign, length,
     phi_dot = np.empty(n + 1)
     rho_ddot = np.empty(n + 1)
 
+    def rhs(_, state):
+        return _geodesic_rhs(grid, state, direction_sign)
+
     y = np.array([start.r, rho_dot0, start.theta])
     for idx in range(n + 1):
         if not (r_floor <= y[0] <= R):
             raise GeodesicDomainError(
                 f"geodesic left domain at t = {t[idx]:.6g}, r = {y[0]:.6g}",
                 where=float(t[idx]), outward=bool(y[0] > R))
-        k1, g = _geodesic_rhs(grid, y, direction_sign)
+        k1 = rhs(t[idx], y)
         rho[idx], rho_dot[idx], phi[idx] = y
         phi_dot[idx] = k1[2]
         rho_ddot[idx] = k1[1]
         if idx == n:
             break
-        k2, _ = _geodesic_rhs(grid, y + 0.5 * hstep * k1, direction_sign)
-        k3, _ = _geodesic_rhs(grid, y + 0.5 * hstep * k2, direction_sign)
-        k4, _ = _geodesic_rhs(grid, y + hstep * k3, direction_sign)
-        y = y + (hstep / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = rk4_step(rhs, t[idx], y, hstep, k1)
         y[1] = np.clip(y[1], -1.0, 1.0)
 
     residual = _unit_speed_residual(grid, t, rho, phi, rho_dot)
@@ -328,25 +328,25 @@ def _shoot_to_angle(grid, start, psi_angle, sign, dtheta_target, step,
     Raises GeodesicDomainError on domain exit, ShootingError when the
     target is never swept.
     """
+    def rhs(_, state):
+        return _geodesic_rhs(grid, state, sign)
+
     rho_dot = np.cos(psi_angle)
     y = np.array([start.r, rho_dot, start.theta])
     t_now = 0.0
     swept_prev = 0.0
-    k_prev, _ = _geodesic_rhs(grid, y, sign)
+    k_prev = rhs(t_now, y)
     while t_now < max_len:
         # near a close approach the turning scale is the radius itself
         h_loc = min(step, max(0.05 * y[0], 0.01 * step))
         k1 = k_prev
-        k2, _ = _geodesic_rhs(grid, y + 0.5 * h_loc * k1, sign)
-        k3, _ = _geodesic_rhs(grid, y + 0.5 * h_loc * k2, sign)
-        k4, _ = _geodesic_rhs(grid, y + h_loc * k3, sign)
-        y_next = y + (h_loc / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y_next = rk4_step(rhs, t_now, y, h_loc, k1)
         y_next[1] = np.clip(y_next[1], -1.0, 1.0)
         if not (r_floor <= y_next[0] <= grid.R):
             raise GeodesicDomainError(
                 f"shot exited domain at r = {y_next[0]:.6g}",
                 where=t_now + h_loc, outward=bool(y_next[0] > grid.R))
-        k_next, _ = _geodesic_rhs(grid, y_next, sign)
+        k_next = rhs(t_now + h_loc, y_next)
         swept_next = abs(y_next[2] - start.theta)
         if swept_next >= dtheta_target:
             # refine crossing inside [t_now, t_now+h_loc] with Hermite models

@@ -8,13 +8,14 @@ g(x) = x^2 (h(x) - 1/x), which is C^1 through 0, giving a second route
 to h that is independent of the Jacobi one.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .special_functions import cot_k, sin_k
 from .report import CheckerRecord, CheckerReport
+from .whitney import holder_seminorm_pairs
 
 PI_SQ_QUARTER = np.pi ** 2 / 4.0
 
@@ -41,7 +42,6 @@ class RadialCurvature:
     alpha: float = 1.0
     L: float = None
     validate: bool = True
-    _samples: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.R <= 0 or self.H <= 0:
@@ -59,16 +59,12 @@ class RadialCurvature:
             if np.max(np.abs(k)) > self.H * (1 + 1e-9):
                 raise ValueError(
                     f"sampled |K| = {np.max(np.abs(k)):.6g} exceeds H = {self.H}")
-        dr = np.abs(r[:, None] - r[None, :])
-        dk = np.abs(k[:, None] - k[None, :])
-        mask = dr > 0
-        l_meas = float(np.max(dk[mask] / dr[mask] ** self.alpha, initial=0.0))
+        l_meas = holder_seminorm_pairs(k, r, self.alpha)
         if self.L is None:
             object.__setattr__(self, "L", l_meas)
         elif self.validate and l_meas > self.L * (1 + 1e-9) + 1e-12:
             raise ValueError(
                 f"sampled Hölder seminorm {l_meas:.6g} exceeds L = {self.L}")
-        object.__setattr__(self, "_samples", (r, k))
 
     def __call__(self, r):
         return self.K(r)
@@ -97,20 +93,26 @@ class RadialSolution:
         return float(g_margin), float(h_margin)
 
 
+def rk4_step(f, x, y, h, k1):
+    """One classical RK4 step of y' = f(x, y) from (x, y) with step h;
+    ``k1`` is f(x, y), which callers often have already.  Returns the
+    next state."""
+    k2 = f(x + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(x + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(x + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def _rk4(f, y0, x0, x1, n_steps):
-    """Classical fixed-step RK4 from x0 to x1; returns (xs, ys)."""
+    """Classical fixed-step RK4 from x0 to x1; returns (xs, ys).  ``y0``
+    may be an array, e.g. one column per ray."""
     xs = np.linspace(x0, x1, n_steps + 1)
     h = (x1 - x0) / n_steps
     ys = np.empty((n_steps + 1,) + np.shape(y0))
     y = np.asarray(y0, dtype=float)
     ys[0] = y
     for i in range(n_steps):
-        x = xs[i]
-        k1 = f(x, y)
-        k2 = f(x + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(x + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = rk4_step(f, xs[i], y, h, f(xs[i], y))
         ys[i + 1] = y
     return xs, ys
 
@@ -175,16 +177,6 @@ def solve_riccati(k, step):
     return RadialSolution(r_nodes=rs, G=G, h=h)
 
 
-def _holder_on_nodes(r, v, alpha, max_nodes=700):
-    if r.size > max_nodes:
-        stride = int(np.ceil(r.size / max_nodes))
-        r, v = r[::stride], v[::stride]
-    dr = np.abs(r[:, None] - r[None, :])
-    dv = np.abs(v[:, None] - v[None, :])
-    mask = dr > 0
-    return float(np.max(dv[mask] / dr[mask] ** alpha, initial=0.0))
-
-
 def riccati_stability_check(k1, k2, r_min, consts, step=None, T=None):
     """Check the four stability conclusions for f = h1 - h2 on [r_min, R].
 
@@ -231,8 +223,10 @@ def riccati_stability_check(k1, k2, r_min, consts, step=None, T=None):
 
     sup_f = float(np.max(np.abs(f)))
     sup_fp = float(np.max(np.abs(fp)))
-    hol_f = _holder_on_nodes(r, f, alpha)
-    hol_fp = _holder_on_nodes(r, fp, alpha)
+    # Hölder seminorms on at most 700 evenly strided nodes
+    sub = slice(None, None, int(np.ceil(r.size / 700)))
+    hol_f = holder_seminorm_pairs(f[sub], r[sub], alpha)
+    hol_fp = holder_seminorm_pairs(fp[sub], r[sub], alpha)
 
     records = [
         CheckerRecord.from_margin(

@@ -172,10 +172,6 @@ class DistanceProfile:
         self._sg = (s1, s2)
         return self._sg
 
-    @property
-    def has_analytic_derivatives(self):
-        return callable(self._rho_dot) and callable(self._rho_ddot)
-
     def argmin_node(self):
         """Index of the leftmost minimizer among the nodes."""
         return int(np.argmin(self.rho))

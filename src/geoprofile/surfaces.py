@@ -11,7 +11,9 @@ import numpy as np
 
 from .special_functions import sin_k
 from .profiles import DistanceProfile
-from .geodesy import MetricGrid, PolarPoint, GeodesicPath, geodesic_integrate
+from .geodesy import (MetricGrid, PolarPoint, GeodesicPath, geodesic_integrate,
+                      distance_profile)
+from .ode_core import _rk4
 
 WORKING_RADIUS = 0.05  # default bound on max rho for synthesis-grade profiles
 
@@ -170,8 +172,7 @@ def constant_curvature_grid(K, R, n_r=1200, n_theta=64, H=None, alpha=0.5,
     dg_row = _dsin_k(K, r)
     G = np.tile(g_row, (n_theta, 1))
     dG = np.tile(dg_row, (n_theta, 1))
-    d2G = np.tile(-K * g_row, (n_theta, 1))
-    return MetricGrid(r, theta, G, dG_dr=dG, d2G_dr2=d2G, H=H, alpha=alpha)
+    return MetricGrid(r, theta, G, dG_dr=dG, H=H, alpha=alpha)
 
 
 def variable_curvature_grid(K_fn, R, H, n_r=1200, n_theta=64, alpha=0.5,
@@ -183,33 +184,18 @@ def variable_curvature_grid(K_fn, R, H, n_r=1200, n_theta=64, alpha=0.5,
     """
     theta = -np.pi + 2 * np.pi * np.arange(n_theta) / n_theta
     r0 = r_min_factor * R
-    r = np.linspace(r0, R, n_r)
-    hstep = r[1] - r[0]
     k0 = np.asarray(K_fn(r0, theta), dtype=float) * np.ones(n_theta)
-    G = np.empty((n_theta, n_r))
-    dG = np.empty((n_theta, n_r))
-    d2G = np.empty((n_theta, n_r))
-    y = np.stack([r0 - k0 * r0 ** 3 / 6.0, 1.0 - k0 * r0 ** 2 / 2.0])
+    y0 = np.stack([r0 - k0 * r0 ** 3 / 6.0, 1.0 - k0 * r0 ** 2 / 2.0])
 
     def rhs(rv, yv):
         k = np.asarray(K_fn(rv, theta), dtype=float) * np.ones(n_theta)
         return np.stack([yv[1], -k * yv[0]])
 
-    for i in range(n_r):
-        rv = r[i]
-        G[:, i] = y[0]
-        dG[:, i] = y[1]
-        d2G[:, i] = -np.asarray(K_fn(rv, theta), dtype=float) * y[0]
-        if i == n_r - 1:
-            break
-        k1 = rhs(rv, y)
-        k2 = rhs(rv + 0.5 * hstep, y + 0.5 * hstep * k1)
-        k3 = rhs(rv + 0.5 * hstep, y + 0.5 * hstep * k2)
-        k4 = rhs(rv + hstep, y + hstep * k3)
-        y = y + (hstep / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    r, ys = _rk4(rhs, y0, r0, R, n_r - 1)
+    G = ys[:, 0].T.copy()
     if np.any(G <= 0):
         raise ArithmeticError("Jacobi coefficient went nonpositive")
-    return MetricGrid(r, theta, G, dG_dr=dG, d2G_dr2=d2G, H=H, alpha=alpha)
+    return MetricGrid(r, theta, G, dG_dr=ys[:, 1].T.copy(), H=H, alpha=alpha)
 
 
 # -- profile generation on grids ----------------------------------------------
@@ -242,9 +228,7 @@ def grid_profile(grid, m, half_length, step=None):
     """Distance profile of the symmetric geodesic (derivatives carried
     from the integrator states)."""
     path = symmetric_geodesic(grid, m, half_length, step=step)
-    return DistanceProfile(path.t_nodes, path.rho,
-                           rho_dot=np.array(path.rho_dot),
-                           rho_ddot=np.array(path.rho_ddot)), path
+    return distance_profile(grid, path), path
 
 
 # -- suites --------------------------------------------------------------------

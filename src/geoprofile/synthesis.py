@@ -22,6 +22,7 @@ from .geodesy import MetricGrid, GeodesicPath, PolarPoint, distance
 from .report import CheckerRecord, CheckerReport
 
 LN2 = np.log(2.0)
+R_NODES_PER_OCTAVE = 64     # geometric radial grid nodes per dyadic band
 MIN_SECTOR_GAP = 0.35       # angular separation asserted between split pieces
 FADE_WIDTH = 0.45           # angular width of the theta cutoff beyond the sweep
 
@@ -488,12 +489,13 @@ class SynthesisResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _dyadic_r_nodes(r_min, r_max, per_band=64):
+def _dyadic_r_nodes(r_min, r_max):
     k_bot = int(np.floor(np.log2(r_min)))
     k_top = int(np.ceil(np.log2(r_max)))
     nodes = []
     for k in range(k_bot, k_top + 1):
-        band = np.geomspace(2.0 ** k, 2.0 ** (k + 1), per_band, endpoint=False)
+        band = np.geomspace(2.0 ** k, 2.0 ** (k + 1), R_NODES_PER_OCTAVE,
+                            endpoint=False)
         nodes.append(band)
     r = np.concatenate(nodes)
     r = r[(r >= r_min) & (r <= r_max)]
@@ -520,8 +522,38 @@ def _cumulative_radial(field, r_nodes, thetas, chunk=256):
     return F, cum
 
 
-def assemble_metric(p, s, correction, n_theta=None, per_band=64,
-                    r_pad=1.05):
+def _curve_angle(p, coefficient, theta, sweeps=1):
+    """Unit-speed angle of the curve: phi' = sqrt(1 - rho'^2) / G.
+
+    G on the curve is ``coefficient(rho, theta)``, taken at the angles
+    ``theta`` of the nodes and at their means on the interval midpoints.
+    Each sweep integrates by per-interval Simpson, anchors the angle to
+    vanish at the profile minimum and feeds it back as ``theta``, so
+    several sweeps solve for a coefficient read at the angle itself.
+    Returns phi and phi' at the nodes (phi' from the last sweep's G) and
+    rho' at the nodes.
+    """
+    t = p.t_nodes
+    tm = 0.5 * (t[1:] + t[:-1])
+    rd = np.asarray(p.deriv(t), dtype=float)
+    speed = np.sqrt(np.clip(1.0 - rd * rd, 0.0, None))
+    rho_m = np.asarray(p.value(tm), dtype=float)
+    rd_m = np.asarray(p.deriv(tm), dtype=float)
+    speed_m = np.sqrt(np.clip(1.0 - rd_m * rd_m, 0.0, None))
+    dt = np.diff(t)
+    i0 = p.argmin_node()
+    for _ in range(sweeps):
+        integrand = speed / coefficient(p.rho, theta)
+        integrand_m = speed_m / coefficient(rho_m,
+                                            0.5 * (theta[1:] + theta[:-1]))
+        pieces = dt / 6.0 * (integrand[:-1] + 4.0 * integrand_m
+                             + integrand[1:])
+        cum = np.concatenate(([0.0], np.cumsum(pieces)))
+        theta = cum - cum[i0]
+    return theta, integrand, rd
+
+
+def assemble_metric(p, s, decomp, correction, r_pad=1.05):
     """Build the metric grid, the deformed curve, and the angle map.
 
     G(r, theta) = sin_k(K0, r) * exp of the radial integral of the glued
@@ -540,39 +572,19 @@ def assemble_metric(p, s, correction, n_theta=None, per_band=64,
     r_min = 1e-4 * R
 
     # reference coefficient along the curve: radial integrals at phi0
-    r_sub = _dyadic_r_nodes(r_min, rho_max, per_band)
-    _, cum_sub = _cumulative_radial(correction, r_sub, s.phi0)
-    idx = np.searchsorted(r_sub, rho, side="right") - 1
-    idx = np.clip(idx, 0, len(r_sub) - 2)
-    base = cum_sub[np.arange(len(t)), idx]
-    f_lo = correction.value(r_sub[idx], s.phi0)
-    f_at = correction.value(rho, s.phi0)
-    integral = base + 0.5 * (f_lo + f_at) * (rho - r_sub[idx])
-    G0 = sin_k(K0, rho) * np.exp(integral)
+    r_sub = _dyadic_r_nodes(r_min, rho_max)
 
-    # unit-speed angle via per-interval Simpson
-    rd = np.asarray(p.deriv(t), dtype=float)
-    speed = np.sqrt(np.clip(1.0 - rd * rd, 0.0, None))
-    tm = 0.5 * (t[1:] + t[:-1])
-    rho_m = np.asarray(p.value(tm), dtype=float)
-    rd_m = np.asarray(p.deriv(tm), dtype=float)
-    speed_m = np.sqrt(np.clip(1.0 - rd_m * rd_m, 0.0, None))
-    phi0_m = 0.5 * (s.phi0[1:] + s.phi0[:-1])
-    idx_m = np.clip(np.searchsorted(r_sub, rho_m, side="right") - 1,
-                    0, len(r_sub) - 2)
-    _, cum_m = _cumulative_radial(correction, r_sub, phi0_m)
-    base_m = cum_m[np.arange(len(tm)), idx_m]
-    f_lo_m = correction.value(r_sub[idx_m], phi0_m)
-    f_at_m = correction.value(rho_m, phi0_m)
-    int_m = base_m + 0.5 * (f_lo_m + f_at_m) * (rho_m - r_sub[idx_m])
-    G0_m = sin_k(K0, rho_m) * np.exp(int_m)
-    integrand = speed / G0
-    integrand_m = speed_m / G0_m
-    dt = np.diff(t)
-    pieces = dt / 6.0 * (integrand[:-1] + 4.0 * integrand_m + integrand[1:])
-    phi_cum = np.concatenate(([0.0], np.cumsum(pieces)))
-    i0 = p.argmin_node()
-    phi = phi_cum - phi_cum[i0]
+    def reference_coefficient(r, theta):
+        _, cum = _cumulative_radial(correction, r_sub, theta)
+        idx = np.clip(np.searchsorted(r_sub, r, side="right") - 1,
+                      0, len(r_sub) - 2)
+        base = cum[np.arange(len(r)), idx]
+        f_lo = correction.value(r_sub[idx], theta)
+        f_at = correction.value(r, theta)
+        integral = base + 0.5 * (f_lo + f_at) * (r - r_sub[idx])
+        return sin_k(K0, r) * np.exp(integral)
+
+    phi, phi_dot, rd = _curve_angle(p, reference_coefficient, s.phi0)
 
     if np.any(np.diff(phi) <= 0):
         bad = int(np.argmax(np.diff(phi) <= 0))
@@ -599,16 +611,15 @@ def assemble_metric(p, s, correction, n_theta=None, per_band=64,
 
     # grid resolution: resolve the finest angular net scale
     scale = np.inf
-    for piece in (pc for plist in s_decomp_pieces(p, s) for pc in plist):
+    for piece in decomp.all_pieces():
         scale = min(scale, piece.lam * piece.delta)
     if not np.isfinite(scale) or scale <= 0:
         scale = 0.1
-    if n_theta is None:
-        n_theta = int(np.clip(np.ceil(2 * np.pi / scale), 64, 4096))
+    n_theta = int(np.clip(np.ceil(2 * np.pi / scale), 64, 4096))
     theta_nodes = -np.pi + 2 * np.pi * np.arange(n_theta) / n_theta
     theta_back = tmap.inverse(theta_nodes)
 
-    r_nodes = _dyadic_r_nodes(r_min, R, per_band)
+    r_nodes = _dyadic_r_nodes(r_min, R)
     F_grid, cum_grid = _cumulative_radial(correction, r_nodes, theta_back)
     _, dF_grid = correction.value_and_deriv(
         np.tile(r_nodes, (n_theta, 1)),
@@ -617,16 +628,13 @@ def assemble_metric(p, s, correction, n_theta=None, per_band=64,
     cotr = cot_k(K0, r_nodes)[None, :]
     G = sinr * np.exp(cum_grid)
     dG = (cotr + F_grid) * G
-    gamma_term = F_grid ** 2 + 2.0 * F_grid * cotr + dF_grid
-    d2G = (gamma_term - K0) * G
-    K_grid = K0 - gamma_term
+    K_grid = K0 - (F_grid ** 2 + 2.0 * F_grid * cotr + dF_grid)
 
     H_grid = max(float(np.max(np.abs(K_grid))) * 1.05, abs(K0) * 1.05, 1e-6)
-    metric = MetricGrid(r_nodes, theta_nodes, G, dG_dr=dG, d2G_dr2=d2G,
+    metric = MetricGrid(r_nodes, theta_nodes, G, dG_dr=dG,
                         H=H_grid, alpha=s.alpha, validate=False)
 
     rdd = np.asarray(p.second_deriv(t), dtype=float)
-    phi_dot = speed / G0
     gamma = GeodesicPath(t_nodes=t, rho=rho, phi=phi, rho_dot=rd,
                          phi_dot=phi_dot, rho_ddot=rdd,
                          unit_speed_residual=0.0)
@@ -640,18 +648,11 @@ def assemble_metric(p, s, correction, n_theta=None, per_band=64,
     }
     return SynthesisResult(metric=metric, gamma=gamma, theta_map=tmap,
                            K_grid=K_grid, correction=correction, summary=s,
-                           decomposition=s._decomp_cache,
+                           decomposition=decomp,
                            diagnostics=diagnostics)
 
 
-def s_decomp_pieces(p, s):
-    """Pieces of the decomposition (memoized on the summary object)."""
-    if not hasattr(s, "_decomp_cache"):
-        s._decomp_cache = decompose_annuli(p, s)
-    return list(s._decomp_cache.pieces.values())
-
-
-def synthesize(p, consts, n_theta=None, per_band=64):
+def synthesize(p, consts):
     """Full pipeline: analyze, decompose, extend, glue, assemble."""
     s = analyze(p, H=consts.H, alpha=consts.alpha)
     if abs(s.K0) > consts.c_kappa * consts.H * 1.5:
@@ -659,11 +660,9 @@ def synthesize(p, consts, n_theta=None, per_band=64):
             f"|K0| = {abs(s.K0):.4g} above the admissible bound; "
             "run the checker first")
     decomp = decompose_annuli(p, s)
-    s._decomp_cache = decomp
     fields = {k: extend_fk(k, decomp, p, s) for k in decomp.pieces}
     correction = glue_f(fields, decomp)
-    result = assemble_metric(p, s, correction, n_theta=n_theta,
-                             per_band=per_band)
+    result = assemble_metric(p, s, decomp, correction)
     result.diagnostics["piece_seminorms"] = {
         int(k): fields[k].seminorms for k in fields}
     return result
@@ -692,18 +691,13 @@ def _sample_holder(values, r_nodes, theta_nodes, alpha, rng, n_cross=10_000,
                                & (r_nodes < 2.0 ** (k + 1)))[::4]
         if r_idx.size == 0:
             continue
-        V = values[np.ix_(th_idx, r_idx)].ravel()
-        RES = resolution[np.ix_(th_idx, r_idx)].ravel()
         R, TH = np.meshgrid(r_nodes[r_idx], theta_nodes[th_idx],
                             indexing="xy")
         pts = np.column_stack([(R * np.cos(TH)).ravel(),
                                (R * np.sin(TH)).ravel()])
-        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-        dv = np.maximum(np.abs(V[:, None] - V[None, :])
-                        - RES[:, None] - RES[None, :], 0.0)
-        mask = d > 0
-        if np.any(mask):
-            best = max(best, float(np.max(dv[mask] / d[mask] ** alpha)))
+        best = max(best, holder_seminorm_pairs(
+            values[np.ix_(th_idx, r_idx)].ravel(), pts, alpha,
+            resolution=resolution[np.ix_(th_idx, r_idx)].ravel()))
     it = rng.integers(0, n_t, size=n_cross)
     ir = rng.integers(0, n_r, size=n_cross)
     jt = rng.integers(0, n_t, size=n_cross)
@@ -735,21 +729,44 @@ def _sample_holder(values, r_nodes, theta_nodes, alpha, rng, n_cross=10_000,
 
 
 def verify_synthesis(res, p, consts, tol_geo=1e-5, tol_unit=1e-6,
-                     tol_dist=1e-4, n_dist_pairs=4, seed=0,
-                     skip_correction=False):
+                     tol_dist=1e-4, n_dist_pairs=4, seed=0):
     """Independent checks of a synthesis result; always returns a report.
 
     Curvature is recomputed from G by radial finite differences (never
     from the stored analytic derivatives), the geodesic equation is
     evaluated through the grid interpolant, and pairwise distances along
-    the curve are measured by angle shooting.  ``skip_correction`` drops
-    the records that need the glued correction field (used when a grid is
-    re-verified from disk).
+    the curve are measured by angle shooting.
     """
+    return _verify(res.metric, res.gamma, res.summary, res.correction,
+                   res.diagnostics["bilipschitz"], consts, tol_geo, tol_dist,
+                   seed, tol_unit=tol_unit, n_dist_pairs=n_dist_pairs)
+
+
+def verify_grid(grid, p, consts, tol_geo=1e-5, tol_dist=1e-4, seed=0):
+    """Verify a metric grid against a profile, e.g. a grid read from disk.
+
+    The angle of the curve is re-integrated from the grid coefficient
+    (convention: it vanishes at the profile minimum), then the checks of
+    ``verify_synthesis`` run, less those that need the correction field.
+    The angle map is not stored with a grid, so its bi-Lipschitz
+    constant enters as 1.
+    """
+    t = p.t_nodes
+    phi, phi_dot, rd = _curve_angle(p, grid.value, np.zeros_like(t),
+                                    sweeps=5)
+    gamma = GeodesicPath(t_nodes=t, rho=p.rho, phi=phi, rho_dot=rd,
+                         phi_dot=phi_dot,
+                         rho_ddot=np.asarray(p.second_deriv(t), dtype=float),
+                         unit_speed_residual=0.0)
+    s = analyze(p, H=consts.H, alpha=consts.alpha)
+    return _verify(grid, gamma, s, None, 1.0, consts, tol_geo, tol_dist, seed)
+
+
+def _verify(grid, gamma, s, correction, bilipschitz, consts, tol_geo,
+            tol_dist, seed, tol_unit=1e-6, n_dist_pairs=4):
+    """The verification battery; ``correction`` is None when only the
+    grid is known."""
     rng = np.random.default_rng(seed)
-    grid = res.metric
-    s = res.summary
-    gamma = res.gamma
     alpha = consts.alpha
     H = consts.H
     records = []
@@ -791,11 +808,11 @@ def verify_synthesis(res, p, consts, tol_geo=1e-5, tol_unit=1e-6,
         detail=f"sampled [K]_alpha = {hol_k:.4g}"))
 
     # analytic-route Hölder budget of f^2 + 2 f cot + df/dr
-    if not skip_correction:
+    if correction is not None:
         rs = np.geomspace(max(0.55 * m, r_nodes[0]), r_nodes[-1] * 0.999, 40)
         ths = np.linspace(-np.pi * 0.95, np.pi * 0.95, 40)
         RS, THS = np.meshgrid(rs, ths, indexing="ij")
-        fv, dfv = res.correction.value_and_deriv(RS, THS)
+        fv, dfv = correction.value_and_deriv(RS, THS)
         gam_term = fv ** 2 + 2 * fv * cot_k(s.K0, RS) + dfv
         pts = np.column_stack([(RS * np.cos(THS)).ravel(),
                                (RS * np.sin(THS)).ravel()])
@@ -822,14 +839,14 @@ def verify_synthesis(res, p, consts, tol_geo=1e-5, tol_unit=1e-6,
         "unit_speed", res_unit / tol_unit))
 
     # correction interpolation and support
-    if not skip_correction:
-        f_curve = res.correction.value(gamma.rho, s.phi0)
+    if correction is not None:
+        f_curve = correction.value(gamma.rho, s.phi0)
         interp_err = float(np.max(np.abs(f_curve - s.f0)))
         records.append(CheckerRecord.from_margin(
             "correction_interpolation", interp_err / 1e-8))
         if np.any(inner):
             RR, TT = np.meshgrid(r_nodes[inner], grid.theta_nodes)
-            sup_inner = float(np.max(np.abs(res.correction.value(RR, TT))))
+            sup_inner = float(np.max(np.abs(correction.value(RR, TT))))
         else:
             sup_inner = 0.0
         records.append(CheckerRecord.from_margin(
@@ -837,7 +854,7 @@ def verify_synthesis(res, p, consts, tol_geo=1e-5, tol_unit=1e-6,
 
     # bi-Lipschitz constant of the angle map
     records.append(CheckerRecord.from_margin(
-        "bilipschitz", res.diagnostics["bilipschitz"] / consts.c_bilipschitz))
+        "bilipschitz", bilipschitz / consts.c_bilipschitz))
 
     # independent pairwise distances by shooting
     tol_d = tol_dist * grid.R

@@ -77,22 +77,36 @@ def holder_seminorm(s, alpha, max_pairs=4_000_000):
         stride = int(np.ceil(n / np.sqrt(2 * max_pairs)))
         x = x[::stride]
         y = y[::stride]
-    dx = np.abs(x[:, None] - x[None, :])
-    dy = np.abs(y[:, None] - y[None, :])
-    mask = dx > 0
-    return float(np.max(dy[mask] / dx[mask] ** alpha, initial=0.0))
+    return holder_seminorm_pairs(y, x, alpha)
 
 
-def holder_seminorm_pairs(values, points, alpha):
-    """Seminorm of values sampled at arbitrary points (any dimension)."""
+# Rows of the pair matrix formed at once: memory stays linear in the
+# number of points.
+HOLDER_BLOCK_ROWS = 128
+
+
+def holder_seminorm_pairs(values, points, alpha, resolution=None):
+    """max |v_i - v_j| / |p_i - p_j|^alpha over pairs of distinct points.
+
+    Points may have any dimension (1-d arrays are read as points on a
+    line).  With a per-point ``resolution`` only the part of each value
+    difference beyond res_i + res_j counts.  NaN values give NaN.
+    """
     v = np.asarray(values, dtype=float)
     p = np.asarray(points, dtype=float)
     if p.ndim == 1:
         p = p[:, None]
-    d = np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(-1))
-    dv = np.abs(v[:, None] - v[None, :])
-    mask = d > 0
-    return float(np.max(dv[mask] / d[mask] ** alpha, initial=0.0))
+    res = None if resolution is None else np.asarray(resolution, dtype=float)
+    best = 0.0
+    for a in range(0, v.size, HOLDER_BLOCK_ROWS):
+        b = a + HOLDER_BLOCK_ROWS
+        d = np.sqrt(((p[a:b, None, :] - p[None, :, :]) ** 2).sum(-1))
+        dv = np.abs(v[a:b, None] - v[None, :])
+        if res is not None:
+            dv = np.maximum(dv - res[a:b, None] - res[None, :], 0.0)
+        mask = d > 0
+        best = np.max(dv[mask] / d[mask] ** alpha, initial=best)
+    return float(best)
 
 
 def check_extension_hypotheses(s, alpha, T1, T2, slack=1.0 + 1e-9):

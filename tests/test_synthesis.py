@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from geoprofile import (synthesize, verify_synthesis, decompose_annuli,
-                        extend_fk, glue_f, analyze, MetricGrid,
-                        SynthesisError)
+from geoprofile import (synthesize, verify_synthesis, verify_grid,
+                        decompose_annuli, extend_fk, glue_f, analyze,
+                        MetricGrid, SynthesisError)
 from geoprofile.synthesis import bump_weight, assemble_metric
 from geoprofile.surfaces import (flat_profile, spherical_profile,
                                  hyperbolic_profile, offset_hyperbola_profile,
@@ -128,6 +128,20 @@ def test_flat_roundtrip_residuals(consts, flat_result):
     assert rep.record("correction_interpolation").margin * 1e-8 <= 1e-12
 
 
+def test_verify_grid_on_synthesized_grid(consts, flat_result):
+    p, res = flat_result
+    grid_rep = verify_grid(res.metric, p, consts)
+    assert grid_rep.verdict, [(r.name, r.margin) for r in grid_rep.records
+                              if not r.passed]
+    only_with_correction = {"f_holder_budget", "correction_interpolation",
+                            "correction_support"}
+    grid_names = {r.name for r in grid_rep.records}
+    assert not grid_names & only_with_correction
+    full_names = {r.name for r in verify_synthesis(res, p, consts).records}
+    assert only_with_correction <= full_names
+    assert full_names - only_with_correction == grid_names
+
+
 def test_variable_curvature_roundtrip(consts):
     def K_fn(r, theta):
         return (0.2 + 0.25 * np.sin(6.0 * r + 1.0)) * np.ones_like(theta)
@@ -191,7 +205,7 @@ def test_defect_injection_flagged(consts):
     col = int(np.searchsorted(res.metric.r_nodes, 0.02))
     G2[7, col] *= 1.01
     bad = MetricGrid(res.metric.r_nodes, res.metric.theta_nodes, G2,
-                     dG_dr=res.metric.dG_dr, d2G_dr2=res.metric.d2G_dr2,
+                     dG_dr=res.metric.dG_dr,
                      H=res.metric.H, alpha=res.metric.alpha, validate=False)
     rep = verify_synthesis(dataclasses.replace(res, metric=bad), p, consts)
     assert not rep.record("curvature_holder").passed

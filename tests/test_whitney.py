@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations, combinations
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from geoprofile import (SampledFunction, divided_difference, holder_seminorm,
                         whitney_extend, HypothesisViolation)
 from geoprofile.calibration import random_whitney_dataset
+from geoprofile.whitney import holder_seminorm_pairs, HOLDER_BLOCK_ROWS
 
 
 def brute_divided_difference(x, y):
@@ -150,3 +152,73 @@ def test_finiteness_surrogate_second_differences(rng):
         for i in range(1, 399)])
     semi = holder_seminorm(SampledFunction(t[1:-1], quot), alpha)
     assert semi <= 8.0 * A
+
+
+def dense_holder(values, points, alpha, resolution=None):
+    """All pairs at once, as one N x N matrix: the reference formula."""
+    v = np.asarray(values, dtype=float)
+    p = np.asarray(points, dtype=float)
+    if p.ndim == 1:
+        p = p[:, None]
+    d = np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(-1))
+    dv = np.abs(v[:, None] - v[None, :])
+    if resolution is not None:
+        dv = np.maximum(dv - resolution[:, None] - resolution[None, :], 0.0)
+    mask = d > 0
+    return float(np.max(dv[mask] / d[mask] ** alpha, initial=0.0))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [7, HOLDER_BLOCK_ROWS,
+                               3 * HOLDER_BLOCK_ROWS + 5])
+@pytest.mark.parametrize("with_resolution", [False, True])
+def test_holder_pairs_equals_dense_reference(dim, n, with_resolution):
+    rng = np.random.default_rng(n * 10 + dim)
+    pts = rng.uniform(1e-5, 1.0, size=(n, dim) if dim > 1 else n)
+    if dim == 1:
+        pts = np.sort(pts)
+    pts[n // 2] = pts[n // 3]          # a duplicate point pair is skipped
+    vals = np.sin(7.0 * np.atleast_2d(pts.T).sum(0)) + rng.normal(0, 1e-3, n)
+    res = rng.uniform(0.0, 1e-3, n) if with_resolution else None
+    for alpha in (0.5, 1.0):
+        got = holder_seminorm_pairs(vals, pts, alpha, resolution=res)
+        assert got == dense_holder(vals, pts, alpha, res)
+        assert got > 0.0
+
+
+def test_holder_seminorm_matches_dense_reference():
+    """On a line the kernel's sqrt(d*d) equals |d| bit for bit."""
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(1e-5, 1.0, 2049))
+    y = np.cos(9.0 * x) + rng.normal(0.0, 1e-4, x.size)
+    dx = np.abs(x[:, None] - x[None, :])
+    dy = np.abs(y[:, None] - y[None, :])
+    mask = dx > 0
+    want = float(np.max(dy[mask] / dx[mask] ** 0.5, initial=0.0))
+    assert holder_seminorm(SampledFunction(x, y), 0.5) == want
+
+
+def test_holder_pairs_nan_gives_nan():
+    x = np.linspace(0.0, 1.0, 2 * HOLDER_BLOCK_ROWS + 3)
+    y = x ** 2
+    y[-1] = np.nan                     # in the last row block
+    assert np.isnan(holder_seminorm_pairs(y, x, 0.5))
+    y = x ** 2
+    y[0] = np.nan                      # in the first row block
+    assert np.isnan(holder_seminorm_pairs(y, x, 0.5))
+
+
+def test_holder_pairs_memory_is_linear():
+    """2049 points, the derivative grid of WhitneyExtension: one dense
+    N x N pass over them peaks at about 132 MB."""
+    x = np.linspace(0.0, 1.0, 2049)
+    y = np.sqrt(x)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        holder_seminorm_pairs(y, x, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
