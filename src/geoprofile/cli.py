@@ -11,9 +11,10 @@ import sys
 
 from .calibration import (default_constants, load_constants, save_constants,
                           calibrate_constants)
-from .profiles import read_profile_csv, write_profile_csv, ProfileError
+from .profiles import read_profile_csv, ProfileError
 from .profile_analysis import (analyze, twelve_point_configurations,
                                finiteness_check, kappa)
+from .special_functions import DomainError
 from .synthesis import (synthesize, verify_synthesis, verify_grid,
                         SynthesisError)
 from .geodesy import load_metric_json, save_metric_json
@@ -27,6 +28,12 @@ def _write(path, text):
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
 
 
 def _constants(args):
@@ -135,12 +142,10 @@ def cmd_demo(args):
         for cc in (0.0, 0.5, 0.9, 0.99, 0.999):
             pc = surfaces.offset_hyperbola_profile(cc)
             print(f"  {cc:<8g} {float(kappa(pc, 0.0)):.6g}")
-    elif args.which == "eps-bump":
+    else:  # eps-bump, the other choice argparse allows
         p = surfaces.perturbed_cone_profile(args.eps, args.beta)
         print(f"profile sqrt({args.eps}^2 + t^2) + {args.eps}^(3+{args.beta})"
               " on [-0.2, 0.2]")
-    else:
-        raise SystemExit(f"unknown demo {args.which!r}")
     configs = twelve_point_configurations(p.interval, args.budget,
                                           seed=args.seed)
     report = finiteness_check(p, consts, configs)
@@ -178,7 +183,7 @@ def build_parser():
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--h-bound", type=float, default=None)
         sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--budget", type=int, default=240)
+        sp.add_argument("--budget", type=_positive_int, default=240)
         sp.add_argument("--tol-geo", type=float, default=1e-5)
         sp.add_argument("--tol-dist", type=float, default=1e-4)
 
@@ -226,7 +231,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ProfileError as exc:
+    except (ProfileError, DomainError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -11,7 +11,7 @@ anisotropy (cubic per ray in r, linear and periodic in theta).
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -165,9 +165,6 @@ class MetricGrid:
         d = (1 - w) * self._horner(self._cd, i, j0, dx) \
             + w * self._horner(self._cd, i, j1, dx)
         return g, d / g
-
-    def h(self, r, theta):
-        return self.value_and_h(r, theta)[1]
 
     def curvature_fd(self, with_resolution=False):
         """K = -G''/G by radial finite differences on the grid nodes.

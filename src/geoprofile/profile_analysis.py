@@ -9,11 +9,12 @@ replaced by divided differences over 12-point configurations (four
 finitely many samples of rho per configuration.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .special_functions import phi, phi_inverse, sin_k, cot_k, DomainError
+from .profiles import metric_condition_quotients
 from .report import CheckerRecord, CheckerReport
 
 BIG_MARGIN = 1e9
@@ -26,7 +27,7 @@ _GL_W = np.array([0.236926885056189, 0.478628670499366, 0.568888888888889,
                   0.478628670499366, 0.236926885056189])
 
 
-def kappa(p, t, H_cap=None):
+def kappa(p, t):
     """Curvature proxy: phi_inverse(rho*rho''/(1-rho'^2)) / rho^2.
 
     For profiles of genuine surfaces this value is attained by the Gauss
@@ -147,10 +148,6 @@ class PointConfiguration:
     """Up to four 3-point clusters spanning three scales inside a window."""
 
     clusters: tuple
-    window_center: float
-    window_width: float
-    fine_width: float
-    degraded: bool = False
 
     @property
     def points(self):
@@ -175,7 +172,7 @@ def _cluster_centers(c, w, sep_mid, layout):
     return np.array([c, c + sep_mid, c + w / 2.0 - sep_mid, c + w / 2.0])
 
 
-def twelve_point_configurations(interval, budget, seed=0, min_width=None):
+def twelve_point_configurations(interval, budget, seed=0):
     """Deterministic seeded family of 12-point subsets covering the interval.
 
     Each subset is four 3-point clusters: cluster width (fine scale),
@@ -192,20 +189,14 @@ def twelve_point_configurations(interval, budget, seed=0, min_width=None):
     D = b - a
     if D <= 0 or budget < 1:
         raise ValueError("need a nonempty interval and budget >= 1")
-    if min_width is None:
-        min_width = 3e-8 * D
-    min_width = max(min_width, 1e-9 * D * 8)
+    min_width = 3e-8 * D
     rng = np.random.default_rng(seed)
     configs = []
     n_eta = len(ETA_CYCLE)
-    n_levels = N_SCALE_LEVELS
-    while n_levels > 1 and D * 2.0 ** (-(n_levels - 1)) < 64 * min_width:
-        n_levels -= 1
-    degraded_levels = n_levels < N_SCALE_LEVELS
-    n_block = n_eta * n_levels
+    n_block = n_eta * N_SCALE_LEVELS
     mid = 0.5 * (a + b)
     for j in range(budget):
-        level = (j // n_eta) % n_levels
+        level = (j // n_eta) % N_SCALE_LEVELS
         w = D * 2.0 ** (-level)
         if j < n_block:          # centered, symmetric layout
             c, eta, layout, mirror = mid, ETA_CYCLE[j % n_eta], "sym", 1.0
@@ -233,9 +224,7 @@ def twelve_point_configurations(interval, budget, seed=0, min_width=None):
         elif hi > b - margin:
             shift = b - margin - hi
         clusters = tuple(cl + shift for cl in clusters)
-        configs.append(PointConfiguration(
-            clusters=clusters, window_center=c + shift, window_width=w,
-            fine_width=fine, degraded=degraded_levels))
+        configs.append(PointConfiguration(clusters=clusters))
     return configs
 
 
@@ -292,13 +281,27 @@ def finiteness_check(p, consts, configs):
     wide clusters can flag a realizable profile spuriously.
     """
     a, b = p.interval
-    for cfg in configs:
-        pts = cfg.points
-        if pts[0] < a - 1e-12 or pts[-1] > b + 1e-12:
-            raise ValueError("configuration points outside the profile interval")
+    config_pts = np.concatenate([cfg.points for cfg in configs])
+    if config_pts.min() < a - 1e-12 or config_pts.max() > b + 1e-12:
+        raise ValueError("configuration points outside the profile interval")
 
     alpha = consts.alpha
     H = consts.H
+
+    # 1-Lipschitz and two-sided triangle bound on sampled pairs; kappa is
+    # undefined where the first fails, so the report then holds this alone
+    idx = np.unique(np.linspace(0, len(p) - 1, 400).astype(int))
+    ts = np.concatenate([p.t_nodes[idx], config_pts])
+    rs = np.asarray(p.value(ts), dtype=float)
+    lip, tri = (q / consts.c_lipschitz for q in
+                metric_condition_quotients(ts, rs, 1e-12 * (b - a)))
+    lip_record = CheckerRecord.from_margin("lipschitz_triangle",
+                                           max(lip, tri))
+    if lip > 1.0:
+        return CheckerReport(
+            records=[lip_record], constants_version=consts.version,
+            meta={"n_configs": len(configs), "alpha": alpha, "H": H})
+
     h_factor = H ** (1 + alpha / 2)
     summary = analyze(p, H=H, alpha=alpha)
     K0 = summary.K0
@@ -342,20 +345,7 @@ def finiteness_check(p, consts, configs):
     kap_max = phi_inverse(np.where(good, v_lo, 1.0)) / rho ** 2
     kap_min = phi_inverse(np.where(good, v_hi, 1.0)) / rho ** 2
 
-    records = []
-
-    # 1-Lipschitz and two-sided triangle bound on sampled pairs
-    idx = np.unique(np.linspace(0, len(p) - 1, 400).astype(int))
-    ts = np.concatenate([p.t_nodes[idx]] + [cfg.points for cfg in configs])
-    rs = np.asarray(p.value(ts), dtype=float)
-    dtm = np.abs(ts[:, None] - ts[None, :])
-    drm = np.abs(rs[:, None] - rs[None, :])
-    srm = rs[:, None] + rs[None, :]
-    mask = dtm > 1e-12 * (b - a)
-    lip = np.max(drm[mask] / dtm[mask]) / consts.c_lipschitz
-    tri = np.max(dtm[mask] / srm[mask]) / consts.c_lipschitz
-    records.append(CheckerRecord.from_margin(
-        "lipschitz_triangle", max(lip, tri)))
+    records = [lip_record]
 
     # convexity sandwich: phi(H rho^2) <= v <= phi(-H rho^2).  A cluster
     # may enforce a record only when its resolution is well inside the

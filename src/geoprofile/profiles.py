@@ -9,6 +9,8 @@ the samples (in decreasing order of fidelity).
 import numpy as np
 from scipy.interpolate import BPoly, CubicSpline
 
+from .whitney import HOLDER_BLOCK_ROWS
+
 
 class ProfileError(ValueError):
     pass
@@ -21,6 +23,8 @@ class DistanceProfile:
         r = np.asarray(rho, dtype=float)
         if t.ndim != 1 or t.shape != r.shape or t.size < 4:
             raise ProfileError("need matching 1-d arrays with >= 4 samples")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(r))):
+            raise ProfileError("t_nodes and rho must be finite")
         if np.any(np.diff(t) <= 0):
             raise ProfileError("t_nodes must be strictly increasing")
         if np.any(r <= 0):
@@ -39,14 +43,11 @@ class DistanceProfile:
     def _validate_metric_conditions(self, n_sub=200, slack=1e-6):
         """1-Lipschitz and two-sided triangle bounds on node pairs."""
         idx = np.unique(np.linspace(0, self.t_nodes.size - 1, n_sub).astype(int))
-        t, r = self.t_nodes[idx], self.rho[idx]
-        dt = np.abs(t[:, None] - t[None, :])
-        dr = np.abs(r[:, None] - r[None, :])
-        sr = r[:, None] + r[None, :]
-        mask = dt > 0
-        if np.any(dr[mask] > dt[mask] * (1 + slack)):
+        lip, tri = metric_condition_quotients(self.t_nodes[idx],
+                                              self.rho[idx], 0.0)
+        if lip > 1 + slack:
             raise ProfileError("profile is not 1-Lipschitz on node pairs")
-        if np.any(dt[mask] > sr[mask] * (1 + slack)):
+        if tri > 1 + slack:
             raise ProfileError(
                 "profile violates |t - t'| <= rho(t) + rho(t')")
 
@@ -186,6 +187,25 @@ class DistanceProfile:
 
     def __len__(self):
         return self.t_nodes.size
+
+
+def metric_condition_quotients(t, rho, min_dt):
+    """max |rho - rho'| / |t - t'| and max |t - t'| / (rho + rho') over
+    pairs of the arrays with |t - t'| > min_dt: the curve points and the
+    center satisfy both triangle inequalities when both are <= 1.  A block
+    of rows meets only the points from its first row on (both quotients
+    are symmetric), so memory stays linear; NaN gives NaN."""
+    lip = tri = 0.0
+    for a in range(0, t.size, HOLDER_BLOCK_ROWS):
+        b = a + HOLDER_BLOCK_ROWS
+        dt = np.abs(t[a:b, None] - t[None, a:])
+        mask = dt > min_dt
+        dt = dt[mask]
+        lip = np.max(np.abs(rho[a:b, None] - rho[None, a:])[mask] / dt,
+                     initial=lip)
+        tri = np.max(dt / (rho[a:b, None] + rho[None, a:])[mask],
+                     initial=tri)
+    return float(lip), float(tri)
 
 
 def write_profile_csv(profile, path):

@@ -47,12 +47,6 @@ class CheckerReport:
                 return r
         raise KeyError(f"no record named {name!r}")
 
-    def worst(self, prefix=""):
-        cands = [r for r in self.records if r.name.startswith(prefix)]
-        if not cands:
-            raise KeyError(f"no record with prefix {prefix!r}")
-        return max(cands, key=lambda r: r.margin)
-
     def to_dict(self):
         return {
             "verdict": self.verdict,

@@ -61,8 +61,6 @@ def bump_weight_prime(x):
 @dataclass
 class AnnulusPiece:
     k: int
-    t_lo: float
-    t_hi: float
     side: str              # "both", "-", "+"
     case: str              # "I".."IV"
     lam: float
@@ -76,10 +74,7 @@ class AnnulusPiece:
 @dataclass
 class AnnulusDecomposition:
     pieces: dict           # k -> list[AnnulusPiece]
-    k_min: int
-    k_max: int
     m: float
-    meta: dict = field(default_factory=dict)
 
     def all_pieces(self):
         for k in sorted(self.pieces):
@@ -135,7 +130,6 @@ def decompose_annuli(p, s):
     if len(p) == 0:
         raise SynthesisError("empty profile")
     rho = p.rho
-    t = p.t_nodes
     m = float(np.min(rho))
     rho_max = float(np.max(rho))
     alpha = s.alpha
@@ -155,16 +149,16 @@ def decompose_annuli(p, s):
                                 * np.min(s.phi0_prime[i_lo:i_hi + 1])))
             delta = lam ** alpha * 2.0 ** (k * (1 + alpha))
             plist.append(AnnulusPiece(
-                k=k, t_lo=float(t[i_lo]), t_hi=float(t[i_hi]), side="both",
-                case="I", lam=lam, delta=delta, node_slice=(i_lo, i_hi),
+                k=k, side="both", case="I", lam=lam, delta=delta,
+                node_slice=(i_lo, i_hi),
                 theta_lo=float(s.phi0[i_lo]), theta_hi=float(s.phi0[i_hi])))
         else:
             for run_idx, (i_lo, i_hi) in enumerate(runs):
                 side = "both" if len(runs) == 1 else ("-" if run_idx == 0 else "+")
                 case, lam, delta = _piece_case(p, s, k, i_lo, i_hi, alpha)
                 plist.append(AnnulusPiece(
-                    k=k, t_lo=float(t[i_lo]), t_hi=float(t[i_hi]), side=side,
-                    case=case, lam=lam, delta=delta, node_slice=(i_lo, i_hi),
+                    k=k, side=side, case=case, lam=lam, delta=delta,
+                    node_slice=(i_lo, i_hi),
                     theta_lo=float(s.phi0[i_lo]), theta_hi=float(s.phi0[i_hi])))
         if len(plist) == 2:
             gap = plist[1].theta_lo - plist[0].theta_hi
@@ -173,8 +167,7 @@ def decompose_annuli(p, s):
                     f"split annulus k={k}: angular gap {gap:.4f} below "
                     f"{MIN_SECTOR_GAP}")
         pieces[k] = plist
-    return AnnulusDecomposition(pieces=pieces, k_min=k_min, k_max=k_max, m=m,
-                                meta={"rho_max": rho_max})
+    return AnnulusDecomposition(pieces=pieces, m=m)
 
 
 # -- per-annulus extensions ----------------------------------------------------
@@ -671,18 +664,16 @@ def synthesize(p, consts):
 # -- verification -----------------------------------------------------------------
 
 
-def _sample_holder(values, r_nodes, theta_nodes, alpha, rng, n_cross=10_000,
-                   resolution=None):
+def _sample_holder(values, r_nodes, theta_nodes, alpha, rng, resolution,
+                   n_cross=10_000):
     """Hölder seminorm of a grid function by multi-scale pair sampling:
     all pairs within decimated annulus blocks plus random cross pairs.
-    Euclidean chordal distances; a lower-bound estimator.  When a
-    per-node ``resolution`` is supplied, only the pair differences beyond
-    the summed resolutions are counted.
+    Euclidean chordal distances; a lower-bound estimator.  Only the pair
+    differences beyond the summed per-node ``resolution`` are counted.
+    NaN values give NaN.
     """
     n_t, n_r = values.shape
-    if resolution is None:
-        resolution = np.zeros_like(values)
-    best = 0.0
+    partial = [0.0]
     k_lo = int(np.floor(np.log2(r_nodes[0])))
     k_hi = int(np.ceil(np.log2(r_nodes[-1])))
     th_idx = np.arange(0, n_t, max(1, n_t // 8))
@@ -695,7 +686,7 @@ def _sample_holder(values, r_nodes, theta_nodes, alpha, rng, n_cross=10_000,
                             indexing="xy")
         pts = np.column_stack([(R * np.cos(TH)).ravel(),
                                (R * np.sin(TH)).ravel()])
-        best = max(best, holder_seminorm_pairs(
+        partial.append(holder_seminorm_pairs(
             values[np.ix_(th_idx, r_idx)].ravel(), pts, alpha,
             resolution=resolution[np.ix_(th_idx, r_idx)].ravel()))
     it = rng.integers(0, n_t, size=n_cross)
@@ -710,13 +701,13 @@ def _sample_holder(values, r_nodes, theta_nodes, alpha, rng, n_cross=10_000,
                     - resolution[it, ir] - resolution[jt, jr], 0.0)
     ok = d > 0
     if np.any(ok):
-        best = max(best, float(np.max(dv[ok] / d[ok] ** alpha)))
+        partial.append(np.max(dv[ok] / d[ok] ** alpha))
     # exhaustive adjacent-node sweep: guarantees single-node defects are
     # seen regardless of the random sampling
     dr = np.diff(r_nodes)
     dv_r = np.maximum(np.abs(np.diff(values, axis=1))
                       - resolution[:, 1:] - resolution[:, :-1], 0.0)
-    best = max(best, float(np.max(dv_r / dr[None, :] ** alpha)))
+    partial.append(np.max(dv_r / dr[None, :] ** alpha))
     if n_t > 1:
         dth = 2 * np.pi / n_t
         arc = 2.0 * r_nodes * np.sin(dth / 2.0)
@@ -724,8 +715,9 @@ def _sample_holder(values, r_nodes, theta_nodes, alpha, rng, n_cross=10_000,
         rolled_res = np.roll(resolution, -1, axis=0)
         dv_t = np.maximum(np.abs(rolled - values)
                           - resolution - rolled_res, 0.0)
-        best = max(best, float(np.max(dv_t / arc[None, :] ** alpha)))
-    return best
+        partial.append(np.max(dv_t / arc[None, :] ** alpha))
+    # np.max, unlike the builtin, keeps a NaN partial maximum
+    return float(np.max(partial))
 
 
 def verify_synthesis(res, p, consts, tol_geo=1e-5, tol_unit=1e-6,
@@ -747,9 +739,8 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, tol_dist=1e-4, seed=0):
 
     The angle of the curve is re-integrated from the grid coefficient
     (convention: it vanishes at the profile minimum), then the checks of
-    ``verify_synthesis`` run, less those that need the correction field.
-    The angle map is not stored with a grid, so its bi-Lipschitz
-    constant enters as 1.
+    ``verify_synthesis`` run, less those that need the correction field
+    or the angle map (neither is stored with a grid).
     """
     t = p.t_nodes
     phi, phi_dot, rd = _curve_angle(p, grid.value, np.zeros_like(t),
@@ -759,13 +750,14 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, tol_dist=1e-4, seed=0):
                          rho_ddot=np.asarray(p.second_deriv(t), dtype=float),
                          unit_speed_residual=0.0)
     s = analyze(p, H=consts.H, alpha=consts.alpha)
-    return _verify(grid, gamma, s, None, 1.0, consts, tol_geo, tol_dist, seed)
+    return _verify(grid, gamma, s, None, None, consts, tol_geo, tol_dist,
+                   seed)
 
 
 def _verify(grid, gamma, s, correction, bilipschitz, consts, tol_geo,
             tol_dist, seed, tol_unit=1e-6, n_dist_pairs=4):
-    """The verification battery; ``correction`` is None when only the
-    grid is known."""
+    """The verification battery; ``correction`` and ``bilipschitz`` are
+    None when only the grid is known."""
     rng = np.random.default_rng(seed)
     alpha = consts.alpha
     H = consts.H
@@ -853,8 +845,9 @@ def _verify(grid, gamma, s, correction, bilipschitz, consts, tol_geo,
             "correction_support", sup_inner / 1e-12))
 
     # bi-Lipschitz constant of the angle map
-    records.append(CheckerRecord.from_margin(
-        "bilipschitz", bilipschitz / consts.c_bilipschitz))
+    if bilipschitz is not None:
+        records.append(CheckerRecord.from_margin(
+            "bilipschitz", bilipschitz / consts.c_bilipschitz))
 
     # independent pairwise distances by shooting
     tol_d = tol_dist * grid.R

@@ -99,3 +99,51 @@ def test_profile_csv_roundtrip(sphere_csv, tmp_path):
     q = read_profile_csv(out)
     assert np.array_equal(p.rho, q.rho)
     assert np.array_equal(p.t_nodes, q.t_nodes)
+
+
+def write_csv(path, t, rho):
+    path.write_text("t,rho\n" + "".join(f"{a:.17g},{b:.17g}\n"
+                                         for a, b in zip(t, rho)))
+    return str(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_sample_exit_code(tmp_path, bad):
+    t = np.linspace(-0.04, 0.04, 101)
+    rho = np.sqrt(0.01 ** 2 + t ** 2)
+    rho[50] = bad
+    path = write_csv(tmp_path / "bad.csv", t, rho)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--input", path])
+    assert exc.value.code == 2
+
+
+def test_budget_below_one_exit_code(sphere_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--input", sphere_csv, "--budget", "0"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+@pytest.fixture
+def steep_csv(tmp_path):
+    t = np.linspace(-0.04, 0.04, 801)
+    return write_csv(tmp_path / "steep.csv", t, 0.01 + 1.5 * np.abs(t))
+
+
+def test_check_not_lipschitz_fails(steep_csv, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["check", "--input", steep_csv, "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] is False
+    assert [rec["name"] for rec in payload["records"]] == [
+        "lipschitz_triangle"]
+
+
+def test_domain_error_exit_code(steep_csv, capsys):
+    """analyze has no checker in front: kappa's domain error is reported
+    in one line."""
+    assert main(["analyze", "--input", steep_csv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "rho'" in err

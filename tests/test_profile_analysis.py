@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from geoprofile import (kappa, phi0_curve, f0_curve, analyze, phi_inverse,
                         twelve_point_configurations, finiteness_check)
-from geoprofile.profiles import DistanceProfile
+from geoprofile.profiles import (DistanceProfile, ProfileError,
+                                 metric_condition_quotients)
 from geoprofile.surfaces import (flat_profile, spherical_profile,
                                  hyperbolic_profile, offset_hyperbola_profile,
-                                 perturbed_cone_profile, checker_suite)
+                                 perturbed_cone_profile, checker_suite,
+                                 roundtrip_suite)
 
 F0_RECORDS = ("f0_size", "f0_slope", "f0_slope_pair", "f0_cross_scale")
 
@@ -175,3 +179,93 @@ def test_scaling_of_kappa():
     k_orig = kappa(p, t)
     k_scaled = kappa(ps, lam * t)
     assert abs(k_scaled - k_orig / lam ** 2) <= 1e-8 * abs(k_orig / lam ** 2)
+
+
+def all_pairs_quotients(t, rho, min_dt):
+    """Both pair quotients over every ordered pair, one row at a time."""
+    lip, tri = [], []
+    for ti, ri in zip(t, rho):
+        dt = np.abs(ti - t)
+        mask = dt > min_dt
+        lip.append(np.max(np.abs(ri - rho)[mask] / dt[mask], initial=0.0))
+        tri.append(np.max(dt[mask] / (ri + rho)[mask], initial=0.0))
+    return float(np.max(lip)), float(np.max(tri))
+
+
+def checker_points(p, budget):
+    """The point set of the checker's lipschitz_triangle record."""
+    idx = np.unique(np.linspace(0, len(p) - 1, 400).astype(int))
+    configs = twelve_point_configurations(p.interval, budget, seed=0)
+    return np.concatenate([p.t_nodes[idx]] + [c.points for c in configs])
+
+
+@pytest.mark.parametrize("n", [7, 128, 389])
+def test_metric_quotients_equal_all_pairs_reference(n):
+    rng = np.random.default_rng(n)
+    t = np.sort(rng.uniform(-0.1, 0.1, n))
+    t[n // 2] = t[n // 3]                # an exact duplicate
+    t[-1] = t[-2] + 1e-15                # a near duplicate
+    rho = np.sqrt(0.01 ** 2 + t ** 2) + rng.normal(0.0, 1e-4, n)
+    for min_dt in (0.0, 1e-12 * 0.2):
+        got = metric_condition_quotients(t, rho, min_dt)
+        assert got == all_pairs_quotients(t, rho, min_dt)
+    # the near duplicate dominates the slope unless it is masked out
+    assert metric_condition_quotients(t, rho, 0.0)[0] > 1e6
+    assert metric_condition_quotients(t, rho, 1e-12 * 0.2)[0] < 1e6
+
+
+@pytest.mark.parametrize("which", ["bump", "roundtrip"])
+def test_metric_quotients_on_checker_points(which):
+    if which == "bump":
+        p = perturbed_cone_profile(1e-2, 0.25)
+    else:
+        p = roundtrip_suite(1, seed=1)[0]["profile"]
+    a, b = p.interval
+    ts = checker_points(p, 240)
+    rs = np.asarray(p.value(ts), dtype=float)
+    got = metric_condition_quotients(ts, rs, 1e-12 * (b - a))
+    assert got == all_pairs_quotients(ts, rs, 1e-12 * (b - a))
+    assert 0.0 < got[0] < 1.0 and 0.0 < got[1] < 1.0
+
+
+def test_metric_quotients_nan_gives_nan():
+    t = np.linspace(0.0, 1.0, 300)
+    rho = 1.0 + 0.5 * t
+    rho[200] = np.nan                    # in the second row block
+    lip, tri = metric_condition_quotients(t, rho, 0.0)
+    assert np.isnan(lip) and np.isnan(tri)
+
+
+def test_profile_validation_rejects_metric_violations():
+    t = np.linspace(-0.1, 0.1, 51)
+    with pytest.raises(ProfileError, match="1-Lipschitz"):
+        DistanceProfile(t, 0.01 + 1.5 * np.abs(t))
+    with pytest.raises(ProfileError, match="rho\\(t\\) \\+ rho"):
+        DistanceProfile(t, np.full_like(t, 1e-3))
+    DistanceProfile(t, np.sqrt(0.01 ** 2 + t ** 2))
+
+
+def test_checker_memory_is_linear(consts):
+    """Budget 240 on a 3001-node profile: 3280 points, whose dense pair
+    matrices peaked at about 420 MB."""
+    p = roundtrip_suite(1, seed=1)[0]["profile"]
+    configs = twelve_point_configurations(p.interval, 240, seed=0)
+    tracemalloc.start()
+    try:
+        finiteness_check(p, consts, configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 * 2 ** 20, peak
+
+
+def test_checker_stops_at_lipschitz_failure(consts):
+    """kappa is undefined on a profile steeper than 1: the report holds
+    the failing lipschitz_triangle record alone."""
+    t = np.linspace(-0.04, 0.04, 801)
+    p = DistanceProfile(t, 0.01 + 1.5 * np.abs(t), validate=False)
+    rep = finiteness_check(p, consts,
+                           twelve_point_configurations(p.interval, 24))
+    assert not rep.verdict
+    assert [r.name for r in rep.records] == ["lipschitz_triangle"]
+    assert rep.records[0].margin > 1.4

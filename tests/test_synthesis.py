@@ -6,7 +6,7 @@ import pytest
 from geoprofile import (synthesize, verify_synthesis, verify_grid,
                         decompose_annuli, extend_fk, glue_f, analyze,
                         MetricGrid, SynthesisError)
-from geoprofile.synthesis import bump_weight, assemble_metric
+from geoprofile.synthesis import bump_weight, assemble_metric, _sample_holder
 from geoprofile.surfaces import (flat_profile, spherical_profile,
                                  hyperbolic_profile, offset_hyperbola_profile,
                                  variable_curvature_grid, grid_profile)
@@ -133,13 +133,13 @@ def test_verify_grid_on_synthesized_grid(consts, flat_result):
     grid_rep = verify_grid(res.metric, p, consts)
     assert grid_rep.verdict, [(r.name, r.margin) for r in grid_rep.records
                               if not r.passed]
-    only_with_correction = {"f_holder_budget", "correction_interpolation",
-                            "correction_support"}
+    only_with_synthesis = {"f_holder_budget", "correction_interpolation",
+                           "correction_support", "bilipschitz"}
     grid_names = {r.name for r in grid_rep.records}
-    assert not grid_names & only_with_correction
+    assert not grid_names & only_with_synthesis
     full_names = {r.name for r in verify_synthesis(res, p, consts).records}
-    assert only_with_correction <= full_names
-    assert full_names - only_with_correction == grid_names
+    assert only_with_synthesis <= full_names
+    assert full_names - only_with_synthesis == grid_names
 
 
 def test_variable_curvature_roundtrip(consts):
@@ -209,3 +209,13 @@ def test_defect_injection_flagged(consts):
                      H=res.metric.H, alpha=res.metric.alpha, validate=False)
     rep = verify_synthesis(dataclasses.replace(res, metric=bad), p, consts)
     assert not rep.record("curvature_holder").passed
+
+
+def test_sample_holder_nan_gives_nan():
+    values = np.ones((64, 200))
+    values[17, 123] = np.nan
+    r_nodes = np.geomspace(1e-3, 0.05, 200)
+    theta_nodes = -np.pi + 2 * np.pi * np.arange(64) / 64
+    got = _sample_holder(values, r_nodes, theta_nodes, 0.5,
+                         np.random.default_rng(0), np.zeros_like(values))
+    assert np.isnan(got)
