@@ -54,6 +54,16 @@ def _load_profile(path):
         raise SystemExit(2)
 
 
+def _load_grid(path):
+    try:
+        return load_metric_json(path, validate=False)
+    except (ValueError, KeyError, TypeError) as exc:
+        # undecodable JSON, a missing key, or arrays MetricGrid rejects
+        print(f"malformed input: cannot read grid {path!r}: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def cmd_analyze(args):
     p = _load_profile(args.input)
     consts = _constants(args)
@@ -121,7 +131,7 @@ def cmd_verify(args):
     """Re-verify an existing grid against a profile."""
     p = _load_profile(args.input)
     consts = _constants(args)
-    grid = load_metric_json(args.grid, validate=False)
+    grid = _load_grid(args.grid)
     report = verify_grid(grid, p, consts, tol_geo=args.tol_geo,
                          tol_dist=args.tol_dist, seed=args.seed)
     _write(args.out, report.to_json())

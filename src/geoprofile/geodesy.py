@@ -11,6 +11,8 @@ anisotropy (cubic per ray in r, linear and periodic in theta).
 """
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,16 +99,27 @@ class MetricGrid:
         if not np.isclose(self.theta_nodes[-1] + self._dtheta, full_circle,
                           rtol=0, atol=1e-9):
             raise ValueError("theta_nodes must tile the full circle")
-        gs = CubicSpline(self.r_nodes, self.G.T)
-        self._cg = gs.c  # (4, n_r-1, n_theta)
+        cg = CubicSpline(self.r_nodes, self.G.T).c  # (4, n_r-1, n_theta)
         if self.dG_dr is not None:
-            self._cd = CubicSpline(self.r_nodes, self.dG_dr.T).c
+            cd = CubicSpline(self.r_nodes, self.dG_dr.T).c
         else:
-            c = self._cg
-            zeros = np.zeros_like(c[0])
-            self._cd = np.stack([zeros, 3 * c[0], 2 * c[1], c[2]])
+            cd = np.stack([np.zeros_like(cg[0]), 3 * cg[0], 2 * cg[1], cg[2]])
+        # both tables flat: coefficient k of ray j in radial cell i sits at
+        # k*stride + i*n_theta + j; the memoryviews serve float points
+        self._stride = (n_r - 1) * n_t
+        self._cg = np.ascontiguousarray(cg).reshape(-1)
+        self._cd = np.ascontiguousarray(cd).reshape(-1)
+        self._cg_view = memoryview(self._cg)
+        self._cd_view = memoryview(self._cd)
+        self._r_list = self.r_nodes.tolist()
+        self._theta0 = float(self.theta_nodes[0])
         if validate:
             self._validate()
+
+    def __reduce__(self):
+        # memoryviews do not pickle: rebuild from the defining arrays
+        return (MetricGrid, (self.r_nodes, self.theta_nodes, self.G,
+                             self.dG_dr, self.H, self.alpha, False))
 
     @property
     def R(self):
@@ -130,41 +143,65 @@ class MetricGrid:
 
     # -- interpolation ----------------------------------------------------
 
-    def _locate(self, r, theta):
+    def _cell(self, r, theta):
+        """Coefficient tables and cell of (r, theta), as
+        ``(cg, cd, k0, k1, dx, w)``: k0 and k1 are the flat offsets of the
+        two rays bracketing theta in the radial cell of r, dx is r minus the
+        cell start and w the angular weight.
+
+        A float point is located with bisect and math.floor and its
+        coefficients are read through memoryviews, so every value stays a
+        Python float: numpy's overhead on 0-d values would be most of the
+        cost of a geodesic step.  Arrays, and a point whose theta cannot be
+        floored (NaN or inf), use searchsorted and numpy indexing.  Both
+        paths do the same floating-point operations, so they agree bit for
+        bit.
+        """
+        n_t = self.theta_nodes.size
+        if isinstance(r, float) and isinstance(theta, float):
+            tf = (theta - self._theta0) / self._dtheta
+            if math.isfinite(tf):
+                i = min(max(bisect_right(self._r_list, r) - 1, 0),
+                        len(self._r_list) - 2)
+                j0 = math.floor(tf)
+                return (self._cg_view, self._cd_view,
+                        i * n_t + j0 % n_t, i * n_t + (j0 + 1) % n_t,
+                        r - self._r_list[i], tf - j0)
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        n_r = self.r_nodes.size
         i = np.clip(np.searchsorted(self.r_nodes, r, side="right") - 1,
-                    0, n_r - 2)
-        dx = r - self.r_nodes[i]
+                    0, self.r_nodes.size - 2)
         tf = (theta - self.theta_nodes[0]) / self._dtheta
         j0 = np.floor(tf).astype(int)
-        w = tf - j0
-        n_t = self.theta_nodes.size
-        j0 = j0 % n_t
-        j1 = (j0 + 1) % n_t
-        return i, dx, j0, j1, w
+        return (self._cg, self._cd,
+                i * n_t + j0 % n_t, i * n_t + (j0 + 1) % n_t,
+                r - self.r_nodes[i], tf - j0)
 
-    @staticmethod
-    def _horner(c, i, j, dx):
-        return ((c[0, i, j] * dx + c[1, i, j]) * dx + c[2, i, j]) * dx \
-            + c[3, i, j]
+    def _blend(self, c, k0, k1, dx, w):
+        """The cubics in dx of the rays at flat offsets k0 and k1 of table
+        ``c``, blended linearly in theta with weight w."""
+        s = self._stride
+        g0 = ((c[k0] * dx + c[k0 + s]) * dx + c[k0 + 2 * s]) * dx \
+            + c[k0 + 3 * s]
+        g1 = ((c[k1] * dx + c[k1 + s]) * dx + c[k1 + 2 * s]) * dx \
+            + c[k1 + 3 * s]
+        return (1 - w) * g0 + w * g1
 
     def value(self, r, theta):
         """G at (r, theta); array-compatible."""
-        i, dx, j0, j1, w = self._locate(r, theta)
-        g0 = self._horner(self._cg, i, j0, dx)
-        g1 = self._horner(self._cg, i, j1, dx)
-        return (1 - w) * g0 + w * g1
+        cg, _, k0, k1, dx, w = self._cell(r, theta)
+        return self._blend(cg, k0, k1, dx, w)
 
     def value_and_h(self, r, theta):
-        """(G, dG_dr/G) at (r, theta)."""
-        i, dx, j0, j1, w = self._locate(r, theta)
-        g = (1 - w) * self._horner(self._cg, i, j0, dx) \
-            + w * self._horner(self._cg, i, j1, dx)
-        d = (1 - w) * self._horner(self._cd, i, j0, dx) \
-            + w * self._horner(self._cd, i, j1, dx)
-        return g, d / g
+        """(G, dG_dr/G) at (r, theta); array-compatible."""
+        cg, cd, k0, k1, dx, w = self._cell(r, theta)
+        g = self._blend(cg, k0, k1, dx, w)
+        d = self._blend(cd, k0, k1, dx, w)
+        try:
+            return g, d / g
+        except ZeroDivisionError:
+            # G = 0 at a float point: numpy's inf or NaN, as for arrays
+            return np.float64(g), np.float64(d) / g
 
     def curvature_fd(self, with_resolution=False):
         """K = -G''/G by radial finite differences on the grid nodes.
@@ -204,14 +241,14 @@ class MetricGrid:
 
 def _geodesic_rhs(grid, state, sign):
     """d/dt of the state (rho, rho_dot, phi)."""
-    rho, rho_dot, phi = state
+    rho, rho_dot, phi = state.tolist()
     g, h = grid.value_and_h(rho, phi)
     one_minus = 1.0 - rho_dot * rho_dot
     if one_minus < NEAR_RADIAL_EPS:
         phi_dot = 0.0
         one_minus = max(one_minus, 0.0)
     else:
-        phi_dot = sign * np.sqrt(one_minus) / g
+        phi_dot = sign * math.sqrt(one_minus) / g
     return np.array([rho_dot, h * one_minus, phi_dot])
 
 
@@ -270,7 +307,7 @@ def geodesic_integrate(grid, start, rho_dot0, direction_sign, length,
         if idx == n:
             break
         y = rk4_step(rhs, t[idx], y, hstep, k1)
-        y[1] = np.clip(y[1], -1.0, 1.0)
+        y[1] = min(max(y[1], -1.0), 1.0)
 
     residual = _unit_speed_residual(grid, t, rho, phi, rho_dot)
     return GeodesicPath(t_nodes=t, rho=rho, phi=phi, rho_dot=rho_dot,
@@ -338,7 +375,7 @@ def _shoot_to_angle(grid, start, psi_angle, sign, dtheta_target, step,
         h_loc = min(step, max(0.05 * y[0], 0.01 * step))
         k1 = k_prev
         y_next = rk4_step(rhs, t_now, y, h_loc, k1)
-        y_next[1] = np.clip(y_next[1], -1.0, 1.0)
+        y_next[1] = min(max(y_next[1], -1.0), 1.0)
         if not (r_floor <= y_next[0] <= grid.R):
             raise GeodesicDomainError(
                 f"shot exited domain at r = {y_next[0]:.6g}",
@@ -387,10 +424,12 @@ def _finite_bracket(f, psi_a, va, psi_b, vb, max_iter=60):
 def distance(grid, p, q, step=None, tol_hit=None):
     """Geodesic distance between grid points by angle shooting.
 
-    Bisects the launch angle at ``p`` until the geodesic hits ``q``'s
-    radius at ``q``'s bearing within ``tol_hit`` (default 1e-6*R), then
-    returns the arclength, guarded by the via-origin radial bound
-    p.r + q.r.  Relies on strong convexity of the disc.
+    Shoots from the outer point at 11 launch angles to bracket a sign
+    change of the radius miss at ``q``'s bearing, then finds the angle
+    with Brent's method until the geodesic hits ``q``'s radius within
+    ``tol_hit`` (default 1e-6*R), and returns the arclength, guarded by
+    the via-origin radial bound p.r + q.r.  Relies on strong convexity of
+    the disc.
     """
     R = grid.R
     if tol_hit is None:

@@ -110,21 +110,30 @@ def holder_seminorm_pairs(values, points, alpha, resolution=None):
 
 
 def check_extension_hypotheses(s, alpha, T1, T2, slack=1.0 + 1e-9):
-    """Verify the pair and triple conditions; raise with a witness."""
+    """Verify the pair and triple conditions; raise with a witness.
+
+    The pair condition is scanned over the upper triangle of pairs in
+    blocks of ``HOLDER_BLOCK_ROWS`` rows, in row-major order, so the
+    witness is the first violating pair and memory stays linear in the
+    number of samples.  NaN values violate it.
+    """
     x, y = s.x, s.y
     n = x.size
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    iu = np.triu_indices(n, 1)
-    secant_ok = np.abs(dy[iu]) <= T1 * np.abs(dx[iu]) * slack
-    if not np.all(secant_ok):
-        k = int(np.argmax(~secant_ok))
-        i, j = iu[0][k], iu[1][k]
-        raise HypothesisViolation(
-            f"pair condition |df| <= T1*|dx| fails at x=({x[i]!r}, {x[j]!r}): "
-            f"|df|/|dx| = {abs(dy[i, j] / dx[i, j]):.6g} > T1 = {T1:.6g}",
-            witness=(x[i], x[j]),
-        )
+    for a in range(0, n, HOLDER_BLOCK_ROWS):
+        b = min(a + HOLDER_BLOCK_ROWS, n)
+        dx = x[a:b, None] - x[None, a:]
+        dy = y[a:b, None] - y[None, a:]
+        upper = np.arange(a, n)[None, :] > np.arange(a, b)[:, None]
+        bad = ~(np.abs(dy) <= T1 * np.abs(dx) * slack) & upper
+        if bad.any():
+            u, v = np.unravel_index(np.argmax(bad), bad.shape)
+            i, j = a + u, a + v
+            raise HypothesisViolation(
+                f"pair condition |df| <= T1*|dx| fails at "
+                f"x=({x[i]!r}, {x[j]!r}): "
+                f"|df|/|dx| = {abs(dy[u, v] / dx[u, v]):.6g} > T1 = {T1:.6g}",
+                witness=(x[i], x[j]),
+            )
     # Adjacent-triple check suffices for Hermite construction; full triple
     # sweep only for modest n.
     secants = np.diff(y) / np.diff(x)

@@ -6,7 +6,8 @@ import pytest
 from geoprofile.cli import main
 from geoprofile.profiles import write_profile_csv, read_profile_csv
 from geoprofile.surfaces import spherical_profile
-from geoprofile.geodesy import load_metric_json
+from geoprofile.geodesy import load_metric_json, save_metric_json
+from geoprofile.surfaces import constant_curvature_grid
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +148,33 @@ def test_domain_error_exit_code(steep_csv, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "rho'" in err
+
+
+def _corrupt_grid(text):
+    """Three kinds of damage to a grid file: cut short, a key gone,
+    theta_nodes one short of the rows of G."""
+    return {
+        "truncated": text[:len(text) // 2],
+        "missing_key": json.dumps(
+            {k: v for k, v in json.loads(text).items() if k != "G"}),
+        "inconsistent": json.dumps(
+            {**json.loads(text),
+             "theta_nodes": json.loads(text)["theta_nodes"][:-1]}),
+    }
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing_key",
+                                    "inconsistent"])
+def test_verify_malformed_grid_exit_code(sphere_csv, tmp_path, capsys,
+                                         damage):
+    good = tmp_path / "good.json"
+    save_metric_json(constant_curvature_grid(0.5, 0.05, n_r=40, n_theta=8),
+                     good)
+    bad = tmp_path / "bad.json"
+    bad.write_text(_corrupt_grid(good.read_text())[damage])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--input", sphere_csv, "--grid", str(bad)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("malformed input: ")

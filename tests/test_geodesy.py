@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -164,3 +165,114 @@ def test_grid_validation_rejects_bad_G():
     G = np.tile(r, (8, 1)) * 3.0   # badly off the envelope
     with pytest.raises(ValueError):
         MetricGrid(r, theta, G, H=1.0)
+
+
+def _grid_with_zero_row(grid):
+    """``grid`` with G = 0 on the theta = -pi row, unvalidated."""
+    G = grid.G.copy()
+    G[0] = 0.0
+    return MetricGrid(grid.r_nodes, grid.theta_nodes, G, H=grid.H,
+                      validate=False)
+
+
+def test_point_path_equals_array_path(sphere):
+    """A float point is evaluated on Python floats, arrays through numpy;
+    both give the same bits, inside and outside the node ranges."""
+    rng = np.random.default_rng(5)
+    r_nodes, theta_nodes = sphere.r_nodes, sphere.theta_nodes
+    r = np.concatenate([
+        rng.uniform(r_nodes[0], sphere.R, 2000),
+        r_nodes[::97], [sphere.R],                       # node hits
+        [0.0, 0.5 * r_nodes[0], 1.1 * sphere.R, 7.0],   # outside the nodes
+        rng.uniform(0.0, 1.2 * sphere.R, 200)])
+    theta = np.concatenate([
+        rng.uniform(-np.pi, np.pi, 2000),
+        theta_nodes[np.arange(r_nodes[::97].size) % theta_nodes.size],
+        [np.pi], [-np.pi, np.pi, 3 * np.pi, -10.0],
+        rng.uniform(-20.0, 20.0, 200)])                  # outside [-pi, pi)
+    g_arr, h_arr = sphere.value_and_h(r, theta)
+    v_arr = sphere.value(r, theta)
+    for k in range(r.size):
+        g, h = sphere.value_and_h(float(r[k]), float(theta[k]))
+        v = sphere.value(float(r[k]), float(theta[k]))
+        assert type(g) is float and type(h) is float and type(v) is float
+        assert (g, h, v) == (g_arr[k], h_arr[k], v_arr[k]), (r[k], theta[k])
+
+
+def test_grid_pickles(small_sphere):
+    """The memoryviews behind the point path are rebuilt, not pickled."""
+    copy = pickle.loads(pickle.dumps(small_sphere))
+    assert np.array_equal(copy.G, small_sphere.G)
+    assert copy.value_and_h(0.03, 1.0) == small_sphere.value_and_h(0.03, 1.0)
+
+
+def test_point_path_falls_back_to_numpy(sphere):
+    """Where Python floats would raise, numpy's inf and NaN come back."""
+    zero = _grid_with_zero_row(sphere)
+    with np.errstate(all="ignore"):
+        g, h = zero.value_and_h(0.4, -np.pi)
+        assert g == 0.0 and np.isnan(h)
+        assert np.isinf(0.5 / g)       # a numpy zero, as on the array path
+        for theta in (np.nan, np.inf):
+            g, h = sphere.value_and_h(0.3, theta)
+            g_arr, h_arr = sphere.value_and_h(np.array([0.3]),
+                                              np.array([theta]))
+            assert np.array_equal([g, h], [g_arr[0], h_arr[0]],
+                                  equal_nan=True)
+
+
+# Values computed before geodesic shooting moved to Python floats; the
+# arithmetic did not change, so they must repeat bit for bit.
+RECORDED_DISTANCES = [
+    ("flat_big", (0.5, 2.0), (0.8, 2.5), 0.4335134951621185),
+    ("sphere", (0.3, 0.0), (0.4, 0.5), 0.19567709959436452),
+    ("small_sphere", (0.01, 0.2), (0.04, -2.0), 0.04659174265560239),
+    ("small_sphere", (0.03, 3.0), (0.045, 1.0), 0.06362739785582669),
+]
+RECORDED_PATHS = [  # (rho, phi, rho_dot, phi_dot, rho_ddot) at the end,
+    # and the unit-speed residual
+    ("flat_big", (1.0, 0.0), 0.0, 1, 0.8,
+     (1.2806248474865614, 0.6747409422235547, 0.624695047554424,
+      0.6097560975609797, 0.4761395179530706, 1.5737411374061594e-12)),
+    ("sphere", (0.3, 0.2), 0.15, 1, 0.4,
+     (0.5302888169530674, 1.0651944512011076, 0.8162685764671442,
+      1.1421363251347298, 0.5691672168029538, 1.2189671494411414e-10)),
+    ("small_sphere", (0.01, 0.0), 0.0, -1, 0.03,
+     (0.03162263334739353, -1.2490742768726752, 0.9486780668989211,
+      -10.001041600419134, 3.1622895912689346, 1.6072358187790847e-05)),
+]
+
+
+@pytest.mark.parametrize("name,p,q,want", RECORDED_DISTANCES)
+def test_distance_repeats_recorded_value(request, name, p, q, want):
+    grid = request.getfixturevalue(name)
+    assert distance(grid, PolarPoint(*p), PolarPoint(*q)) == want
+
+
+@pytest.mark.parametrize("name,start,rho_dot0,sign,length,want",
+                         RECORDED_PATHS)
+def test_geodesic_integrate_repeats_recorded_values(request, name, start,
+                                                    rho_dot0, sign, length,
+                                                    want):
+    grid = request.getfixturevalue(name)
+    path = geodesic_integrate(grid, PolarPoint(*start), rho_dot0, sign,
+                              length)
+    got = (path.rho[-1], path.phi[-1], path.rho_dot[-1], path.phi_dot[-1],
+           path.rho_ddot[-1], path.unit_speed_residual)
+    assert got == want
+
+
+def test_distance_on_degenerate_input_repeats_recorded_values(sphere):
+    """A zero-G row (the source point on it divides by G = 0) and NaN
+    coordinates give what they gave with numpy scalars."""
+    zero = _grid_with_zero_row(sphere)
+    with np.errstate(all="ignore"):
+        assert distance(zero, PolarPoint(0.4, -np.pi),
+                        PolarPoint(0.3, -2.2)) == 0.7
+        assert distance(zero, PolarPoint(0.4, 2.8),
+                        PolarPoint(0.3, -2.8)) == 0.2065745605996742
+        assert np.isnan(distance(sphere, PolarPoint(np.nan, 0.3),
+                                 PolarPoint(0.4, 0.5)))
+        # shot from the NaN angle: every step goes through numpy
+        assert distance(sphere, PolarPoint(0.5, np.nan),
+                        PolarPoint(0.4, 0.5)) == 0.9

@@ -7,7 +7,8 @@ import pytest
 from geoprofile import (SampledFunction, divided_difference, holder_seminorm,
                         whitney_extend, HypothesisViolation)
 from geoprofile.calibration import random_whitney_dataset
-from geoprofile.whitney import holder_seminorm_pairs, HOLDER_BLOCK_ROWS
+from geoprofile.whitney import (holder_seminorm_pairs, HOLDER_BLOCK_ROWS,
+                                check_extension_hypotheses)
 
 
 def brute_divided_difference(x, y):
@@ -222,3 +223,59 @@ def test_holder_pairs_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20, peak
+
+
+def dense_pair_violation(x, y, T1, slack=1.0 + 1e-9):
+    """(message, witness) of the first pair in row-major order of the
+    upper triangle breaking |dy| <= T1|dx|, from dense N x N arrays."""
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    iu = np.triu_indices(x.size, 1)
+    secant_ok = np.abs(dy[iu]) <= T1 * np.abs(dx[iu]) * slack
+    if np.all(secant_ok):
+        return None
+    k = int(np.argmax(~secant_ok))
+    i, j = iu[0][k], iu[1][k]
+    return (f"pair condition |df| <= T1*|dx| fails at x=({x[i]!r}, "
+            f"{x[j]!r}): |df|/|dx| = {abs(dy[i, j] / dx[i, j]):.6g} > "
+            f"T1 = {T1:.6g}", (x[i], x[j]))
+
+
+@pytest.mark.parametrize("damage", ["jump_late", "jump_last_row",
+                                    "nan_middle", "nan_first"])
+def test_pair_condition_equals_dense_reference(damage):
+    n = 3 * HOLDER_BLOCK_ROWS + 5
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    y = 0.5 * np.sin(x)
+    T1 = 0.6
+    if damage == "jump_late":
+        y[2 * HOLDER_BLOCK_ROWS + 40:] += 0.05
+    elif damage == "jump_last_row":
+        y[-1] += 0.05
+    elif damage == "nan_middle":
+        y[200] = np.nan
+    else:
+        y[0] = np.nan
+    message, witness = dense_pair_violation(x, y, T1)
+    with pytest.raises(HypothesisViolation) as err:
+        check_extension_hypotheses(SampledFunction(x, y), 0.5, T1, 1e6)
+    assert str(err.value) == message
+    assert err.value.witness == witness
+
+
+def test_pair_condition_memory_is_linear():
+    """3000 samples passing both conditions: the dense pair arrays of one
+    N x N pass peak at about 309 MB."""
+    x = np.linspace(0.0, 1.0, 3000)
+    s = SampledFunction(x, 0.5 * np.sin(x))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        secants = check_extension_hypotheses(s, 0.5, 1.0, 1e3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(secants, np.diff(s.y) / np.diff(x))
+    assert peak <= 32 * 2 ** 20, peak
