@@ -53,6 +53,8 @@ class PolarPoint:
         th = float(self.theta)
         th = (th + np.pi) % (2 * np.pi) - np.pi
         object.__setattr__(self, "theta", th)
+        if not (math.isfinite(self.r) and math.isfinite(self.theta)):
+            raise ValueError("r and theta must be finite")
         if self.r < 0:
             raise ValueError("r must be nonnegative")
 
@@ -309,24 +311,34 @@ def geodesic_integrate(grid, start, rho_dot0, direction_sign, length,
         y = rk4_step(rhs, t[idx], y, hstep, k1)
         y[1] = min(max(y[1], -1.0), 1.0)
 
-    residual = _unit_speed_residual(grid, t, rho, phi, rho_dot)
+    residual = _unit_speed_residual(grid, rho, phi, rho_dot,
+                                    12 * (t[1] - t[0]))
     return GeodesicPath(t_nodes=t, rho=rho, phi=phi, rho_dot=rho_dot,
                         phi_dot=phi_dot, rho_ddot=rho_ddot,
                         unit_speed_residual=residual)
 
 
-def _unit_speed_residual(grid, t, rho, phi, rho_dot):
+def five_point_stencil(x):
+    """12 x'(u) at the interior samples: the 4th-order central difference
+    over the node index u = 0, 1, 2, ..."""
+    return x[:-4] - 8 * x[1:-3] + 8 * x[3:-1] - x[4:]
+
+
+def _unit_speed_residual(grid, rho, phi, rho_dot, dt12):
     """max |rho_dot^2 + G^2 phi_dot_fd^2 - 1| with phi_dot_fd from a
     4th-order central difference of the stored phi samples.
+
+    ``dt12`` is 12 dt/du at the interior nodes: ``12 * h`` on nodes of
+    uniform spacing h, ``five_point_stencil(t)`` on any strictly
+    increasing nodes (the chain rule through the node index u).
 
     An a-posteriori consistency check: rho_dot is integrator state while
     phi_dot_fd differentiates the accumulated angle, so integration bugs
     do not cancel.
     """
-    if t.size < 5:
+    if phi.size < 5:
         return 0.0
-    h = t[1] - t[0]
-    pf = (phi[:-4] - 8 * phi[1:-3] + 8 * phi[3:-1] - phi[4:]) / (12 * h)
+    pf = five_point_stencil(phi) / dt12
     g = grid.value(rho[2:-2], phi[2:-2])
     res = np.abs(rho_dot[2:-2] ** 2 + (g * pf) ** 2 - 1.0)
     return float(np.max(res))

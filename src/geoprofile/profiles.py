@@ -2,12 +2,14 @@
 
 A profile is the distance from a moving point on a unit-speed curve to a
 fixed center.  Derivatives may be supplied as analytic callbacks, as
-arrays carried by an integrator, or left to spline differentiation of
-the samples (in decreasing order of fidelity).
+arrays of rho' and rho'' carried by an integrator, or left to the
+quintic interpolating spline of the samples (in decreasing order of
+fidelity).  A profile needs at least 6 samples, the fewest a quintic
+spline interpolates.
 """
 
 import numpy as np
-from scipy.interpolate import BPoly, CubicSpline
+from scipy.interpolate import BPoly, CubicSpline, make_interp_spline
 
 from .whitney import HOLDER_BLOCK_ROWS
 
@@ -21,14 +23,23 @@ class DistanceProfile:
                  rho_fn=None, validate=True):
         t = np.asarray(t_nodes, dtype=float)
         r = np.asarray(rho, dtype=float)
-        if t.ndim != 1 or t.shape != r.shape or t.size < 4:
-            raise ProfileError("need matching 1-d arrays with >= 4 samples")
+        if t.ndim != 1 or t.shape != r.shape or t.size < 6:
+            raise ProfileError("need matching 1-d arrays with >= 6 samples")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(r))):
             raise ProfileError("t_nodes and rho must be finite")
         if np.any(np.diff(t) <= 0):
             raise ProfileError("t_nodes must be strictly increasing")
         if np.any(r <= 0):
             raise ProfileError("rho must be positive")
+        carried = [d is not None and not callable(d)
+                   for d in (rho_dot, rho_ddot)]
+        if carried[0] != carried[1]:
+            raise ProfileError(
+                "carried derivative arrays need both rho' and rho''")
+        self._carried = carried[0]
+        if self._carried:
+            rho_dot = np.asarray(rho_dot, dtype=float)
+            rho_ddot = np.asarray(rho_ddot, dtype=float)
         self.t_nodes = t
         self.rho = r
         self._rho_fn = rho_fn
@@ -68,24 +79,23 @@ class DistanceProfile:
 
     @property
     def spline(self):
-        """Best available reconstruction of rho(t).
+        """The one interpolant of rho(t), always quintic.
 
-        With derivative arrays carried from an integrator this is the
-        Hermite interpolant matching them (quintic when both are
-        present), whose divided differences stay faithful down to scales
-        far below the node spacing; otherwise a plain cubic spline.
+        With rho' and rho'' arrays carried from an integrator this is
+        the Hermite interpolant matching all three, whose divided
+        differences stay faithful down to scales far below the node
+        spacing; from samples alone it is the quintic interpolating
+        spline, whose first two derivatives serve ``deriv`` and
+        ``second_deriv``.
         """
         if self._spline is None:
-            stack = [self.rho]
-            if self._rho_dot is not None and not callable(self._rho_dot):
-                stack.append(np.asarray(self._rho_dot, dtype=float))
-                if self._rho_ddot is not None and not callable(self._rho_ddot):
-                    stack.append(np.asarray(self._rho_ddot, dtype=float))
-            if len(stack) > 1:
+            if self._carried:
                 self._spline = BPoly.from_derivatives(
-                    self.t_nodes, np.column_stack(stack))
+                    self.t_nodes, np.column_stack(
+                        [self.rho, self._rho_dot, self._rho_ddot]))
             else:
-                self._spline = CubicSpline(self.t_nodes, self.rho)
+                self._spline = make_interp_spline(self.t_nodes, self.rho,
+                                                  k=5)
         return self._spline
 
     def value(self, t):
@@ -103,75 +113,38 @@ class DistanceProfile:
     def value_resolution(self, t, dd2_scale):
         """Bound on the evaluation error of ``value`` at t.
 
-        Analytic callbacks are good to an ulp; Hermite/spline
-        reconstructions add interpolation error, modeled through the
-        local spacing and a caller-supplied second-derivative scale
-        (interp error of a k-th order piecewise polynomial is
-        h^(k+1) * f^(k+1) and higher derivatives are estimated by
-        dd2 / rho^j).
+        Analytic callbacks are good to an ulp; the quintic interpolant
+        adds interpolation error h^6 * |rho^(6)| / 128, modeled through
+        the local spacing h and a caller-supplied second-derivative
+        scale, with rho^(6) estimated by dd2 / rho^4.
         """
         t_arr = np.asarray(t, dtype=float)
         rho = np.abs(np.asarray(self.value(t_arr), dtype=float))
         eps = np.finfo(float).eps
         if self._rho_fn is not None:
             return 2.0 * eps * rho
-        # piecewise-polynomial evaluation chains cost a few ulps
-        base = 4.0 * eps * rho
         h = self.local_spacing(t_arr)
-        quintic = (self._rho_dot is not None
-                   and not callable(self._rho_dot)
-                   and self._rho_ddot is not None
-                   and not callable(self._rho_ddot))
-        if quintic:
-            return base + h ** 6 * np.abs(dd2_scale) / (128.0 * rho ** 4)
-        return base + h ** 4 * np.abs(dd2_scale) / (32.0 * rho ** 2)
+        # piecewise-polynomial evaluation chains cost a few ulps
+        return (4.0 * eps * rho
+                + h ** 6 * np.abs(dd2_scale) / (128.0 * rho ** 4))
 
     def deriv(self, t):
         if callable(self._rho_dot):
             return self._rho_dot(t)
-        if self._rho_dot is not None:
+        if self._carried:
             if self._dot_interp is None:
-                self._dot_interp = CubicSpline(
-                    self.t_nodes, np.asarray(self._rho_dot, dtype=float))
+                self._dot_interp = CubicSpline(self.t_nodes, self._rho_dot)
             return self._dot_interp(t)
-        return self._smoothed_derivs()[0](t)
+        return self.spline(t, 1)
 
     def second_deriv(self, t):
         if callable(self._rho_ddot):
             return self._rho_ddot(t)
-        if self._rho_ddot is not None:
+        if self._carried:
             if self._ddot_interp is None:
-                self._ddot_interp = CubicSpline(
-                    self.t_nodes, np.asarray(self._rho_ddot, dtype=float))
+                self._ddot_interp = CubicSpline(self.t_nodes, self._rho_ddot)
             return self._ddot_interp(t)
-        return self._smoothed_derivs()[1](t)
-
-    def _smoothed_derivs(self):
-        """Derivative estimators for sample-only profiles.
-
-        A cubic spline's second derivative carries node-scale sawtooth of
-        size h^2; a sliding local-polynomial fit has the same order of
-        accuracy but varies smoothly, which downstream Hölder budgets
-        need.  Requires (and checks for) uniform spacing; a non-uniform
-        sample falls back to the spline.
-        """
-        if getattr(self, "_sg", None) is not None:
-            return self._sg
-        dt = np.diff(self.t_nodes)
-        uniform = np.allclose(dt, dt[0], rtol=1e-8)
-        n = self.t_nodes.size
-        if not uniform or n < 11:
-            self._sg = (lambda t: self.spline(t, 1),
-                        lambda t: self.spline(t, 2))
-            return self._sg
-        from scipy.signal import savgol_filter
-        window = min(31, max(9, (n // 150) | 1))
-        d1 = savgol_filter(self.rho, window, 4, deriv=1, delta=dt[0])
-        d2 = savgol_filter(self.rho, window, 4, deriv=2, delta=dt[0])
-        s1 = CubicSpline(self.t_nodes, d1)
-        s2 = CubicSpline(self.t_nodes, d2)
-        self._sg = (s1, s2)
-        return self._sg
+        return self.spline(t, 2)
 
     def argmin_node(self):
         """Index of the leftmost minimizer among the nodes."""

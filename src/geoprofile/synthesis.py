@@ -18,7 +18,8 @@ from .special_functions import sin_k, cot_k
 from .whitney import (SampledFunction, whitney_extend, holder_seminorm_pairs,
                       HypothesisViolation, INTERVAL_LENGTH_FACTOR)
 from .profile_analysis import analyze
-from .geodesy import MetricGrid, GeodesicPath, PolarPoint, distance
+from .geodesy import (MetricGrid, GeodesicPath, PolarPoint, distance,
+                      five_point_stencil, _unit_speed_residual)
 from .report import CheckerRecord, CheckerReport
 
 LN2 = np.log(2.0)
@@ -824,9 +825,8 @@ def _verify(grid, gamma, s, correction, bilipschitz, consts, tol_geo,
         witness=[t[worst_i]]))
 
     # unit-speed residual of the stored curve
-    from .geodesy import _unit_speed_residual
-    res_unit = _unit_speed_residual(grid, t, gamma.rho, gamma.phi,
-                                    gamma.rho_dot)
+    res_unit = _unit_speed_residual(grid, gamma.rho, gamma.phi,
+                                    gamma.rho_dot, five_point_stencil(t))
     records.append(CheckerRecord.from_margin(
         "unit_speed", res_unit / tol_unit))
 
@@ -860,10 +860,9 @@ def _verify(grid, gamma, s, correction, bilipschitz, consts, tol_geo,
         j = int(((frac + 0.35) % 1.0) * (n - 1))
         if i == j:
             continue
-        pi = PolarPoint(gamma.rho[i], gamma.phi[i])
-        pj = PolarPoint(gamma.rho[j], gamma.phi[j])
         try:
-            d = distance(grid, pi, pj)
+            d = distance(grid, PolarPoint(gamma.rho[i], gamma.phi[i]),
+                         PolarPoint(gamma.rho[j], gamma.phi[j]))
         except Exception as exc:  # report, never crash the verifier
             records.append(CheckerRecord.from_margin(
                 "distance_pairs", 1e9, witness=[t[i], t[j]],

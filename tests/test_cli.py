@@ -5,9 +5,9 @@ import pytest
 
 from geoprofile.cli import main
 from geoprofile.profiles import write_profile_csv, read_profile_csv
-from geoprofile.surfaces import spherical_profile
+from geoprofile.surfaces import (spherical_profile, constant_curvature_grid,
+                                 perturbed_cone_profile)
 from geoprofile.geodesy import load_metric_json, save_metric_json
-from geoprofile.surfaces import constant_curvature_grid
 
 
 @pytest.fixture(scope="module")
@@ -178,3 +178,39 @@ def test_verify_malformed_grid_exit_code(sphere_csv, tmp_path, capsys,
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("malformed input: ")
+
+
+def test_fewer_than_six_samples_exit_code(tmp_path, capsys):
+    """A quintic spline needs 6 samples: 5 are malformed input."""
+    t = np.linspace(-0.04, 0.04, 5)
+    path = write_csv(tmp_path / "five.csv", t, np.sqrt(0.01 ** 2 + t ** 2))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--input", path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert ">= 6 samples" in err
+
+
+def test_variable_curvature_csv_roundtrip(variable_curvature_profile,
+                                          tmp_path, capsys):
+    """From samples alone, the quintic spline's derivatives carry the
+    profile through synthesis and verification."""
+    csv = tmp_path / "vc.csv"
+    write_profile_csv(variable_curvature_profile, csv)
+    grid = tmp_path / "grid.json"
+    assert main(["synthesize", "--input", str(csv), "--grid-out", str(grid),
+                 "--out", str(tmp_path / "synth.json")]) == 0
+    assert main(["verify", "--input", str(csv), "--grid", str(grid),
+                 "--out", str(tmp_path / "verify.json")]) == 0
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_bump_csv_check_fails(eps, tmp_path, capsys):
+    csv = tmp_path / "bump.csv"
+    write_profile_csv(perturbed_cone_profile(eps, 0.25), csv)
+    out = tmp_path / "report.json"
+    assert main(["check", "--input", str(csv), "--out", str(out)]) == 1
+    failed = {rec["name"] for rec in json.loads(out.read_text())["records"]
+              if not rec["pass"]}
+    assert "f0_size" in failed

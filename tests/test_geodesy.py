@@ -263,16 +263,15 @@ def test_geodesic_integrate_repeats_recorded_values(request, name, start,
 
 
 def test_distance_on_degenerate_input_repeats_recorded_values(sphere):
-    """A zero-G row (the source point on it divides by G = 0) and NaN
-    coordinates give what they gave with numpy scalars."""
+    """A zero-G row (the source point on it divides by G = 0) gives what
+    it gave with numpy scalars; a non-finite coordinate is refused."""
     zero = _grid_with_zero_row(sphere)
     with np.errstate(all="ignore"):
         assert distance(zero, PolarPoint(0.4, -np.pi),
                         PolarPoint(0.3, -2.2)) == 0.7
         assert distance(zero, PolarPoint(0.4, 2.8),
                         PolarPoint(0.3, -2.8)) == 0.2065745605996742
-        assert np.isnan(distance(sphere, PolarPoint(np.nan, 0.3),
-                                 PolarPoint(0.4, 0.5)))
-        # shot from the NaN angle: every step goes through numpy
-        assert distance(sphere, PolarPoint(0.5, np.nan),
-                        PolarPoint(0.4, 0.5)) == 0.9
+    with pytest.raises(ValueError):
+        PolarPoint(np.nan, 0.3)
+    with pytest.raises(ValueError):
+        PolarPoint(0.5, np.nan)

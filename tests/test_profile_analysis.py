@@ -269,3 +269,27 @@ def test_checker_stops_at_lipschitz_failure(consts):
     assert not rep.verdict
     assert [r.name for r in rep.records] == ["lipschitz_triangle"]
     assert rep.records[0].margin > 1.4
+
+
+def test_sampled_profile_checks_like_carried(consts,
+                                             variable_curvature_profile):
+    """The quintic spline of the samples alone gives the check records of
+    the profile whose rho' and rho'' the integrator carried."""
+    p = variable_curvature_profile
+    q = DistanceProfile(p.t_nodes, p.rho)
+    configs = twelve_point_configurations(p.interval, 240, seed=0)
+    carried = finiteness_check(p, consts, configs).records
+    sampled = finiteness_check(q, consts, configs).records
+    assert [r.name for r in sampled] == [r.name for r in carried]
+    for a, b in zip(carried, sampled):
+        assert a.passed == b.passed, a.name
+        assert abs(a.margin - b.margin) <= 1e-3, (a.name, a.margin, b.margin)
+
+
+def test_carried_derivatives_come_in_pairs():
+    t = np.linspace(-0.1, 0.1, 51)
+    rho = np.sqrt(0.01 ** 2 + t ** 2)
+    with pytest.raises(ProfileError, match="both rho' and rho''"):
+        DistanceProfile(t, rho, rho_dot=t / rho)
+    with pytest.raises(ProfileError, match="both rho' and rho''"):
+        DistanceProfile(t, rho, rho_ddot=0.01 ** 2 / rho ** 3)

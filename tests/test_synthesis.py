@@ -5,11 +5,14 @@ import pytest
 
 from geoprofile import (synthesize, verify_synthesis, verify_grid,
                         decompose_annuli, extend_fk, glue_f, analyze,
-                        MetricGrid, SynthesisError)
+                        MetricGrid, SynthesisError,
+                        twelve_point_configurations, finiteness_check)
+from geoprofile.profiles import DistanceProfile
 from geoprofile.synthesis import bump_weight, assemble_metric, _sample_holder
 from geoprofile.surfaces import (flat_profile, spherical_profile,
                                  hyperbolic_profile, offset_hyperbola_profile,
-                                 variable_curvature_grid, grid_profile)
+                                 variable_curvature_grid, grid_profile,
+                                 roundtrip_suite, constant_curvature_grid)
 from geoprofile.special_functions import sin_k
 
 
@@ -219,3 +222,36 @@ def test_sample_holder_nan_gives_nan():
     got = _sample_holder(values, r_nodes, theta_nodes, 0.5,
                          np.random.default_rng(0), np.zeros_like(values))
     assert np.isnan(got)
+
+
+def test_nonuniform_sampled_roundtrip(consts):
+    """A profile sampled at nodes whose spacing varies by a factor 1.46,
+    built from the samples alone, passes check, synthesize and verify:
+    the unit-speed record differentiates through the node index."""
+    p = roundtrip_suite(1, seed=1)[0]["profile"]
+    a, b = p.interval
+    u = np.linspace(0.0, 1.0, 3001)
+    t = a + (b - a) * (u + 0.03 * np.sin(2 * np.pi * u))
+    q = DistanceProfile(t, p.value(t))
+    configs = twelve_point_configurations(q.interval, 240, seed=0)
+    assert finiteness_check(q, consts, configs).verdict
+    rep = verify_synthesis(synthesize(q, consts), q, consts)
+    assert rep.verdict, [(r.name, r.margin) for r in rep.records
+                         if not r.passed]
+
+
+def test_verify_grid_reports_non_finite_curve_points(consts):
+    """G = 0 on the row the curve's angle is anchored to: the curve angle
+    is NaN, and distance_pairs reports the refused point, not a crash."""
+    p = spherical_profile(0.5, 0.0125, (-0.0387, 0.0387), n=3001)
+    grid = constant_curvature_grid(0.5, 0.05, n_r=400, n_theta=64)
+    G = grid.G.copy()
+    G[int(np.argmin(np.abs(grid.theta_nodes)))] = 0.0
+    zero = MetricGrid(grid.r_nodes, grid.theta_nodes, G, H=grid.H,
+                      validate=False)
+    with np.errstate(all="ignore"):
+        rep = verify_grid(zero, p, consts)
+    assert not rep.verdict
+    rec = rep.record("distance_pairs")
+    assert not rec.passed
+    assert "must be finite" in rec.detail
