@@ -377,6 +377,11 @@ class RadialCorrectionField:
     every radius at most two annulus fields contribute; chi is an extra
     C^2 radial cutoff that kills the field identically on r < m/2 while
     leaving it untouched at the curve radii (all >= m).
+
+    Each piece p of f_k is fade_p(theta) * (g_p(theta) + y_p(r)), so f is
+    separable: f = sum_{k,p} fade_p(theta) * (chi w_k y_p (r)
+    + g_p(theta) * chi w_k (r)).  ``cumulative_radial`` integrates along
+    rays through this form.
     """
 
     def __init__(self, fields_by_k, m):
@@ -440,6 +445,43 @@ class RadialCorrectionField:
         chi = self._chi(r_arr)
         return chi * raw, chi * draw + self._chi_prime(r_arr) * raw
 
+    def cumulative_radial(self, r_nodes, thetas, cells=None):
+        """Cumulative trapezoid of f along the rays at ``thetas`` over the
+        increasing ``r_nodes``: the (len(thetas), len(r_nodes)) table, or
+        with ``cells`` only its entry [i, cells[i]] for each row i.
+
+        The trapezoid is linear, so by the separable form it is
+        sum_{k,p} fade_p(theta) * (A_{k,p} + g_p(theta) * B_k) with A_{k,p}
+        and B_k the 1-D cumulative trapezoids of chi w_k y_p and chi w_k.
+        y_p is read only where w_k > 0, inside its annulus.
+        """
+        r = np.asarray(r_nodes, dtype=float)
+        thetas = np.asarray(thetas, dtype=float)
+        th = thetas[:, None] if cells is None else thetas
+        dr = np.diff(r)
+        x = np.log2(r)
+        chi = self._chi(r)
+
+        def cumulative(v):
+            cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * dr)))
+            return cum if cells is None else cum[cells]
+
+        out = np.zeros((thetas.size, r.size) if cells is None else thetas.shape)
+        for k in sorted(self.fields):
+            w = bump_weight(x - k)
+            sel = w > 0
+            chi_w = np.where(sel, chi * w, 0.0)
+            B = cumulative(chi_w)
+            for piece in self.fields[k].piece_fns:
+                A = 0.0
+                if piece.y_fn is not None:
+                    y = np.zeros(r.size)
+                    y[sel] = piece.y_fn(r[sel])
+                    A = cumulative(chi_w * y)
+                g = np.interp(th, piece.theta_nodes, piece.g_nodes)
+                out += piece._fade(th) * (A + g * B)
+        return out
+
 
 def glue_f(fields_by_k, decomp):
     """Glue per-annulus extensions with the log2-dyadic partition of unity."""
@@ -497,25 +539,6 @@ def _dyadic_r_nodes(r_min, r_max):
     return r
 
 
-def _cumulative_radial(field, r_nodes, thetas, chunk=256):
-    """Cumulative trapezoid of f along each ray; rows follow ``thetas``."""
-    thetas = np.asarray(thetas, dtype=float)
-    n_th, n_r = thetas.size, r_nodes.size
-    F = np.empty((n_th, n_r))
-    dr = np.diff(r_nodes)
-    cum = np.empty((n_th, n_r))
-    for a in range(0, n_th, chunk):
-        b = min(a + chunk, n_th)
-        R = np.tile(r_nodes, (b - a, 1))
-        TH = np.tile(thetas[a:b, None], (1, n_r))
-        Fc = field.value(R, TH)
-        F[a:b] = Fc
-        inc = 0.5 * (Fc[:, 1:] + Fc[:, :-1]) * dr[None, :]
-        cum[a:b, 0] = 0.0
-        cum[a:b, 1:] = np.cumsum(inc, axis=1)
-    return F, cum
-
-
 def _curve_angle(p, coefficient, theta, sweeps=1):
     """Unit-speed angle of the curve: phi' = sqrt(1 - rho'^2) / G.
 
@@ -569,10 +592,9 @@ def assemble_metric(p, s, decomp, correction, r_pad=1.05):
     r_sub = _dyadic_r_nodes(r_min, rho_max)
 
     def reference_coefficient(r, theta):
-        _, cum = _cumulative_radial(correction, r_sub, theta)
         idx = np.clip(np.searchsorted(r_sub, r, side="right") - 1,
                       0, len(r_sub) - 2)
-        base = cum[np.arange(len(r)), idx]
+        base = correction.cumulative_radial(r_sub, theta, cells=idx)
         f_lo = correction.value(r_sub[idx], theta)
         f_at = correction.value(r, theta)
         integral = base + 0.5 * (f_lo + f_at) * (r - r_sub[idx])
@@ -614,10 +636,9 @@ def assemble_metric(p, s, decomp, correction, r_pad=1.05):
     theta_back = tmap.inverse(theta_nodes)
 
     r_nodes = _dyadic_r_nodes(r_min, R)
-    F_grid, cum_grid = _cumulative_radial(correction, r_nodes, theta_back)
-    _, dF_grid = correction.value_and_deriv(
-        np.tile(r_nodes, (n_theta, 1)),
-        np.tile(theta_back[:, None], (1, len(r_nodes))))
+    F_grid, dF_grid = correction.value_and_deriv(r_nodes[None, :],
+                                                 theta_back[:, None])
+    cum_grid = correction.cumulative_radial(r_nodes, theta_back)
     sinr = sin_k(K0, r_nodes)[None, :]
     cotr = cot_k(K0, r_nodes)[None, :]
     G = sinr * np.exp(cum_grid)

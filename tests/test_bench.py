@@ -3,14 +3,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_cli_files_bench_pass_is_correct():
-    """One pass of the command-line workload: every stage call gives its
-    expected exit code and no output is wrong."""
+# calibrate is left out: one pass takes about 16 s
+@pytest.mark.parametrize("workload", ["roundtrip", "checker", "cli_files"])
+def test_bench_pass_is_correct(workload):
+    """One pass of a benchmark workload: every stage call gives its
+    expected outcome, no output is wrong and no digest moves between
+    visits."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "cli_files",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

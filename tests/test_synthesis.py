@@ -8,7 +8,9 @@ from geoprofile import (synthesize, verify_synthesis, verify_grid,
                         MetricGrid, SynthesisError,
                         twelve_point_configurations, finiteness_check)
 from geoprofile.profiles import DistanceProfile
-from geoprofile.synthesis import bump_weight, assemble_metric, _sample_holder
+from geoprofile.synthesis import (bump_weight, assemble_metric, _sample_holder,
+                                  _PieceField, AnnulusField,
+                                  RadialCorrectionField, _dyadic_r_nodes)
 from geoprofile.surfaces import (flat_profile, spherical_profile,
                                  hyperbolic_profile, offset_hyperbola_profile,
                                  variable_curvature_grid, grid_profile,
@@ -255,3 +257,133 @@ def test_verify_grid_reports_non_finite_curve_points(consts):
     rec = rep.record("distance_pairs")
     assert not rec.passed
     assert "must be finite" in rec.detail
+
+
+def _dense_cumulative_radial(field, r_nodes, thetas, chunk=256):
+    """Reference: the field sampled on the full (theta, r) grid in row
+    chunks, then the cumulative trapezoid along each ray."""
+    thetas = np.asarray(thetas, dtype=float)
+    n_th, n_r = thetas.size, r_nodes.size
+    dr = np.diff(r_nodes)
+    cum = np.empty((n_th, n_r))
+    for a in range(0, n_th, chunk):
+        b = min(a + chunk, n_th)
+        R = np.tile(r_nodes, (b - a, 1))
+        TH = np.tile(thetas[a:b, None], (1, n_r))
+        Fc = field.value(R, TH)
+        inc = 0.5 * (Fc[:, 1:] + Fc[:, :-1]) * dr[None, :]
+        cum[a:b, 0] = 0.0
+        cum[a:b, 1:] = np.cumsum(inc, axis=1)
+    return cum
+
+
+def _hand_built_field():
+    """Five annuli k = -6..-2, each with a transport piece, an affine-y
+    piece and a nonlinear-y piece, all with nonzero g; annulus -4 has a
+    capped fade between its sectors.  Every y fails when it is read
+    outside its annulus."""
+    fields = {}
+    for k in range(-6, -1):
+        lo, hi = 2.0 ** (k - 1), 2.0 ** (k + 1)
+
+        def inside(r, lo=lo, hi=hi):
+            r = np.asarray(r, dtype=float)
+            assert np.all((r > lo) & (r < hi)), "y read outside its annulus"
+            return r
+
+        def affine(r, a=0.7 * 2.0 ** -k, b=0.1 * k, inside=inside):
+            return a * inside(r) + b
+
+        def affine_prime(r, a=0.7 * 2.0 ** -k, inside=inside):
+            return np.full_like(inside(r), a)
+
+        def wave(r, c=9.0 * 2.0 ** -k, inside=inside):
+            r = inside(r)
+            return 0.4 * np.sin(c * r) + r * r
+
+        def wave_prime(r, c=9.0 * 2.0 ** -k, inside=inside):
+            r = inside(r)
+            return 0.4 * c * np.cos(c * r) + 2.0 * r
+
+        shift = 0.1 * k
+        th_a = np.linspace(-2.5, -1.3, 40) + shift
+        th_b = np.linspace(-0.6, 0.5, 35) + shift
+        th_c = np.linspace(1.1, 2.4, 30) + shift
+        cap = 0.2 if k == -4 else None
+        pieces = [
+            _PieceField(th_a, 0.3 + 0.2 * np.cos(3.0 * th_a), fade_hi=cap),
+            _PieceField(th_b, -0.25 + 0.5 * th_b ** 2, y_fn=affine,
+                        y_prime_fn=affine_prime, fade_lo=cap, fade_hi=cap),
+            _PieceField(th_c, 0.15 * np.sin(5.0 * th_c) - 0.05, y_fn=wave,
+                        y_prime_fn=wave_prime, fade_lo=cap),
+        ]
+        fields[k] = AnnulusField(k=k, piece_fns=pieces)
+    return RadialCorrectionField(fields, m=1.5 * 2.0 ** -7)
+
+
+def _flat_glued_field(consts):
+    """The glued field of the deep flat profile: case I, III and IV
+    pieces, the III and IV annuli split into two sectors."""
+    p = flat_profile(0.002, (-0.0399, 0.0399), n=4001)
+    s = analyze(p, H=consts.H, alpha=consts.alpha)
+    d = decompose_annuli(p, s)
+    assert {pc.case for pc in d.all_pieces()} >= {"I", "III", "IV"}
+    fields = {k: extend_fk(k, d, p, s) for k in d.pieces}
+    return glue_f(fields, d), s.phi0
+
+
+@pytest.mark.parametrize("which", ["hand_built", "flat_glued"])
+def test_separable_radial_integral_matches_dense(consts, which):
+    """The per-piece 1-D radial sums equal the trapezoid of the field
+    sampled on the full grid, and the one-cell-per-row gather is the
+    table's entry exactly."""
+    if which == "hand_built":
+        field = _hand_built_field()
+        curve_thetas = np.random.default_rng(3).uniform(-np.pi, np.pi, 500)
+        r_nodes = _dyadic_r_nodes(1e-4, 0.6)
+    else:
+        field, phi0 = _flat_glued_field(consts)
+        curve_thetas = phi0[::7]
+        r_nodes = _dyadic_r_nodes(4.2e-6, 0.042)
+    thetas = np.concatenate(
+        [curve_thetas, -np.pi + 2 * np.pi * np.arange(64) / 64])
+    dense = _dense_cumulative_radial(field, r_nodes, thetas)
+    table = field.cumulative_radial(r_nodes, thetas)
+    assert table.shape == dense.shape
+    assert np.all(np.isfinite(table))
+    scale = np.max(np.abs(dense))
+    assert scale > 0.0
+    assert np.max(np.abs(table - dense)) <= 1e-12 * scale
+    cells = np.random.default_rng(4).integers(0, r_nodes.size, thetas.size)
+    cells[:3] = [0, r_nodes.size - 1, r_nodes.size - 2]
+    gathered = field.cumulative_radial(r_nodes, thetas, cells=cells)
+    assert np.all(gathered == table[np.arange(thetas.size), cells])
+
+
+def test_correction_radial_derivative_matches_differences():
+    """value_and_deriv's radial derivative, which feeds the dF term of
+    K_grid, agrees with central differences of value."""
+    field = _hand_built_field()
+    rng = np.random.default_rng(5)
+    r = np.exp(rng.uniform(np.log(0.5 * field.m), np.log(0.6), 400))
+    theta = rng.uniform(-np.pi, np.pi, 400)
+    value, deriv = field.value_and_deriv(r, theta)
+    assert np.all(value == field.value(r, theta))
+    h = 1e-7 * r
+    fd = (field.value(r + h, theta) - field.value(r - h, theta)) / (2.0 * h)
+    assert np.max(np.abs(deriv)) > 0.0
+    assert np.max(np.abs(fd - deriv)) <= 1e-6 * np.max(np.abs(deriv))
+
+
+def test_synthesize_memory_is_bounded(consts):
+    """Metric assembly integrates the field by 1-D radial sums, so one
+    synthesis never holds a curve-nodes-by-radius-nodes field."""
+    import tracemalloc
+    p = roundtrip_suite(1, seed=1)[0]["profile"]
+    tracemalloc.start()
+    try:
+        synthesize(p, consts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, f"peak {peak / 1e6:.1f} MB"
