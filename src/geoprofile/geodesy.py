@@ -26,6 +26,10 @@ from .report import dumps_deterministic
 
 R_FLOOR_FACTOR = 1e-3       # geodesics below this fraction of R are radial
 NEAR_RADIAL_EPS = 1e-10     # freeze phi when 1 - rho_dot^2 drops below this
+PSI_MIN, PSI_MAX = 1e-4, math.pi - 1e-4   # launch angles shot by distance()
+CHORD_STEP = 1e-3           # first step away from the chord direction
+CHORD_GROWTH = 8.0          # its growth factor per widening
+CHORD_WIDENINGS = 5         # widenings before the coarse scan takes over
 
 
 class GeodesicDomainError(RuntimeError):
@@ -242,8 +246,8 @@ class MetricGrid:
 
 
 def _geodesic_rhs(grid, state, sign):
-    """d/dt of the state (rho, rho_dot, phi)."""
-    rho, rho_dot, phi = state.tolist()
+    """d/dt of the state (rho, rho_dot, phi), a tuple of Python floats."""
+    rho, rho_dot, phi = state
     g, h = grid.value_and_h(rho, phi)
     one_minus = 1.0 - rho_dot * rho_dot
     if one_minus < NEAR_RADIAL_EPS:
@@ -251,7 +255,13 @@ def _geodesic_rhs(grid, state, sign):
         one_minus = max(one_minus, 0.0)
     else:
         phi_dot = sign * math.sqrt(one_minus) / g
-    return np.array([rho_dot, h * one_minus, phi_dot])
+    return (rho_dot, h * one_minus, phi_dot)
+
+
+def _clamp_rho_dot(state):
+    """The state with rho_dot clamped to [-1, 1]."""
+    rho, rho_dot, phi = state
+    return (rho, min(max(rho_dot, -1.0), 1.0), phi)
 
 
 def geodesic_integrate(grid, start, rho_dot0, direction_sign, length,
@@ -296,7 +306,7 @@ def geodesic_integrate(grid, start, rho_dot0, direction_sign, length,
     def rhs(_, state):
         return _geodesic_rhs(grid, state, direction_sign)
 
-    y = np.array([start.r, rho_dot0, start.theta])
+    y = (start.r, float(rho_dot0), start.theta)
     for idx in range(n + 1):
         if not (r_floor <= y[0] <= R):
             raise GeodesicDomainError(
@@ -308,8 +318,7 @@ def geodesic_integrate(grid, start, rho_dot0, direction_sign, length,
         rho_ddot[idx] = k1[1]
         if idx == n:
             break
-        y = rk4_step(rhs, t[idx], y, hstep, k1)
-        y[1] = min(max(y[1], -1.0), 1.0)
+        y = _clamp_rho_dot(rk4_step(rhs, t[idx], y, hstep, k1))
 
     residual = _unit_speed_residual(grid, rho, phi, rho_dot,
                                     12 * (t[1] - t[0]))
@@ -377,8 +386,8 @@ def _shoot_to_angle(grid, start, psi_angle, sign, dtheta_target, step,
     def rhs(_, state):
         return _geodesic_rhs(grid, state, sign)
 
-    rho_dot = np.cos(psi_angle)
-    y = np.array([start.r, rho_dot, start.theta])
+    R = grid.R
+    y = (start.r, float(np.cos(psi_angle)), start.theta)
     t_now = 0.0
     swept_prev = 0.0
     k_prev = rhs(t_now, y)
@@ -386,12 +395,11 @@ def _shoot_to_angle(grid, start, psi_angle, sign, dtheta_target, step,
         # near a close approach the turning scale is the radius itself
         h_loc = min(step, max(0.05 * y[0], 0.01 * step))
         k1 = k_prev
-        y_next = rk4_step(rhs, t_now, y, h_loc, k1)
-        y_next[1] = min(max(y_next[1], -1.0), 1.0)
-        if not (r_floor <= y_next[0] <= grid.R):
+        y_next = _clamp_rho_dot(rk4_step(rhs, t_now, y, h_loc, k1))
+        if not (r_floor <= y_next[0] <= R):
             raise GeodesicDomainError(
                 f"shot exited domain at r = {y_next[0]:.6g}",
-                where=t_now + h_loc, outward=bool(y_next[0] > grid.R))
+                where=t_now + h_loc, outward=bool(y_next[0] > R))
         k_next = rhs(t_now + h_loc, y_next)
         swept_next = abs(y_next[2] - start.theta)
         if swept_next >= dtheta_target:
@@ -418,6 +426,23 @@ def _shoot_to_angle(grid, start, psi_angle, sign, dtheta_target, step,
         f"{max_len:.6g} (reached {swept_prev:.6g})")
 
 
+def _shoot_miss(grid, p, q, psi_angle, sign, target, step, r_floor,
+                max_len):
+    """(radius miss at q's bearing, arclength there) of the shot from p at
+    launch angle psi_angle; a shot that leaves the domain or never sweeps
+    the target angle misses by a signed infinity, with arclength None."""
+    try:
+        _shoot_to_angle(grid, p, psi_angle, sign, target, step, r_floor,
+                        max_len)
+    except _Crossed as c:
+        return c.rho_cross - q.r, c.t_cross
+    except GeodesicDomainError as e:
+        return (np.inf, None) if e.outward else (-np.inf, None)
+    except ShootingError:
+        return (np.inf, None)
+    raise AssertionError("unreachable")
+
+
 def _finite_bracket(f, psi_a, va, psi_b, vb, max_iter=60):
     """Shrink a sign-changing bracket until both endpoint values are
     finite (domain exits count as signed infinities)."""
@@ -433,15 +458,74 @@ def _finite_bracket(f, psi_a, va, psi_b, vb, max_iter=60):
     return None
 
 
+def _chord_bracket(miss, psi0):
+    """A sign-changing bracket of the miss near the chord direction psi0,
+    or None.
+
+    The launch angle is measured from the outward radial direction, and
+    a larger angle passes nearer the centre and crosses q's bearing at a
+    smaller radius, so the sign of the miss at psi0 says which way to
+    step.  The step grows geometrically from CHORD_STEP, at most
+    CHORD_WIDENINGS times; the last angle on the old side and the first
+    one past the sign change make the bracket, shrunk to finite ends.
+    """
+    v0 = miss(psi0)[0]
+    if not math.isfinite(v0):
+        return None
+    toward = 1.0 if v0 > 0 else -1.0
+    a, va = psi0, v0
+    delta = CHORD_STEP
+    for _ in range(CHORD_WIDENINGS):
+        b = min(max(psi0 + toward * delta, PSI_MIN), PSI_MAX)
+        if b == a:
+            return None
+        vb = miss(b)[0]
+        if np.sign(vb) != np.sign(v0):
+            bracket = _finite_bracket(miss, a, va, b, vb)
+            return None if bracket is None else tuple(sorted(bracket))
+        a, va = b, vb
+        delta *= CHORD_GROWTH
+    return None
+
+
+def _scan_bracket(miss, tol_hit):
+    """The fallback: a coarse scan over 11 launch angles for a sign change
+    (infinite values carry their sign), refined to finite ends.
+
+    Returns ``(bracket, None)``, or ``(None, t)`` with no sign change: t
+    is the arclength of the scanned shot that hits within ``tol_hit``, or
+    None when none does.
+    """
+    psis = np.linspace(PSI_MIN, PSI_MAX, 11)
+    vals = [miss(ps)[0] for ps in psis]
+    for i in range(len(psis) - 1):
+        va, vb = vals[i], vals[i + 1]
+        if np.sign(va) != np.sign(vb):
+            bracket = _finite_bracket(miss, psis[i], va, psis[i + 1], vb)
+            if bracket is not None:
+                return bracket, None
+    finite = np.isfinite(vals)
+    vals = np.asarray(vals)
+    if np.any(finite) and np.min(np.abs(vals[finite])) < tol_hit:
+        i = int(np.argmin(np.where(finite, np.abs(vals), np.inf)))
+        return None, miss(psis[i])[1]
+    return None, None
+
+
 def distance(grid, p, q, step=None, tol_hit=None):
     """Geodesic distance between grid points by angle shooting.
 
-    Shoots from the outer point at 11 launch angles to bracket a sign
-    change of the radius miss at ``q``'s bearing, then finds the angle
-    with Brent's method until the geodesic hits ``q``'s radius within
-    ``tol_hit`` (default 1e-6*R), and returns the arclength, guarded by
-    the via-origin radial bound p.r + q.r.  Relies on strong convexity of
-    the disc.
+    Shoots from the outer point.  The launch angle starts from the chord
+    direction of the polar chart and steps away from it, growing, until
+    the radius miss at ``q``'s bearing changes sign; when that shot leaves
+    the domain or no sign change turns up, a coarse scan over 11 launch
+    angles brackets it instead.  Brent's method then finds the angle
+    until the geodesic hits ``q``'s radius within ``tol_hit`` (default
+    1e-6*R), and the arclength is returned, guarded by the via-origin
+    radial bound p.r + q.r.  Each launch angle is shot once per call: the
+    miss is memoized, so Brent's re-evaluation of the bracket ends and
+    the final reading of the arclength cost nothing.  Relies on strong
+    convexity of the disc.
     """
     R = grid.R
     if tol_hit is None:
@@ -470,41 +554,27 @@ def distance(grid, p, q, step=None, tol_hit=None):
     if p.r < r_floor:
         raise ValueError("source point below the radial floor")
 
-    def f(psi_angle):
-        try:
-            _shoot_to_angle(grid, p, psi_angle, sign, target, step,
-                            r_floor * 0.5, max_len)
-        except _Crossed as c:
-            return c.rho_cross - q.r, c.t_cross
-        except GeodesicDomainError as e:
-            return (np.inf, None) if e.outward else (-np.inf, None)
-        except ShootingError:
-            return (np.inf, None)
-        raise AssertionError("unreachable")
+    shots = {}
 
-    # coarse scan for a sign change (infinite values carry their sign),
-    # refine infinite ends to finite ones, then Brent
-    psis = np.linspace(1e-4, np.pi - 1e-4, 11)
-    vals = [f(ps)[0] for ps in psis]
-    bracket = None
-    for i in range(len(psis) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if np.sign(va) != np.sign(vb):
-            bracket = _finite_bracket(f, psis[i], va, psis[i + 1], vb)
-            if bracket is not None:
-                break
+    def miss(psi_angle):
+        """(radius miss at q's bearing, arclength there) of one shot."""
+        key = float(psi_angle)
+        if key not in shots:
+            shots[key] = _shoot_miss(grid, p, q, key, sign, target, step,
+                                     r_floor * 0.5, max_len)
+        return shots[key]
+
+    psi0 = math.atan2(q.r * math.sin(target),
+                      q.r * math.cos(target) - p.r)
+    bracket = _chord_bracket(miss, min(max(psi0, PSI_MIN), PSI_MAX))
     if bracket is None:
-        finite = np.isfinite(vals)
-        vals = np.asarray(vals)
-        if np.any(finite) and np.min(np.abs(vals[finite])) < tol_hit:
-            i = int(np.argmin(np.where(finite, np.abs(vals), np.inf)))
-            _, t_cross = f(psis[i])
-            return min(t_cross, radial_guard)
-        return radial_guard
+        bracket, t_hit = _scan_bracket(miss, tol_hit)
+        if bracket is None:
+            return radial_guard if t_hit is None else min(t_hit, radial_guard)
 
-    root = brentq(lambda ps: f(ps)[0], bracket[0], bracket[1],
+    root = brentq(lambda ps: miss(ps)[0], bracket[0], bracket[1],
                   xtol=1e-10, rtol=8.9e-16, maxiter=120)
-    resid, t_cross = f(root)
+    resid, t_cross = miss(root)
     if abs(resid) > tol_hit or t_cross is None:
         raise ShootingError(
             f"shooting residual {resid:.3e} above tol {tol_hit:.3e}",

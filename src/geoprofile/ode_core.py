@@ -96,7 +96,19 @@ class RadialSolution:
 def rk4_step(f, x, y, h, k1):
     """One classical RK4 step of y' = f(x, y) from (x, y) with step h;
     ``k1`` is f(x, y), which callers often have already.  Returns the
-    next state."""
+    next state.
+
+    ``y`` is an ndarray, a float, or a tuple of Python floats.  A tuple
+    state (then f returns tuples too) is combined componentwise in the
+    same operation order as the array expression, so it gives the same
+    bits without numpy's overhead on a few-element state.
+    """
+    if type(y) is tuple:
+        k2 = f(x + 0.5 * h, tuple([a + 0.5 * h * b for a, b in zip(y, k1)]))
+        k3 = f(x + 0.5 * h, tuple([a + 0.5 * h * b for a, b in zip(y, k2)]))
+        k4 = f(x + h, tuple([a + h * b for a, b in zip(y, k3)]))
+        return tuple([a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
     k2 = f(x + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(x + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(x + h, y + h * k3)

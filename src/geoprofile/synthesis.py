@@ -220,7 +220,6 @@ class _PieceField:
 class AnnulusField:
     k: int
     piece_fns: list
-    seminorms: dict = field(default_factory=dict)
 
     def value(self, r, theta):
         out = np.zeros(np.broadcast(r, theta).shape)
@@ -234,7 +233,7 @@ class AnnulusField:
             out += fn.d_dr(r, theta)
         return out
 
-    def measure_seminorms(self, alpha, n_r=24, n_th=48, rng=None):
+    def measure_seminorms(self, alpha, n_r=24, n_th=48):
         """Sampled sup and Hölder seminorms of f_k and its radial
         derivative, as ratios against the dyadic budgets."""
         k = self.k
@@ -246,14 +245,13 @@ class AnnulusField:
         pts = np.column_stack([(R * np.cos(TH)).ravel(),
                                (R * np.sin(TH)).ravel()])
         sub = slice(0, None, 3)
-        self.seminorms = {
+        return {
             "sup_f": float(np.max(np.abs(V))) / 2.0 ** ((1 + alpha) * k),
             "holder_f": holder_seminorm_pairs(V.ravel()[sub], pts[sub], alpha)
             / 2.0 ** k,
             "sup_df": float(np.max(np.abs(D))) / 2.0 ** (alpha * k),
             "holder_df": holder_seminorm_pairs(D.ravel()[sub], pts[sub], alpha),
         }
-        return self.seminorms
 
 
 def _net_indices(t, i_lo, i_hi, delta):
@@ -362,9 +360,7 @@ def extend_fk(k, decomp, p, s):
                                    y_prime_fn=y_prime_fn,
                                    fade_lo=cap_lo, fade_hi=cap_hi))
             piece.case = "IV"
-    fld = AnnulusField(k=k, piece_fns=fns)
-    fld.measure_seminorms(alpha)
-    return fld
+    return AnnulusField(k=k, piece_fns=fns)
 
 
 # -- gluing ---------------------------------------------------------------------
@@ -677,10 +673,7 @@ def synthesize(p, consts):
     decomp = decompose_annuli(p, s)
     fields = {k: extend_fk(k, decomp, p, s) for k in decomp.pieces}
     correction = glue_f(fields, decomp)
-    result = assemble_metric(p, s, decomp, correction)
-    result.diagnostics["piece_seminorms"] = {
-        int(k): fields[k].seminorms for k in fields}
-    return result
+    return assemble_metric(p, s, decomp, correction)
 
 
 # -- verification -----------------------------------------------------------------

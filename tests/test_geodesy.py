@@ -7,8 +7,9 @@ import pytest
 from geoprofile import (MetricGrid, PolarPoint, geodesic_integrate, distance,
                         distance_profile, save_metric_json, load_metric_json,
                         phi)
+from geoprofile import geodesy, synthesis
 from geoprofile.geodesy import GeodesicDomainError
-from geoprofile.surfaces import constant_curvature_grid
+from geoprofile.surfaces import constant_curvature_grid, roundtrip_suite
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +20,11 @@ def flat_big():
 @pytest.fixture(scope="module")
 def sphere():
     return constant_curvature_grid(1.0, 1.5, H=1.0)
+
+
+@pytest.fixture(scope="module")
+def hyperbolic():
+    return constant_curvature_grid(-1.0, 1.0, H=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -221,13 +227,20 @@ def test_point_path_falls_back_to_numpy(sphere):
                                   equal_nan=True)
 
 
-# Values computed before geodesic shooting moved to Python floats; the
-# arithmetic did not change, so they must repeat bit for bit.
+# Distances recorded with the bracket taken from the chord direction; the
+# arithmetic of a shot is fixed, so they must repeat bit for bit.  The last
+# column is the value recorded with the 11-angle scan bracket: Brent's
+# method stops at another angle inside its tolerance, so the two may differ
+# in their last digits, never by more than 1e-9*R.
 RECORDED_DISTANCES = [
-    ("flat_big", (0.5, 2.0), (0.8, 2.5), 0.4335134951621185),
-    ("sphere", (0.3, 0.0), (0.4, 0.5), 0.19567709959436452),
-    ("small_sphere", (0.01, 0.2), (0.04, -2.0), 0.04659174265560239),
-    ("small_sphere", (0.03, 3.0), (0.045, 1.0), 0.06362739785582669),
+    ("flat_big", (0.5, 2.0), (0.8, 2.5), 0.4335134951621343,
+     0.4335134951621185),
+    ("sphere", (0.3, 0.0), (0.4, 0.5), 0.19567709959391588,
+     0.19567709959436452),
+    ("small_sphere", (0.01, 0.2), (0.04, -2.0), 0.04659174265560604,
+     0.04659174265560239),
+    ("small_sphere", (0.03, 3.0), (0.045, 1.0), 0.06362739785606303,
+     0.06362739785582669),
 ]
 RECORDED_PATHS = [  # (rho, phi, rho_dot, phi_dot, rho_ddot) at the end,
     # and the unit-speed residual
@@ -243,10 +256,14 @@ RECORDED_PATHS = [  # (rho, phi, rho_dot, phi_dot, rho_ddot) at the end,
 ]
 
 
-@pytest.mark.parametrize("name,p,q,want", RECORDED_DISTANCES)
-def test_distance_repeats_recorded_value(request, name, p, q, want):
+@pytest.mark.parametrize("name,p,q,want,scan_value", RECORDED_DISTANCES,
+                         ids=["flat_big", "sphere", "small_sphere-inner",
+                              "small_sphere-outer"])
+def test_distance_repeats_recorded_value(request, name, p, q, want,
+                                         scan_value):
     grid = request.getfixturevalue(name)
     assert distance(grid, PolarPoint(*p), PolarPoint(*q)) == want
+    assert abs(want - scan_value) <= 1e-9 * grid.R
 
 
 @pytest.mark.parametrize("name,start,rho_dot0,sign,length,want",
@@ -263,15 +280,98 @@ def test_geodesic_integrate_repeats_recorded_values(request, name, start,
 
 
 def test_distance_on_degenerate_input_repeats_recorded_values(sphere):
-    """A zero-G row (the source point on it divides by G = 0) gives what
-    it gave with numpy scalars; a non-finite coordinate is refused."""
+    """A zero-G row (the source point on it divides by G = 0) gives the
+    recorded values; a non-finite coordinate is refused.
+
+    The grid breaks the positivity of G that ``distance`` relies on, so
+    the miss of the pair crossing the zero row has several roots: the
+    11-angle scan bracket found the one at 0.2065745605996742, the chord
+    bracket finds the root nearest the chord direction."""
     zero = _grid_with_zero_row(sphere)
     with np.errstate(all="ignore"):
         assert distance(zero, PolarPoint(0.4, -np.pi),
                         PolarPoint(0.3, -2.2)) == 0.7
         assert distance(zero, PolarPoint(0.4, 2.8),
-                        PolarPoint(0.3, -2.8)) == 0.2065745605996742
+                        PolarPoint(0.3, -2.8)) == 0.21449558138811992
     with pytest.raises(ValueError):
         PolarPoint(np.nan, 0.3)
     with pytest.raises(ValueError):
         PolarPoint(0.5, np.nan)
+
+
+def _law_of_cosines(K, a, b, dtheta):
+    """Distance between points at radii a and b, dtheta apart, on the
+    disc of constant curvature K."""
+    if K == 0.0:
+        return np.sqrt(a * a + b * b - 2 * a * b * np.cos(dtheta))
+    s = np.sqrt(abs(K))
+    if K > 0:
+        c = (np.cos(s * a) * np.cos(s * b)
+             + np.sin(s * a) * np.sin(s * b) * np.cos(dtheta))
+        return np.arccos(np.clip(c, -1.0, 1.0)) / s
+    c = (np.cosh(s * a) * np.cosh(s * b)
+         - np.sinh(s * a) * np.sinh(s * b) * np.cos(dtheta))
+    return np.arccosh(max(c, 1.0)) / s
+
+
+@pytest.fixture
+def shot_angles(monkeypatch):
+    """The launch angles shot by ``distance``, in order."""
+    angles = []
+    shoot = geodesy._shoot_to_angle
+
+    def counted(grid, start, psi_angle, *args):
+        angles.append(float(psi_angle))
+        return shoot(grid, start, psi_angle, *args)
+
+    monkeypatch.setattr(geodesy, "_shoot_to_angle", counted)
+    return angles
+
+
+def test_distance_matches_law_of_cosines(request, shot_angles):
+    """Seeded random pairs on each constant-curvature grid, and a
+    near-radial pair, against the closed form of curvature K.  On a
+    curved grid the chord shot of the near-radial pair leaves the domain
+    below the radial floor, so the 11-angle scan takes over."""
+    scan = set(np.linspace(1e-4, np.pi - 1e-4, 11).tolist())
+    fallbacks = 0
+    for name, K in (("flat_big", 0.0), ("sphere", 1.0), ("hyperbolic", -1.0),
+                    ("small_sphere", 0.3)):
+        grid = request.getfixturevalue(name)
+        R = grid.R
+        rng = np.random.default_rng(11)
+        pairs = [((rng.uniform(0.05, 0.95) * R, rng.uniform(-np.pi, np.pi)),
+                  (rng.uniform(0.05, 0.95) * R, rng.uniform(-np.pi, np.pi)))
+                 for _ in range(20)]
+        pairs.append(((0.6 * R, 0.3), (0.3 * R, 0.3 + 1e-4)))
+        for p, q in pairs:
+            del shot_angles[:]
+            d = distance(grid, PolarPoint(*p), PolarPoint(*q))
+            want = _law_of_cosines(K, p[0], q[0],
+                                   abs(geodesy._wrap_angle(q[1] - p[1])))
+            assert abs(d - want) < 1e-5, (name, p, q, d, want)
+            fallbacks += scan <= set(shot_angles)
+    assert fallbacks >= 1
+
+
+def test_verify_needs_few_shots_per_distance(consts, monkeypatch,
+                                             shot_angles):
+    """The chord bracket keeps the median at most 8 shots per distance on
+    synthesized discs (the 11-angle scan alone took about 20)."""
+    shots = []
+    measure = synthesis.distance
+
+    def counted(*args, **kwargs):
+        before = len(shot_angles)
+        d = measure(*args, **kwargs)
+        shots.append(len(shot_angles) - before)
+        return d
+
+    monkeypatch.setattr(synthesis, "distance", counted)
+    for entry in roundtrip_suite(2, seed=1):
+        p = entry["profile"]
+        rep = synthesis.verify_synthesis(synthesis.synthesize(p, consts), p,
+                                         consts)
+        assert rep.verdict
+    assert len(shots) >= 8
+    assert np.median(shots) <= 8
