@@ -357,7 +357,7 @@ def test_distance_matches_law_of_cosines(request, shot_angles):
 def test_verify_needs_few_shots_per_distance(consts, monkeypatch,
                                              shot_angles):
     """The chord bracket keeps the median at most 8 shots per distance on
-    synthesized discs (the 11-angle scan alone took about 20)."""
+    synthesized discs."""
     shots = []
     measure = synthesis.distance
 
