@@ -7,6 +7,7 @@ checker or verification failed, 2 malformed input.
 """
 
 import argparse
+import math
 import sys
 
 from .calibration import (default_constants, load_constants, save_constants,
@@ -34,6 +35,19 @@ def _positive_int(text):
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return int(text)
+
+
+def _positive_float(text):
+    if not 0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above 0, got {text}")
+    return float(text)
+
+
+def _alpha(text):
+    if not 0 < float(text) <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    return float(text)
 
 
 def _constants(args):
@@ -191,11 +205,11 @@ def build_parser():
         sp.add_argument("--constants", help="calibration JSON")
         sp.add_argument("--out", help="output JSON path (default stdout)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--h-bound", type=float, default=None)
-        sp.add_argument("--alpha", type=float, default=None)
+        sp.add_argument("--h-bound", type=_positive_float, default=None)
+        sp.add_argument("--alpha", type=_alpha, default=None)
         sp.add_argument("--budget", type=_positive_int, default=240)
-        sp.add_argument("--tol-geo", type=float, default=1e-5)
-        sp.add_argument("--tol-dist", type=float, default=1e-4)
+        sp.add_argument("--tol-geo", type=_positive_float, default=1e-5)
+        sp.add_argument("--tol-dist", type=_positive_float, default=1e-4)
 
     sp = sub.add_parser("analyze", help="derived curves of a profile")
     common(sp)
@@ -231,8 +245,8 @@ def build_parser():
     sp.add_argument("--out", help="output JSON (default calibration.json)")
     sp.add_argument("--seed", type=int, default=1729)
     sp.add_argument("--version", default=None)
-    sp.add_argument("--h-bound", type=float, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
+    sp.add_argument("--h-bound", type=_positive_float, default=None)
+    sp.add_argument("--alpha", type=_alpha, default=None)
     sp.set_defaults(fn=cmd_calibrate)
     return ap
 

@@ -29,7 +29,6 @@ NEAR_RADIAL_EPS = 1e-10     # freeze phi when 1 - rho_dot^2 drops below this
 PSI_MIN, PSI_MAX = 1e-4, math.pi - 1e-4   # launch angles shot by distance()
 CHORD_STEP = 1e-3           # first step away from the chord direction
 CHORD_GROWTH = 8.0          # its growth factor per widening
-CHORD_WIDENINGS = 5         # widenings before the coarse scan takes over
 
 
 class GeodesicDomainError(RuntimeError):
@@ -360,12 +359,6 @@ def _wrap_angle(a):
     return (a + np.pi) % (2 * np.pi) - np.pi
 
 
-class _Crossed(Exception):
-    def __init__(self, rho_cross, t_cross):
-        self.rho_cross = rho_cross
-        self.t_cross = t_cross
-
-
 def _hermite(y0, d0, y1, d1, h, tau):
     s = tau / h
     h00 = (1 + 2 * s) * (1 - s) ** 2
@@ -380,8 +373,9 @@ def _shoot_to_angle(grid, start, psi_angle, sign, dtheta_target, step,
     """Integrate until the swept angle reaches the target; return the
     radius and arclength at the crossing (Hermite-refined within a step).
 
-    Raises GeodesicDomainError on domain exit, ShootingError when the
-    target is never swept.
+    A shot that leaves [r_floor, R] returns ``(inf, None)`` outward and
+    ``(-inf, None)`` below the floor; one that never sweeps the target
+    within ``max_len`` returns ``(inf, None)``.
     """
     def rhs(_, state):
         return _geodesic_rhs(grid, state, sign)
@@ -389,7 +383,6 @@ def _shoot_to_angle(grid, start, psi_angle, sign, dtheta_target, step,
     R = grid.R
     y = (start.r, float(np.cos(psi_angle)), start.theta)
     t_now = 0.0
-    swept_prev = 0.0
     k_prev = rhs(t_now, y)
     while t_now < max_len:
         # near a close approach the turning scale is the radius itself
@@ -397,12 +390,9 @@ def _shoot_to_angle(grid, start, psi_angle, sign, dtheta_target, step,
         k1 = k_prev
         y_next = _clamp_rho_dot(rk4_step(rhs, t_now, y, h_loc, k1))
         if not (r_floor <= y_next[0] <= R):
-            raise GeodesicDomainError(
-                f"shot exited domain at r = {y_next[0]:.6g}",
-                where=t_now + h_loc, outward=bool(y_next[0] > R))
+            return (math.inf if y_next[0] > R else -math.inf), None
         k_next = rhs(t_now + h_loc, y_next)
-        swept_next = abs(y_next[2] - start.theta)
-        if swept_next >= dtheta_target:
+        if abs(y_next[2] - start.theta) >= dtheta_target:
             # refine crossing inside [t_now, t_now+h_loc] with Hermite models
             phi0, phi1 = y[2], y_next[2]
             d0, d1 = k1[2], k_next[2]
@@ -417,30 +407,10 @@ def _shoot_to_angle(grid, start, psi_angle, sign, dtheta_target, step,
                     hi = mid
             tau = 0.5 * (lo + hi)
             rho_c = _hermite(y[0], k1[0], y_next[0], k_next[0], h_loc, tau)
-            raise _Crossed(rho_c, t_now + tau)
+            return rho_c, t_now + tau
         y, k_prev = y_next, k_next
         t_now += h_loc
-        swept_prev = swept_next
-    raise ShootingError(
-        f"target angle {dtheta_target:.6g} not swept within length "
-        f"{max_len:.6g} (reached {swept_prev:.6g})")
-
-
-def _shoot_miss(grid, p, q, psi_angle, sign, target, step, r_floor,
-                max_len):
-    """(radius miss at q's bearing, arclength there) of the shot from p at
-    launch angle psi_angle; a shot that leaves the domain or never sweeps
-    the target angle misses by a signed infinity, with arclength None."""
-    try:
-        _shoot_to_angle(grid, p, psi_angle, sign, target, step, r_floor,
-                        max_len)
-    except _Crossed as c:
-        return c.rho_cross - q.r, c.t_cross
-    except GeodesicDomainError as e:
-        return (np.inf, None) if e.outward else (-np.inf, None)
-    except ShootingError:
-        return (np.inf, None)
-    raise AssertionError("unreachable")
+    return math.inf, None
 
 
 def _finite_bracket(f, psi_a, va, psi_b, vb, max_iter=60):
@@ -465,17 +435,18 @@ def _chord_bracket(miss, psi0):
     The launch angle is measured from the outward radial direction, and
     a larger angle passes nearer the centre and crosses q's bearing at a
     smaller radius, so the sign of the miss at psi0 says which way to
-    step.  The step grows geometrically from CHORD_STEP, at most
-    CHORD_WIDENINGS times; the last angle on the old side and the first
-    one past the sign change make the bracket, shrunk to finite ends.
+    step, an infinite miss too: +inf (the shot left the disc outward or
+    never swept q's bearing) steps to larger angles, -inf (it fell below
+    the floor) to smaller ones.  The step grows geometrically from
+    CHORD_STEP until it reaches PSI_MIN or PSI_MAX; the last angle on the
+    old side and the first one past the sign change make the bracket,
+    shrunk to finite ends.
     """
     v0 = miss(psi0)[0]
-    if not math.isfinite(v0):
-        return None
     toward = 1.0 if v0 > 0 else -1.0
     a, va = psi0, v0
     delta = CHORD_STEP
-    for _ in range(CHORD_WIDENINGS):
+    while True:
         b = min(max(psi0 + toward * delta, PSI_MIN), PSI_MAX)
         if b == a:
             return None
@@ -485,31 +456,6 @@ def _chord_bracket(miss, psi0):
             return None if bracket is None else tuple(sorted(bracket))
         a, va = b, vb
         delta *= CHORD_GROWTH
-    return None
-
-
-def _scan_bracket(miss, tol_hit):
-    """The fallback: a coarse scan over 11 launch angles for a sign change
-    (infinite values carry their sign), refined to finite ends.
-
-    Returns ``(bracket, None)``, or ``(None, t)`` with no sign change: t
-    is the arclength of the scanned shot that hits within ``tol_hit``, or
-    None when none does.
-    """
-    psis = np.linspace(PSI_MIN, PSI_MAX, 11)
-    vals = [miss(ps)[0] for ps in psis]
-    for i in range(len(psis) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if np.sign(va) != np.sign(vb):
-            bracket = _finite_bracket(miss, psis[i], va, psis[i + 1], vb)
-            if bracket is not None:
-                return bracket, None
-    finite = np.isfinite(vals)
-    vals = np.asarray(vals)
-    if np.any(finite) and np.min(np.abs(vals[finite])) < tol_hit:
-        i = int(np.argmin(np.where(finite, np.abs(vals), np.inf)))
-        return None, miss(psis[i])[1]
-    return None, None
 
 
 def distance(grid, p, q, step=None, tol_hit=None):
@@ -517,12 +463,15 @@ def distance(grid, p, q, step=None, tol_hit=None):
 
     Shoots from the outer point.  The launch angle starts from the chord
     direction of the polar chart and steps away from it, growing, until
-    the radius miss at ``q``'s bearing changes sign; when that shot leaves
-    the domain or no sign change turns up, a coarse scan over 11 launch
-    angles brackets it instead.  Brent's method then finds the angle
-    until the geodesic hits ``q``'s radius within ``tol_hit`` (default
-    1e-6*R), and the arclength is returned, guarded by the via-origin
-    radial bound p.r + q.r.  Each launch angle is shot once per call: the
+    the radius miss at ``q``'s bearing changes sign; a shot that leaves
+    the domain misses by a signed infinity, which gives the direction.
+    Brent's method then finds the angle until the geodesic hits ``q``'s
+    radius within ``tol_hit`` (default 1e-6*R), and the arclength is
+    returned, guarded by the via-origin radial bound p.r + q.r.  With no
+    sign change up to PSI_MIN or PSI_MAX, the shot nearest a hit gives
+    the arclength if it misses by less than ``tol_hit``, else the bound
+    is returned.  Near-radial and near-antipodal pairs take the radial
+    path without shooting.  Each launch angle is shot once per call: the
     miss is memoized, so Brent's re-evaluation of the bracket ends and
     the final reading of the arclength cost nothing.  Relies on strong
     convexity of the disc.
@@ -548,6 +497,12 @@ def distance(grid, p, q, step=None, tol_hit=None):
     guard_zone = np.sqrt(2.0 * tol_hit * (p.r + q.r) / (p.r * q.r))
     if abs(abs(dtheta) - np.pi) < guard_zone:
         return radial_guard
+    # near-radial pairs: the radial path is correct to O(dtheta^2).  On a
+    # flat disc its excess is at most p.r q.r dtheta^2 / (2 (p.r - q.r)),
+    # below tol_hit inside this zone; a curvature bound H changes that
+    # only by a factor 1 + O(H R^2).
+    if abs(dtheta) < math.sqrt(2.0 * tol_hit * (p.r - q.r) / (p.r * q.r)):
+        return p.r - q.r
     sign = 1 if dtheta > 0 else -1
     target = abs(dtheta)
     max_len = 3.0 * radial_guard + 10 * step
@@ -560,17 +515,19 @@ def distance(grid, p, q, step=None, tol_hit=None):
         """(radius miss at q's bearing, arclength there) of one shot."""
         key = float(psi_angle)
         if key not in shots:
-            shots[key] = _shoot_miss(grid, p, q, key, sign, target, step,
+            rho, t = _shoot_to_angle(grid, p, key, sign, target, step,
                                      r_floor * 0.5, max_len)
+            shots[key] = (rho - q.r, t)
         return shots[key]
 
     psi0 = math.atan2(q.r * math.sin(target),
                       q.r * math.cos(target) - p.r)
     bracket = _chord_bracket(miss, min(max(psi0, PSI_MIN), PSI_MAX))
     if bracket is None:
-        bracket, t_hit = _scan_bracket(miss, tol_hit)
-        if bracket is None:
-            return radial_guard if t_hit is None else min(t_hit, radial_guard)
+        hits = [s for s in shots.values() if abs(s[0]) < tol_hit]
+        if not hits:
+            return radial_guard
+        return min(min(hits, key=lambda s: abs(s[0]))[1], radial_guard)
 
     root = brentq(lambda ps: miss(ps)[0], bracket[0], bracket[1],
                   xtol=1e-10, rtol=8.9e-16, maxiter=120)

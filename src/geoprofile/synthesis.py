@@ -395,40 +395,21 @@ class RadialCorrectionField:
             / (self._chi_hi - self._chi_lo)
 
     def _weighted(self, r, theta, want_deriv):
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        r, theta = np.broadcast_arrays(r, theta)
+        r, theta = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                       np.asarray(theta, dtype=float))
         val = np.zeros(r.shape)
         der = np.zeros(r.shape) if want_deriv else None
         live = r > self._chi_lo
-        if not np.any(live):
-            return val, der
-        rl = r[live]
-        tl = theta[live]
-        x = np.log2(rl)
-        j0 = np.floor(x).astype(int)
-        for off in (0, 1):
-            j = j0 + off
-            w = bump_weight(x - j)
-            for k in np.unique(j):
-                fld = self.fields.get(int(k))
-                if fld is None:
-                    continue
-                sel = (j == k) & (w > 0)
-                if not np.any(sel):
-                    continue
-                sub_val = np.zeros(rl.shape)
-                sub_val[sel] = fld.value(rl[sel], tl[sel])
-                chunk = np.zeros(r.shape)
-                chunk[live] = w * sub_val
-                val += chunk
-                if want_deriv:
-                    wp = bump_weight_prime(x - j) / (rl * LN2)
-                    sub_der = np.zeros(rl.shape)
-                    sub_der[sel] = fld.d_dr(rl[sel], tl[sel])
-                    chunk_d = np.zeros(r.shape)
-                    chunk_d[live] = wp * sub_val + w * sub_der
-                    der += chunk_d
+        x = np.log2(r, where=live, out=np.zeros(r.shape))
+        for k in sorted(self.fields):
+            w = bump_weight(x - k)
+            sel = live & (w > 0)
+            fld, rs, ts, ws = self.fields[k], r[sel], theta[sel], w[sel]
+            f = fld.value(rs, ts)
+            val[sel] += ws * f
+            if want_deriv:
+                wp = bump_weight_prime(x[sel] - k) / (rs * LN2)
+                der[sel] += wp * f + ws * fld.d_dr(rs, ts)
         return val, der
 
     def value(self, r, theta):

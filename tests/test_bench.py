@@ -8,8 +8,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# calibrate is left out: one pass takes about 16 s
-@pytest.mark.parametrize("workload", ["roundtrip", "checker", "cli_files"])
+@pytest.mark.parametrize("workload",
+                         ["roundtrip", "checker", "cli_files", "calibrate"])
 def test_bench_pass_is_correct(workload):
     """One pass of a benchmark workload: every stage call gives its
     expected outcome, no output is wrong and no digest moves between

@@ -126,6 +126,29 @@ def test_budget_below_one_exit_code(sphere_csv, capsys):
     assert "--budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,option,value", [
+    ("synthesize", "--tol-dist", "-1"), ("synthesize", "--tol-dist", "0"),
+    ("synthesize", "--tol-geo", "-1"), ("synthesize", "--tol-geo", "nan"),
+    ("check", "--alpha", "0"), ("check", "--alpha", "-0.5"),
+    ("check", "--alpha", "1.5"), ("check", "--alpha", "nan"),
+    ("check", "--h-bound", "0"), ("check", "--h-bound", "-1"),
+    ("check", "--h-bound", "inf"), ("calibrate", "--alpha", "0"),
+    ("calibrate", "--h-bound", "-1")])
+def test_out_of_range_option_exit_code(sphere_csv, tmp_path, capsys, command,
+                                       option, value):
+    """A tolerance or curvature bound must be finite and above 0, alpha in
+    (0, 1]; anything else is malformed input, refused before any work."""
+    argv = [command, option, value]
+    if command != "calibrate":
+        argv += ["--input", sphere_csv]
+    if command == "synthesize":
+        argv += ["--grid-out", str(tmp_path / "grid.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
 @pytest.fixture
 def steep_csv(tmp_path):
     t = np.linspace(-0.04, 0.04, 801)

@@ -229,9 +229,10 @@ def test_point_path_falls_back_to_numpy(sphere):
 
 # Distances recorded with the bracket taken from the chord direction; the
 # arithmetic of a shot is fixed, so they must repeat bit for bit.  The last
-# column is the value recorded with the 11-angle scan bracket: Brent's
-# method stops at another angle inside its tolerance, so the two may differ
-# in their last digits, never by more than 1e-9*R.
+# column is the value recorded when a coarse scan over 11 launch angles
+# made the bracket: Brent's method stopped at another angle inside its
+# tolerance, so the two may differ in their last digits, never by more
+# than 1e-9*R.
 RECORDED_DISTANCES = [
     ("flat_big", (0.5, 2.0), (0.8, 2.5), 0.4335134951621343,
      0.4335134951621185),
@@ -284,9 +285,10 @@ def test_distance_on_degenerate_input_repeats_recorded_values(sphere):
     recorded values; a non-finite coordinate is refused.
 
     The grid breaks the positivity of G that ``distance`` relies on, so
-    the miss of the pair crossing the zero row has several roots: the
-    11-angle scan bracket found the one at 0.2065745605996742, the chord
-    bracket finds the root nearest the chord direction."""
+    the miss of the pair crossing the zero row has several roots: a
+    coarse scan over 11 launch angles, the bracket of earlier versions,
+    found the one at 0.2065745605996742, the chord bracket finds the root
+    nearest the chord direction."""
     zero = _grid_with_zero_row(sphere)
     with np.errstate(all="ignore"):
         assert distance(zero, PolarPoint(0.4, -np.pi),
@@ -330,11 +332,11 @@ def shot_angles(monkeypatch):
 
 def test_distance_matches_law_of_cosines(request, shot_angles):
     """Seeded random pairs on each constant-curvature grid, and a
-    near-radial pair, against the closed form of curvature K.  On a
-    curved grid the chord shot of the near-radial pair leaves the domain
-    below the radial floor, so the 11-angle scan takes over."""
-    scan = set(np.linspace(1e-4, np.pi - 1e-4, 11).tolist())
-    fallbacks = 0
+    near-radial pair, against the closed form of curvature K.  The
+    near-radial pair lies inside the zone where ``distance`` returns the
+    radial path.  On the K = -1 grid the chord shot of a long chord
+    leaves the disc outward, and its infinite miss still points the
+    bracket the right way."""
     for name, K in (("flat_big", 0.0), ("sphere", 1.0), ("hyperbolic", -1.0),
                     ("small_sphere", 0.3)):
         grid = request.getfixturevalue(name)
@@ -345,13 +347,40 @@ def test_distance_matches_law_of_cosines(request, shot_angles):
                  for _ in range(20)]
         pairs.append(((0.6 * R, 0.3), (0.3 * R, 0.3 + 1e-4)))
         for p, q in pairs:
-            del shot_angles[:]
             d = distance(grid, PolarPoint(*p), PolarPoint(*q))
             want = _law_of_cosines(K, p[0], q[0],
                                    abs(geodesy._wrap_angle(q[1] - p[1])))
             assert abs(d - want) < 1e-5, (name, p, q, d, want)
-            fallbacks += scan <= set(shot_angles)
-    assert fallbacks >= 1
+    hyperbolic = request.getfixturevalue("hyperbolic")
+    del shot_angles[:]
+    d = distance(hyperbolic, PolarPoint(0.9, 0.0), PolarPoint(0.85, 3.0))
+    assert abs(d - _law_of_cosines(-1.0, 0.9, 0.85, 3.0)) < 1e-9
+    assert len(shot_angles) <= 15
+    # the first shot, with the step, floor and length distance() uses here
+    chord_shot = geodesy._shoot_to_angle(
+        hyperbolic, PolarPoint(0.9, 0.0), shot_angles[0], 1, 3.0, 1e-3,
+        0.5 * hyperbolic.r_floor, 5.26)
+    assert chord_shot == (np.inf, None)
+
+
+NEAR_RADIAL_CASES = [
+    (name, K, a, b, dtheta)
+    for name, K in (("flat_big", 0.0), ("sphere", 1.0), ("hyperbolic", -1.0),
+                    ("small_sphere", 0.3))
+    for a, b in ((0.6, 0.3), (0.9, 0.1), (0.5, 0.45), (0.95, 0.05))
+    for dtheta in (1e-6, 1e-5, 3e-5, 1e-4, 1e-3, 3e-3, 1e-2)]
+
+
+@pytest.mark.parametrize("name,K,a,b,dtheta", NEAR_RADIAL_CASES)
+def test_near_radial_distance_matches_law_of_cosines(request, name, K, a, b,
+                                                     dtheta):
+    """Pairs a few launch-angle steps off one ray: inside the near-radial
+    zone the radial path answers, outside it the shooting does, both
+    within 1e-6*R of the closed form."""
+    grid = request.getfixturevalue(name)
+    R = grid.R
+    d = distance(grid, PolarPoint(a * R, 0.3), PolarPoint(b * R, 0.3 + dtheta))
+    assert abs(d - _law_of_cosines(K, a * R, b * R, dtheta)) <= 1e-6 * R
 
 
 def test_verify_needs_few_shots_per_distance(consts, monkeypatch,
