@@ -8,7 +8,7 @@ up to a measured constant; the extension interpolates exactly.
 import numpy as np
 
 from geoprofile import (SampledFunction, divided_difference, holder_seminorm,
-                        whitney_extend)
+                        whitney_extend, extension_bounds)
 
 x = np.array([0.0, 0.2, 0.45, 0.8, 1.0])
 y = np.sin(2.5 * x) * 0.4
@@ -22,13 +22,9 @@ for k in range(1, 6):
 print(f"\nHölder-1/2 seminorm of the sample: "
       f"{holder_seminorm(s, 0.5):.6f}")
 
-n = len(x)
-T1 = max(abs(y[i] - y[j]) / abs(x[i] - x[j])
-         for i in range(n) for j in range(i + 1, n)) * 1.0001
-T2 = max(abs((y[i] - y[j]) / (x[i] - x[j]) - (y[j] - y[k]) / (x[j] - x[k]))
-         / (x[k] - x[i]) ** 0.5
-         for i in range(n) for j in range(i + 1, n)
-         for k in range(j + 1, n)) * 1.0001
+# The least bounds the extension accepts: the worst secant, the worst
+# slope gap over diam^(1/2) among all triples, T1 raised to cover [0, 1].
+T1, T2 = extension_bounds(s, 0.5, (0.0, 1.0))
 ext = whitney_extend(s, 0.5, T1, T2, (0.0, 1.0))
 grid = np.linspace(0, 1, 9)
 print(f"\nextension with T1 = {T1:.4f}, T2 = {T2:.4f}:")

@@ -5,7 +5,7 @@ from .special_functions import (phi, psi, sin_k, cot_k, phi_inverse,
                                 DomainError)
 from .profiles import DistanceProfile, read_profile_csv, write_profile_csv
 from .whitney import (SampledFunction, divided_difference, holder_seminorm,
-                      whitney_extend, HypothesisViolation)
+                      whitney_extend, extension_bounds, HypothesisViolation)
 from .ode_core import (RadialCurvature, RadialSolution, solve_jacobi,
                        solve_riccati, riccati_stability_check, OdeBlowupError)
 from .geodesy import (MetricGrid, PolarPoint, GeodesicPath,
@@ -26,7 +26,7 @@ __all__ = [
     "phi", "psi", "sin_k", "cot_k", "phi_inverse", "DomainError",
     "DistanceProfile", "read_profile_csv", "write_profile_csv",
     "SampledFunction", "divided_difference", "holder_seminorm",
-    "whitney_extend", "HypothesisViolation",
+    "whitney_extend", "extension_bounds", "HypothesisViolation",
     "RadialCurvature", "RadialSolution", "solve_jacobi", "solve_riccati",
     "riccati_stability_check", "OdeBlowupError",
     "MetricGrid", "PolarPoint", "GeodesicPath", "geodesic_integrate",

@@ -8,6 +8,7 @@ packaged file ``data/default_calibration.json`` carries the provenance.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from importlib import resources
 
@@ -59,6 +60,18 @@ class CheckerConstants:
 
     @classmethod
     def from_dict(cls, d):
+        """Constants from a decoded JSON object; ValueError unless its
+        ``c_*`` and ``H`` are finite numbers > 0 and ``alpha`` is in (0, 1].
+        Values are kept as given, so they write back the same bytes."""
+        if not isinstance(d, dict):
+            raise ValueError(f"not a JSON object: {type(d).__name__}")
+        for key, value in d.items():
+            top = 1 if key == "alpha" else math.inf
+            if ((key in ("H", "alpha") or key.startswith("c_")) and not (
+                    type(value) in (int, float) and 0 < value <= top
+                    and math.isfinite(value))):
+                raise ValueError(f"{key} must be a finite number in "
+                                 f"(0, {top}], got {value!r}")
         known = {f for f in cls.__dataclass_fields__}
         kwargs = {k: v for k, v in d.items() if k in known}
         extras = {k: v for k, v in d.items() if k not in known}
@@ -143,7 +156,7 @@ def random_riccati_pair(rng, alpha=0.5):
 def random_whitney_dataset(rng, alpha=0.5):
     """Admissible sampled data with measured T1, T2 for extension tests."""
     import numpy as np
-    from .whitney import SampledFunction, INTERVAL_LENGTH_FACTOR
+    from .whitney import SampledFunction, extension_bounds
 
     n = int(rng.integers(5, 26))
     x = np.sort(rng.uniform(0.0, 1.0, size=n))
@@ -153,19 +166,8 @@ def random_whitney_dataset(rng, alpha=0.5):
     w = rng.uniform(1.0, 4.0)
     y = a * x + 0.3 * b * np.sin(w * x) + 0.2 * c * x * x
     s = SampledFunction(x, y)
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    iu = np.triu_indices(n, 1)
-    T1 = float(np.max(np.abs(dy[iu] / dx[iu])))
-    T2 = 1e-9
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            for k in range(j + 1, n):
-                sij = (y[i] - y[j]) / (x[i] - x[j])
-                sjk = (y[j] - y[k]) / (x[j] - x[k])
-                T2 = max(T2, abs(sij - sjk) / (x[k] - x[i]) ** alpha)
-    T1 = max(T1, 1e-9, T2 * (1.0 / INTERVAL_LENGTH_FACTOR) ** alpha)
-    return s, T1 * (1 + 1e-9), T2 * (1 + 1e-9), (0.0, 1.0)
+    interval = (0.0, 1.0)
+    return s, *extension_bounds(s, alpha, interval), interval
 
 
 def calibrate_constants(alpha=0.5, H=1.0, seed=1729, n_grid=16,

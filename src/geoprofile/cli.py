@@ -37,6 +37,12 @@ def _positive_int(text):
     return int(text)
 
 
+def _nonnegative_int(text):
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return int(text)
+
+
 def _positive_float(text):
     if not 0 < float(text) < math.inf:
         raise argparse.ArgumentTypeError(
@@ -50,9 +56,24 @@ def _alpha(text):
     return float(text)
 
 
+def _offset(text):
+    if not 0 <= float(text) < 1:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text}")
+    return float(text)
+
+
 def _constants(args):
-    consts = (load_constants(args.constants) if args.constants
-              else default_constants())
+    if not args.constants:
+        consts = default_constants()
+    else:
+        try:
+            consts = load_constants(args.constants)
+        except (OSError, ValueError) as exc:
+            # an unreadable file, undecodable JSON, or a value that
+            # CheckerConstants rejects
+            print(f"malformed input: cannot read constants "
+                  f"{args.constants!r}: {exc}", file=sys.stderr)
+            raise SystemExit(2)
     if args.h_bound is not None:
         consts.H = args.h_bound
     if args.alpha is not None:
@@ -204,7 +225,7 @@ def build_parser():
                             help="profile CSV (header 't,rho')")
         sp.add_argument("--constants", help="calibration JSON")
         sp.add_argument("--out", help="output JSON path (default stdout)")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_nonnegative_int, default=0)
         sp.add_argument("--h-bound", type=_positive_float, default=None)
         sp.add_argument("--alpha", type=_alpha, default=None)
         sp.add_argument("--budget", type=_positive_int, default=240)
@@ -235,15 +256,15 @@ def build_parser():
 
     sp = sub.add_parser("demo", help="built-in example profiles")
     sp.add_argument("which", choices=["euclid-offset", "eps-bump"])
-    sp.add_argument("--c", type=float, default=0.99)
-    sp.add_argument("--eps", type=float, default=1e-2)
-    sp.add_argument("--beta", type=float, default=0.25)
+    sp.add_argument("--c", type=_offset, default=0.99)
+    sp.add_argument("--eps", type=_positive_float, default=1e-2)
+    sp.add_argument("--beta", type=_alpha, default=0.25)
     common(sp, with_input=False)
     sp.set_defaults(fn=cmd_demo)
 
     sp = sub.add_parser("calibrate", help="regenerate the constants file")
     sp.add_argument("--out", help="output JSON (default calibration.json)")
-    sp.add_argument("--seed", type=int, default=1729)
+    sp.add_argument("--seed", type=_nonnegative_int, default=1729)
     sp.add_argument("--version", default=None)
     sp.add_argument("--h-bound", type=_positive_float, default=None)
     sp.add_argument("--alpha", type=_alpha, default=None)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .special_functions import sin_k, cot_k
-from .whitney import (SampledFunction, whitney_extend, holder_seminorm_pairs,
-                      HypothesisViolation, INTERVAL_LENGTH_FACTOR)
+from .whitney import (SampledFunction, whitney_extend, extension_bounds,
+                      holder_seminorm_pairs, HypothesisViolation)
 from .profile_analysis import analyze
 from .geodesy import (MetricGrid, GeodesicPath, PolarPoint, distance,
                       five_point_stencil, _unit_speed_residual)
@@ -233,26 +233,6 @@ class AnnulusField:
             out += fn.d_dr(r, theta)
         return out
 
-    def measure_seminorms(self, alpha, n_r=24, n_th=48):
-        """Sampled sup and Hölder seminorms of f_k and its radial
-        derivative, as ratios against the dyadic budgets."""
-        k = self.k
-        r = np.geomspace(2.0 ** (k - 1) * 1.001, 2.0 ** (k + 1) * 0.999, n_r)
-        th = np.linspace(-np.pi * 0.98, np.pi * 0.98, n_th)
-        R, TH = np.meshgrid(r, th, indexing="ij")
-        V = self.value(R, TH)
-        D = self.d_dr(R, TH)
-        pts = np.column_stack([(R * np.cos(TH)).ravel(),
-                               (R * np.sin(TH)).ravel()])
-        sub = slice(0, None, 3)
-        return {
-            "sup_f": float(np.max(np.abs(V))) / 2.0 ** ((1 + alpha) * k),
-            "holder_f": holder_seminorm_pairs(V.ravel()[sub], pts[sub], alpha)
-            / 2.0 ** k,
-            "sup_df": float(np.max(np.abs(D))) / 2.0 ** (alpha * k),
-            "holder_df": holder_seminorm_pairs(D.ravel()[sub], pts[sub], alpha),
-        }
-
 
 def _net_indices(t, i_lo, i_hi, delta):
     """Greedy left-to-right delta-net among node indices [i_lo, i_hi]."""
@@ -271,14 +251,15 @@ def extend_fk(k, decomp, p, s):
     Transport cases carry f0 along rays of constant angle; net cases add
     a radial interpolant through the delta-net values (full interpolation
     for case III, affine for case IV) so that the curve values are
-    reproduced exactly.  A degenerate net demotes III to IV (flagged).
+    reproduced exactly.  Case III takes T1 and T2 from
+    ``extension_bounds``, the same pairs and triples ``whitney_extend``
+    checks, so only non-finite net data is refused.  A net with fewer
+    than two distinct radii demotes III to IV (flagged).
     """
     plist = decomp.pieces.get(k)
     if not plist:
         raise SynthesisError(f"annulus k={k} has no parameter interval")
-    t = p.t_nodes
-    alpha = s.alpha
-    k_lo, k_hi = 2.0 ** (k - 1), 2.0 ** (k + 1)
+    interval = (2.0 ** (k - 1), 2.0 ** (k + 1))
     fade_caps = [(None, None)] * len(plist)
     if len(plist) == 2:
         gap = plist[1].theta_lo - plist[0].theta_hi
@@ -299,11 +280,8 @@ def extend_fk(k, decomp, p, s):
             fns.append(_PieceField(th_nodes, f0_nodes,
                                    fade_lo=cap_lo, fade_hi=cap_hi))
             continue
-        picks = _net_indices(t, i_lo, i_hi, piece.delta)
-        if case == "III" and len(picks) < 2:
-            case = "IV"
-            piece.fallback = True
         if case == "III":
+            picks = _net_indices(p.t_nodes, i_lo, i_hi, piece.delta)
             xs = p.rho[picks]
             ys = s.f0[picks]
             order = np.argsort(xs)
@@ -315,19 +293,9 @@ def extend_fk(k, decomp, p, s):
                 piece.fallback = True
             else:
                 sf = SampledFunction(xs, ys)
-                dx = np.diff(xs)
-                sec = np.diff(ys) / dx
-                T1 = max(np.max(np.abs(sec)), 1e-12)
-                T2 = 1e-12
-                for j in range(len(sec) - 1):
-                    diam = xs[j + 2] - xs[j]
-                    T2 = max(T2, abs(sec[j + 1] - sec[j]) / diam ** alpha)
-                span = k_hi - k_lo
-                T1 = max(T1, T2 * (span / INTERVAL_LENGTH_FACTOR) ** alpha
-                         * (1 + 1e-9))
+                bounds = extension_bounds(sf, s.alpha, interval)
                 try:
-                    ext = whitney_extend(sf, alpha, T1 * (1 + 1e-9),
-                                         T2 * (1 + 1e-9), (k_lo, k_hi))
+                    ext = whitney_extend(sf, s.alpha, *bounds, interval)
                 except HypothesisViolation as exc:
                     raise SynthesisError(
                         f"annulus k={k}: net data violates extension "

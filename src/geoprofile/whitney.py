@@ -109,50 +109,43 @@ def holder_seminorm_pairs(values, points, alpha, resolution=None):
     return float(best)
 
 
-def check_extension_hypotheses(s, alpha, T1, T2, slack=1.0 + 1e-9):
-    """Verify the pair and triple conditions; raise with a witness.
-
-    The pair condition is scanned over the upper triangle of pairs in
-    blocks of ``HOLDER_BLOCK_ROWS`` rows, in row-major order, so the
-    witness is the first violating pair and memory stays linear in the
-    number of samples.  NaN values violate it.
-    """
-    x, y = s.x, s.y
+def _extension_sweep(x, y, alpha):
+    """Adjacent secants of sorted samples, the worst pair |dy|/dx and the
+    worst triple |s_ij - s_jk|/(x_k - x_i)^alpha as (quotient, witness
+    indices).  The worst pair is adjacent: a secant is a weighted mean of
+    the adjacent secants it spans.  Triples: all of them for n <= 400,
+    adjacent ones above.  NaN values give NaN."""
     n = x.size
-    for a in range(0, n, HOLDER_BLOCK_ROWS):
-        b = min(a + HOLDER_BLOCK_ROWS, n)
-        dx = x[a:b, None] - x[None, a:]
-        dy = y[a:b, None] - y[None, a:]
-        upper = np.arange(a, n)[None, :] > np.arange(a, b)[:, None]
-        bad = ~(np.abs(dy) <= T1 * np.abs(dx) * slack) & upper
-        if bad.any():
-            u, v = np.unravel_index(np.argmax(bad), bad.shape)
-            i, j = a + u, a + v
-            raise HypothesisViolation(
-                f"pair condition |df| <= T1*|dx| fails at "
-                f"x=({x[i]!r}, {x[j]!r}): "
-                f"|df|/|dx| = {abs(dy[u, v] / dx[u, v]):.6g} > T1 = {T1:.6g}",
-                witness=(x[i], x[j]),
-            )
-    # Adjacent-triple check suffices for Hermite construction; full triple
-    # sweep only for modest n.
     secants = np.diff(y) / np.diff(x)
-    if n <= 400:
-        from itertools import combinations
-        triples = combinations(range(n), 3)
-    else:
-        triples = ((i, i + 1, i + 2) for i in range(n - 2))
-    for i, j, k in triples:
-        sij = (y[i] - y[j]) / (x[i] - x[j])
-        sjk = (y[j] - y[k]) / (x[j] - x[k])
-        diam = x[k] - x[i]
-        if abs(sij - sjk) > T2 * diam ** alpha * slack:
+    p = int(np.argmax(np.abs(secants)))
+    reach = n if n <= 400 else 1
+    worst = [(0.0, ())]
+    for j in range(1, n - 1):
+        i = np.arange(max(0, j - reach), j)
+        k = np.arange(j + 1, min(n, j + 1 + reach))
+        s_ij = (y[j] - y[i]) / (x[j] - x[i])
+        s_jk = (y[k] - y[j]) / (x[k] - x[j])
+        q = (np.abs(s_ij[:, None] - s_jk[None, :])
+             / (x[k][None, :] - x[i][:, None]) ** alpha)
+        a, b = np.unravel_index(np.argmax(q), q.shape)
+        worst.append((float(q[a, b]), (int(i[a]), j, int(k[b]))))
+    return (secants, (float(abs(secants[p])), (p, p + 1)),
+            worst[int(np.argmax([w[0] for w in worst]))])
+
+
+def check_extension_hypotheses(s, alpha, T1, T2):
+    """Verify the pair and triple conditions of one sweep; raise with the
+    worst violating pair or triple as witness.  NaN values violate both.
+    Returns the adjacent secants."""
+    secants, pair, triple = _extension_sweep(s.x, s.y, alpha)
+    conditions = (("pair condition |df|/|dx| <= T1", pair, T1),
+                  ("triple condition slope gap/diam^alpha <= T2", triple, T2))
+    for name, (q, idx), bound in conditions:
+        if not q <= bound:
+            witness = tuple(s.x[list(idx)])
             raise HypothesisViolation(
-                f"triple condition fails at x=({x[i]!r}, {x[j]!r}, {x[k]!r}): "
-                f"slope gap {abs(sij - sjk):.6g} > T2*diam^alpha = "
-                f"{T2 * diam ** alpha:.6g}",
-                witness=(x[i], x[j], x[k]),
-            )
+                f"{name} fails at x={witness!r}: {q!r} > {bound:.6g}",
+                witness=witness)
     return secants
 
 
@@ -212,13 +205,26 @@ class WhitneyExtension:
 INTERVAL_LENGTH_FACTOR = 4.0
 
 
+def extension_bounds(s, alpha, interval):
+    """The least (T1, T2) that ``whitney_extend`` accepts for ``s`` on
+    ``interval``: the worst pair and triple quotients the check sweeps, T1
+    raised to the interval-length rule, T2 kept above 0.  A relative 1e-9
+    margin keeps (T1 * lam, T2 * lam**(1 + alpha)) valid for x / lam."""
+    _, (q1, _), (q2, _) = _extension_sweep(s.x, s.y, alpha)
+    T2 = max(q2, 1e-12)
+    span = interval[1] - interval[0]
+    T1 = max(q1, 1e-12, T2 * (span / INTERVAL_LENGTH_FACTOR) ** alpha)
+    return T1 * (1 + 1e-9), T2 * (1 + 1e-9)
+
+
 def whitney_extend(s, alpha, T1, T2, interval):
     """Extend sampled data to a C^{1,alpha} function on ``interval``.
 
     The data must satisfy |df| <= T1|dx| on pairs and a slope-difference
     bound T2*diam^alpha on triples, and the interval must not exceed
-    INTERVAL_LENGTH_FACTOR * (T1/T2)^(1/alpha).  The result interpolates
-    exactly and its measured derivative norms are recorded on the object.
+    INTERVAL_LENGTH_FACTOR * (T1/T2)^(1/alpha); ``extension_bounds``
+    gives the least such T1 and T2.  The result interpolates exactly and
+    its measured derivative norms are recorded on the object.
 
     Slopes are assigned by a weighted-harmonic three-point rule
     (monotone-safe) and clamped so neighbouring slope differences

@@ -1,9 +1,12 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from geoprofile.calibration import CheckerConstants, DEFAULT_RESOURCE
 from geoprofile.cli import main
+from geoprofile.report import dumps_deterministic
 from geoprofile.profiles import write_profile_csv, read_profile_csv
 from geoprofile.surfaces import (spherical_profile, constant_curvature_grid,
                                  perturbed_cone_profile)
@@ -133,20 +136,60 @@ def test_budget_below_one_exit_code(sphere_csv, capsys):
     ("check", "--alpha", "1.5"), ("check", "--alpha", "nan"),
     ("check", "--h-bound", "0"), ("check", "--h-bound", "-1"),
     ("check", "--h-bound", "inf"), ("calibrate", "--alpha", "0"),
-    ("calibrate", "--h-bound", "-1")])
+    ("calibrate", "--h-bound", "-1"),
+    ("check", "--seed", "-1"), ("synthesize", "--seed", "-1"),
+    ("verify", "--seed", "-1"), ("demo eps-bump", "--seed", "-1"),
+    ("calibrate", "--seed", "-1"), ("demo eps-bump", "--eps", "-1"),
+    ("demo eps-bump", "--beta", "2"), ("demo euclid-offset", "--c", "1.5")])
 def test_out_of_range_option_exit_code(sphere_csv, tmp_path, capsys, command,
                                        option, value):
     """A tolerance or curvature bound must be finite and above 0, alpha in
-    (0, 1]; anything else is malformed input, refused before any work."""
-    argv = [command, option, value]
-    if command != "calibrate":
+    (0, 1], a seed at least 0, the demos' eps above 0, beta in (0, 1] and
+    c in [0, 1); anything else is malformed input, refused before any
+    work."""
+    argv = command.split() + [option, value]
+    if command in ("check", "synthesize", "verify"):
         argv += ["--input", sphere_csv]
     if command == "synthesize":
         argv += ["--grid-out", str(tmp_path / "grid.json")]
+    if command == "verify":
+        argv += ["--grid", str(tmp_path / "grid.json")]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"c_kappa": -1}', "[1, 2]",
+                                  "t,rho\n0,1\n", '{"c_kappa": "abc"}',
+                                  '{"alpha": 1.5}', '{"H": Infinity}',
+                                  '{"c_whitney": true}', None],
+                         ids=["negative", "list", "csv", "string", "alpha",
+                              "infinite", "bool", "directory"])
+def test_malformed_constants_exit_code(sphere_csv, tmp_path, capsys, text):
+    """A constants file that is not a JSON object of positive finite
+    constants is malformed input: a negative c_kappa would otherwise
+    silence the curvature record."""
+    path = tmp_path / "constants.json"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--input", sphere_csv, "--constants", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("malformed input: ")
+
+
+def test_shipped_constants_keep_their_bytes():
+    """Loading the shipped constants converts no value: they write back
+    the same bytes."""
+    path = resources.files("geoprofile").joinpath("data", DEFAULT_RESOURCE)
+    text = path.read_text()
+    consts = CheckerConstants.from_dict(json.loads(text))
+    assert dumps_deterministic(consts.to_dict()) == text
 
 
 @pytest.fixture

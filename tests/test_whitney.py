@@ -1,5 +1,6 @@
+import re
 import tracemalloc
-from itertools import permutations, combinations
+from itertools import chain, combinations, islice, permutations
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from geoprofile import (SampledFunction, divided_difference, holder_seminorm,
                         whitney_extend, HypothesisViolation)
 from geoprofile.calibration import random_whitney_dataset
 from geoprofile.whitney import (holder_seminorm_pairs, HOLDER_BLOCK_ROWS,
-                                check_extension_hypotheses)
+                                check_extension_hypotheses, extension_bounds,
+                                _extension_sweep)
 
 
 def brute_divided_difference(x, y):
@@ -225,25 +227,21 @@ def test_holder_pairs_memory_is_linear():
     assert peak < 32 * 2 ** 20, peak
 
 
-def dense_pair_violation(x, y, T1, slack=1.0 + 1e-9):
-    """(message, witness) of the first pair in row-major order of the
-    upper triangle breaking |dy| <= T1|dx|, from dense N x N arrays."""
+def dense_pair_maximum(x, y):
+    """max |dy|/|dx| over the upper triangle of pairs, from dense N x N
+    arrays; NaN when a value is NaN."""
     dx = x[:, None] - x[None, :]
     dy = y[:, None] - y[None, :]
     iu = np.triu_indices(x.size, 1)
-    secant_ok = np.abs(dy[iu]) <= T1 * np.abs(dx[iu]) * slack
-    if np.all(secant_ok):
-        return None
-    k = int(np.argmax(~secant_ok))
-    i, j = iu[0][k], iu[1][k]
-    return (f"pair condition |df| <= T1*|dx| fails at x=({x[i]!r}, "
-            f"{x[j]!r}): |df|/|dx| = {abs(dy[i, j] / dx[i, j]):.6g} > "
-            f"T1 = {T1:.6g}", (x[i], x[j]))
+    return float(np.max(np.abs(dy[iu] / dx[iu])))
 
 
 @pytest.mark.parametrize("damage", ["jump_late", "jump_last_row",
-                                    "nan_middle", "nan_first"])
+                                    "nan_middle", "nan_first", "intact"])
 def test_pair_condition_equals_dense_reference(damage):
+    """The check raises exactly when some pair breaks |dy| <= T1|dx|; its
+    message carries the all-pairs maximum, attained by the adjacent pair
+    it names as witness."""
     n = 3 * HOLDER_BLOCK_ROWS + 5
     rng = np.random.default_rng(n)
     x = np.sort(rng.uniform(0.0, 1.0, n))
@@ -255,13 +253,26 @@ def test_pair_condition_equals_dense_reference(damage):
         y[-1] += 0.05
     elif damage == "nan_middle":
         y[200] = np.nan
-    else:
+    elif damage == "nan_first":
         y[0] = np.nan
-    message, witness = dense_pair_violation(x, y, T1)
+    dense = dense_pair_maximum(x, y)
+    s = SampledFunction(x, y)
+    if dense <= T1:
+        check_extension_hypotheses(s, 0.5, T1, 1e6)
+        assert damage == "intact"
+        return
     with pytest.raises(HypothesisViolation) as err:
-        check_extension_hypotheses(SampledFunction(x, y), 0.5, T1, 1e6)
-    assert str(err.value) == message
-    assert err.value.witness == witness
+        check_extension_hypotheses(s, 0.5, T1, 1e6)
+    assert str(err.value).startswith("pair condition")
+    quotient = float(re.search(r"\): (\S+) > ",
+                               str(err.value)).group(1))
+    i, j = np.searchsorted(x, err.value.witness)
+    assert j == i + 1
+    attained = abs(y[j] - y[i]) / (x[j] - x[i])
+    if np.isnan(dense):
+        assert np.isnan(quotient) and np.isnan(attained)
+    else:
+        assert quotient == dense == attained
 
 
 def test_pair_condition_memory_is_linear():
@@ -279,3 +290,67 @@ def test_pair_condition_memory_is_linear():
         tracemalloc.stop()
     assert np.array_equal(secants, np.diff(s.y) / np.diff(x))
     assert peak <= 32 * 2 ** 20, peak
+
+
+def reference_triple_quotients(x, y, alpha, triples, chunk=400_000):
+    """|s_ij - s_jk| / (x_k - x_i)^alpha and the triples, for the index
+    triples listed, in chunks so memory stays bounded."""
+    triples = iter(triples)
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(triples, chunk)),
+                           dtype=np.intp)
+        if flat.size == 0:
+            return
+        i, j, k = flat.reshape(-1, 3).T
+        s_ij = (y[i] - y[j]) / (x[i] - x[j])
+        s_jk = (y[j] - y[k]) / (x[j] - x[k])
+        yield np.abs(s_ij - s_jk) / (x[k] - x[i]) ** alpha, (i, j, k)
+
+
+@pytest.mark.parametrize("n", [3, 25, 400, 401])
+def test_extension_sweep_equals_combinations_reference(n):
+    """Every triple up to n = 400, adjacent triples above: the sweep's
+    worst pair and triple equal the references', and each witness
+    attains its maximum.  On this smooth data non-adjacent triples win."""
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    y = np.abs(x - 0.5) ** 1.5 + 0.1 * np.sin(5.0 * x)
+    alpha = 0.5
+    triples = (combinations(range(n), 3) if n <= 400
+               else ((i, i + 1, i + 2) for i in range(n - 2)))
+    want = max(float(np.max(q))
+               for q, _ in reference_triple_quotients(x, y, alpha, triples))
+    secants, (q1, (i, j)), (q2, (a, b, c)) = _extension_sweep(x, y, alpha)
+    assert np.array_equal(secants, np.diff(y) / np.diff(x))
+    assert q1 == dense_pair_maximum(x, y) == abs(y[j] - y[i]) / (x[j] - x[i])
+    assert q2 == want
+    [(at_witness, _)] = reference_triple_quotients(x, y, alpha, [(a, b, c)])
+    assert at_witness[0] == want
+    if n == 25 or n == 400:
+        assert c - a > 2
+    for bad in (0, n // 2, n - 1):
+        y_nan = y.copy()
+        y_nan[bad] = np.nan
+        with pytest.raises(HypothesisViolation):
+            check_extension_hypotheses(SampledFunction(x, y_nan), alpha,
+                                       np.inf, np.inf)
+
+
+def test_extension_bounds_are_accepted(rng):
+    """whitney_extend accepts the bounds extension_bounds gives, also on
+    a net whose worst triple is not adjacent (secants 0, 1, 2: triple
+    (0, 1, 3) has gap 1.5 over diam 3, above 1/sqrt(2) of each adjacent
+    triple)."""
+    alpha = 0.5
+    for _ in range(20):
+        s, _, _, interval = random_whitney_dataset(rng, alpha=alpha)
+        whitney_extend(s, alpha, *extension_bounds(s, alpha, interval),
+                       interval)
+    s = SampledFunction(np.array([0.0, 1.0, 2.0, 3.0]),
+                        np.array([0.0, 0.0, 1.0, 3.0]))
+    T1, T2 = extension_bounds(s, alpha, (0.0, 3.0))
+    assert T2 > 1.5 / 3.0 ** 0.5 > 2.0 ** -0.5
+    ext = whitney_extend(s, alpha, T1, T2, (0.0, 3.0))
+    assert np.max(np.abs(ext(s.x) - s.y)) < 1e-12
+    with pytest.raises(HypothesisViolation, match="triple condition"):
+        whitney_extend(s, alpha, T1, 2.0 ** -0.5 * (1 + 1e-9), (0.0, 3.0))
