@@ -342,8 +342,8 @@ def finiteness_check(p, consts, configs):
     y_lo_cap = phi(np.pi ** 2 * 0.81)
     v_hi = np.clip(v + v_res, y_lo_cap, 9.0e2)
     v_lo = np.clip(v - v_res, y_lo_cap, 9.0e2)
-    kap_max = phi_inverse(np.where(good, v_lo, 1.0)) / rho ** 2
-    kap_min = phi_inverse(np.where(good, v_hi, 1.0)) / rho ** 2
+    kap_max, kap_min = phi_inverse(
+        np.where(good, np.stack([v_lo, v_hi]), 1.0)) / rho ** 2
 
     records = [lip_record]
 

@@ -11,8 +11,6 @@ spline interpolates.
 import numpy as np
 from scipy.interpolate import BPoly, CubicSpline, make_interp_spline
 
-from .whitney import HOLDER_BLOCK_ROWS
-
 
 class ProfileError(ValueError):
     pass
@@ -51,11 +49,9 @@ class DistanceProfile:
         if validate:
             self._validate_metric_conditions()
 
-    def _validate_metric_conditions(self, n_sub=200, slack=1e-6):
-        """1-Lipschitz and two-sided triangle bounds on node pairs."""
-        idx = np.unique(np.linspace(0, self.t_nodes.size - 1, n_sub).astype(int))
-        lip, tri = metric_condition_quotients(self.t_nodes[idx],
-                                              self.rho[idx], 0.0)
+    def _validate_metric_conditions(self, slack=1e-6):
+        """1-Lipschitz and two-sided triangle bounds on all node pairs."""
+        lip, tri = metric_condition_quotients(self.t_nodes, self.rho, 0.0)
         if lip > 1 + slack:
             raise ProfileError("profile is not 1-Lipschitz on node pairs")
         if tri > 1 + slack:
@@ -165,20 +161,63 @@ class DistanceProfile:
 def metric_condition_quotients(t, rho, min_dt):
     """max |rho - rho'| / |t - t'| and max |t - t'| / (rho + rho') over
     pairs of the arrays with |t - t'| > min_dt: the curve points and the
-    center satisfy both triangle inequalities when both are <= 1.  A block
-    of rows meets only the points from its first row on (both quotients
-    are symmetric), so memory stays linear; NaN gives NaN."""
-    lip = tri = 0.0
-    for a in range(0, t.size, HOLDER_BLOCK_ROWS):
-        b = a + HOLDER_BLOCK_ROWS
-        dt = np.abs(t[a:b, None] - t[None, a:])
-        mask = dt > min_dt
-        dt = dt[mask]
-        lip = np.max(np.abs(rho[a:b, None] - rho[None, a:])[mask] / dt,
-                     initial=lip)
-        tri = np.max(dt / (rho[a:b, None] + rho[None, a:])[mask],
-                     initial=tri)
+    center satisfy both triangle inequalities when both are <= 1.  NaN in
+    rho gives NaN.
+
+    One sort by t, then linear work.  Lipschitz term: with k0(i) the first
+    index whose gap from i passes min_dt and k1(i) = k0(k0(i)), a pair
+    (i, k) with k >= k1(i) splits at j = k0(i) into two allowed pairs, and
+    its quotient is a mediant of theirs, so at most the larger; only the
+    irreducible pairs k0(i) <= k < k1(i) are formed (the adjacent pairs
+    when no two points lie within min_dt).  Triangle term: Dinkelbach
+    steps on max (t_j - t_i) / (rho_i + rho_j); the pair maximizing
+    (t_j - lam rho_j) - (t_i + lam rho_i) improves on lam unless lam is
+    the maximum.  Both arguments hold in real arithmetic; equality with
+    the floating-point maxima over all pairs is tested, not proved.
+    """
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    rho = rho[order]
+    n = t.size
+    k0 = _first_beyond(t, min_dt)
+    k1 = np.append(k0, n)[k0]
+    lip = 0.0
+    for off in range(int(np.max(k1 - k0, initial=0))):
+        i = np.flatnonzero(k0 + off < k1)
+        k = k0[i] + off
+        lip = np.max(np.abs(rho[i] - rho[k]) / (t[k] - t[i]), initial=lip)
+    if lip != lip:
+        return float("nan"), float("nan")
+    tri = 0.0
+    while n:
+        j = int(np.argmax(t - tri * rho))
+        i = int(np.argmax(-t - tri * rho))
+        dt = t[j] - t[i]
+        q = dt / (rho[i] + rho[j])
+        if not (dt > min_dt and q > tri):
+            break
+        tri = q
     return float(lip), float(tri)
+
+
+def _first_beyond(t, min_dt):
+    """For sorted t, the first index k with t[k] - t[i] > min_dt, per i
+    (t.size where none), by the same float test as the pair mask."""
+    n = t.size
+    k = np.searchsorted(t, t + min_dt, side="right")
+    # searchsorted compares with the rounded t[i] + min_dt; the rounded
+    # difference is monotone in t[k], so a few unit steps settle it
+    while True:
+        back = (k > 0) & (t[k - 1] - t > min_dt)
+        if not back.any():
+            break
+        k -= back
+    while True:
+        fwd = k < n
+        fwd[fwd] = ~(t[k[fwd]] - t[fwd] > min_dt)
+        if not fwd.any():
+            return k
+        k += fwd
 
 
 def write_profile_csv(profile, path):

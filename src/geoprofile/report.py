@@ -6,6 +6,7 @@ floats fixed to 17 significant digits so identical runs are
 byte-identical.
 """
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -67,7 +68,7 @@ class CheckerReport:
         return lines
 
 
-def _fmt(value, parts, indent, level):
+def _fmt(value, parts, level):
     pad = "  " * level
     if isinstance(value, dict):
         if not value:
@@ -77,7 +78,7 @@ def _fmt(value, parts, indent, level):
         items = list(value.items())
         for i, (k, v) in enumerate(items):
             parts.append(f'{pad}  "{k}": ')
-            _fmt(v, parts, indent, level + 1)
+            _fmt(v, parts, level + 1)
             parts.append(",\n" if i < len(items) - 1 else "\n")
         parts.append(pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -85,9 +86,13 @@ def _fmt(value, parts, indent, level):
         if not seq:
             parts.append("[]")
             return
+        if all(isinstance(v, float) and math.isfinite(v) for v in seq):
+            # a row of grid values: one join instead of a call per float
+            parts.append("[" + ", ".join(f"{v:.17g}" for v in seq) + "]")
+            return
         parts.append("[")
         for i, v in enumerate(seq):
-            _fmt(v, parts, indent, level + 1)
+            _fmt(v, parts, level + 1)
             if i < len(seq) - 1:
                 parts.append(", ")
         parts.append("]")
@@ -112,6 +117,6 @@ def _fmt(value, parts, indent, level):
 def dumps_deterministic(obj):
     """JSON text with floats at 17 significant digits, stable layout."""
     parts = []
-    _fmt(obj, parts, 2, 0)
+    _fmt(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -192,11 +194,20 @@ def all_pairs_quotients(t, rho, min_dt):
     return float(np.max(lip)), float(np.max(tri))
 
 
-def checker_points(p, budget):
+def checker_points(p, budget, seed=0):
     """The point set of the checker's lipschitz_triangle record."""
     idx = np.unique(np.linspace(0, len(p) - 1, 400).astype(int))
-    configs = twelve_point_configurations(p.interval, budget, seed=0)
+    configs = twelve_point_configurations(p.interval, budget, seed=seed)
     return np.concatenate([p.t_nodes[idx]] + [c.points for c in configs])
+
+
+@functools.cache
+def checker_bench_profiles():
+    """The 15 profiles of the checker benchmark at seed 1."""
+    return ([e["profile"] for e in checker_suite(12, seed=1)]
+            + [perturbed_cone_profile(1e-2, 0.25),
+               perturbed_cone_profile(1e-3, 0.25),
+               offset_hyperbola_profile(0.99)])
 
 
 @pytest.mark.parametrize("n", [7, 128, 389])
@@ -228,10 +239,106 @@ def test_metric_quotients_on_checker_points(which):
     assert 0.0 < got[0] < 1.0 and 0.0 < got[1] < 1.0
 
 
+def test_metric_quotients_shuffled_input():
+    rng = np.random.default_rng(5)
+    t = np.sort(rng.uniform(-0.1, 0.1, 500))
+    rho = np.sqrt(0.01 ** 2 + t ** 2) + rng.normal(0.0, 1e-4, t.size)
+    perm = rng.permutation(t.size)
+    for min_dt in (0.0, 1e-3):
+        got = metric_condition_quotients(t[perm], rho[perm], min_dt)
+        assert got == all_pairs_quotients(t[perm], rho[perm], min_dt)
+        assert got == metric_condition_quotients(t, rho, min_dt)
+
+
+@pytest.mark.parametrize("same_rho", [True, False])
+def test_metric_quotients_many_exact_duplicates(same_rho):
+    """40 distinct times, each repeated about 10 times, unsorted."""
+    rng = np.random.default_rng(11)
+    grid = np.sort(rng.uniform(-0.1, 0.1, 40))
+    t = rng.choice(grid, 400)
+    rho = np.sqrt(0.01 ** 2 + t ** 2)
+    if not same_rho:
+        rho = rho + rng.uniform(0.0, 1e-3, t.size)
+    for min_dt in (0.0, 1e-12 * 0.2, 1e-3):
+        assert (metric_condition_quotients(t, rho, min_dt)
+                == all_pairs_quotients(t, rho, min_dt))
+
+
+def test_metric_quotients_chain_closer_than_min_dt():
+    """A chain of points 1e-3 apart under min_dt = 2.5e-3: its steepest
+    pair is masked out, and a pair spanning the chain decides."""
+    t = np.array([0.0, 1.0, 1.001, 1.002, 1.003, 1.004, 3.0])
+    rho = np.array([5.0, 5.0, 5.5, 5.0, 5.0, 5.4, 5.0])
+    got = metric_condition_quotients(t, rho, 2.5e-3)
+    assert got == all_pairs_quotients(t, rho, 2.5e-3)
+    span = (rho[5] - rho[1]) / (t[5] - t[1])           # about 100
+    assert got[0] == span
+    assert metric_condition_quotients(t, rho, 0.0)[0] > 400.0
+    for min_dt in (0.0, 1.5e-3, 2.5e-3, 3.5e-3):
+        perm = np.random.default_rng(0).permutation(t.size)
+        assert (metric_condition_quotients(t[perm], rho[perm], min_dt)
+                == all_pairs_quotients(t, rho, min_dt))
+
+
+def test_metric_quotients_min_dt_between_float_steps():
+    """Times a few ulps apart and min_dt off the float grid: t + min_dt
+    rounds past a partner whose difference from t exceeds min_dt."""
+    ulp = np.spacing(1.0)
+    t = 1.0 + ulp * np.array([0.0, 1.0, 2.0, 3.0, 5.0, 8.0])
+    rho = 1.0 + ulp * np.array([0.0, 1.0, 0.0, 2.0, 1.0, 0.0])
+    for min_dt in ulp * np.array([0.0, 0.6, 1.0, 1.4, 1.6, 2.5, 2.6]):
+        assert (metric_condition_quotients(t, rho, min_dt)
+                == all_pairs_quotients(t, rho, min_dt))
+    # t + min_dt is exactly 0 < 2**-60, but 2**-60 - t rounds to min_dt
+    t = np.array([-1.0, 0.0, 2.0 ** -60])
+    rho = np.array([1.0, 3.0, 2.0])
+    assert (metric_condition_quotients(t, rho, 1.0)
+            == all_pairs_quotients(t, rho, 1.0) == (0.0, 0.0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_metric_quotients_random_walk(seed):
+    """About 3300 points of a random walk with steps of slope below 1."""
+    rng = np.random.default_rng(seed)
+    n = 3300
+    t = np.cumsum(rng.exponential(1e-4, n))
+    rho = 0.05 + np.cumsum(rng.uniform(-0.99, 0.99, n) * np.diff(t, prepend=0))
+    if seed:
+        perm = rng.permutation(n)
+        t, rho = t[perm], rho[perm]
+    for min_dt in (0.0, 1e-12 * (t.max() - t.min()), 1e-4):
+        assert (metric_condition_quotients(t, rho, min_dt)
+                == all_pairs_quotients(t, rho, min_dt))
+
+
+@pytest.mark.parametrize("k", range(15))
+def test_metric_quotients_on_checker_bench_inputs(k):
+    """The 15 checker benchmark profiles at budget 240, seed 1."""
+    p = checker_bench_profiles()[k]
+    a, b = p.interval
+    ts = checker_points(p, 240, seed=1)
+    rs = np.asarray(p.value(ts), dtype=float)
+    assert (metric_condition_quotients(ts, rs, 1e-12 * (b - a))
+            == all_pairs_quotients(ts, rs, 1e-12 * (b - a)))
+
+
+def test_metric_quotients_offset_needs_several_triangle_steps():
+    """On the offset profile the widest pair, the first triangle step,
+    is not the maximizer."""
+    p = offset_hyperbola_profile(0.99)
+    a, b = p.interval
+    ts = checker_points(p, 240, seed=1)
+    rs = np.asarray(p.value(ts), dtype=float)
+    got = metric_condition_quotients(ts, rs, 1e-12 * (b - a))
+    assert got == all_pairs_quotients(ts, rs, 1e-12 * (b - a))
+    lo, hi = np.argmin(ts), np.argmax(ts)
+    assert (ts[hi] - ts[lo]) / (rs[lo] + rs[hi]) < got[1]
+
+
 def test_metric_quotients_nan_gives_nan():
     t = np.linspace(0.0, 1.0, 300)
     rho = 1.0 + 0.5 * t
-    rho[200] = np.nan                    # in the second row block
+    rho[200] = np.nan                    # an interior sample
     lip, tri = metric_condition_quotients(t, rho, 0.0)
     assert np.isnan(lip) and np.isnan(tri)
 
@@ -243,6 +350,42 @@ def test_profile_validation_rejects_metric_violations():
     with pytest.raises(ProfileError, match="rho\\(t\\) \\+ rho"):
         DistanceProfile(t, np.full_like(t, 1e-3))
     DistanceProfile(t, np.sqrt(0.01 ** 2 + t ** 2))
+
+
+def test_profile_validation_sees_every_node_pair():
+    """One step of slope 1.5 between adjacent nodes 1500 and 1501 of 3001,
+    between two nodes of an evenly spaced 200-node subsample."""
+    t = np.linspace(-0.1, 0.1, 3001)
+    rho = np.sqrt(0.01 ** 2 + t ** 2)
+    rho[1501:] += 1.5 * (t[1501] - t[1500]) - (rho[1501] - rho[1500])
+    with pytest.raises(ProfileError, match="1-Lipschitz"):
+        DistanceProfile(t, rho)
+
+
+# sha256 of finiteness_check(...).to_json() with configurations at seed 0,
+# recorded with the all-pairs pass of metric_condition_quotients
+CHECK_DIGESTS = {
+    ("roundtrip", 240):
+        "a24d38453c46c305d8871984414927aed705aff2382ebf69366eb1d2976ada80",
+    ("roundtrip", 960):
+        "5c5a6a0ea018327d0ef43105524c9e04f3a7aff446a4fa338e589f06538779f5",
+    ("bump", 240):
+        "54634482bb761b6d9fe7105fc8a46f393fad4afd8d3d823268dfe3659eb1a9f2",
+    ("bump", 960):
+        "7f268e9997727c5cf5b9a94338da595f73a7bf2838900572538442dc28bc84ef",
+}
+
+
+@pytest.mark.parametrize("which,budget", sorted(CHECK_DIGESTS))
+def test_check_report_bytes_are_pinned(consts, which, budget):
+    if which == "bump":
+        p = perturbed_cone_profile(1e-2, 0.25)
+    else:
+        p = roundtrip_suite(1, seed=1)[0]["profile"]
+    configs = twelve_point_configurations(p.interval, budget, seed=0)
+    text = finiteness_check(p, consts, configs).to_json()
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == CHECK_DIGESTS[which, budget])
 
 
 def test_checker_memory_is_linear(consts):
