@@ -11,7 +11,7 @@ from .ode_core import (RadialCurvature, RadialSolution, solve_jacobi,
 from .geodesy import (MetricGrid, PolarPoint, GeodesicPath,
                       geodesic_integrate, distance, distance_profile,
                       save_metric_json, load_metric_json)
-from .profile_analysis import (kappa, phi0_curve, f0_curve, analyze,
+from .profile_analysis import (kappa, curve_angle, f0_curve, analyze,
                                AnalysisSummary, twelve_point_configurations,
                                finiteness_check)
 from .synthesis import (decompose_annuli, extend_fk, glue_f, assemble_metric,
@@ -31,7 +31,7 @@ __all__ = [
     "riccati_stability_check", "OdeBlowupError",
     "MetricGrid", "PolarPoint", "GeodesicPath", "geodesic_integrate",
     "distance", "distance_profile", "save_metric_json", "load_metric_json",
-    "kappa", "phi0_curve", "f0_curve", "analyze", "AnalysisSummary",
+    "kappa", "curve_angle", "f0_curve", "analyze", "AnalysisSummary",
     "twelve_point_configurations", "finiteness_check",
     "decompose_annuli", "extend_fk", "glue_f", "assemble_metric",
     "synthesize", "verify_synthesis", "verify_grid", "SynthesisResult",

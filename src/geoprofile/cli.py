@@ -102,15 +102,21 @@ def _load_grid(path):
 def cmd_analyze(args):
     p = _load_profile(args.input)
     consts = _constants(args)
-    summary = analyze(p, H=consts.H, alpha=consts.alpha)
-    payload = summary.to_dict()
-    payload["constants_version"] = consts.version
+    s = analyze(p, H=consts.H, alpha=consts.alpha)
+    kap = kappa(p, p.t_nodes)
+    payload = {
+        "t0": s.t0, "m": s.m, "K0": s.K0, "alpha": s.alpha, "H": s.H,
+        "K0_clamped": s.K0_clamped,
+        "max_abs_kappa": float(abs(kap).max()),
+        "max_abs_phi0": float(abs(s.phi0).max()),
+        "max_abs_f0": float(abs(s.f0).max()),
+        "constants_version": consts.version,
+    }
     _write(args.out, dumps_deterministic(payload))
     if args.plot_csv:
         with open(args.plot_csv, "w") as fh:
             fh.write("t,rho,kappa,phi0,f0\n")
-            for row in zip(p.t_nodes, p.rho, summary.kappa, summary.phi0,
-                           summary.f0):
+            for row in zip(p.t_nodes, p.rho, kap, s.phi0, s.f0):
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     return 0
 

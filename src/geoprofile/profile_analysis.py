@@ -19,6 +19,8 @@ from .report import CheckerRecord, CheckerReport
 
 BIG_MARGIN = 1e9
 PHI0_BOUND = 3 * np.pi / 4
+# sinh overflows a double just above 710.
+_SINH_ARG_MAX = 700.0
 
 # Gauss-Legendre nodes/weights on [-1, 1], order 5
 _GL_X = np.array([-0.906179845938664, -0.538469310105683, 0.0,
@@ -46,33 +48,36 @@ def kappa(p, t):
     return float(out) if np.isscalar(t) else out
 
 
-def _phi0_integrand(p, K0):
-    def integrand(s):
-        rd = np.asarray(p.deriv(s), dtype=float)
-        one_minus = np.clip(1.0 - rd * rd, 0.0, None)
-        return np.sqrt(one_minus) / sin_k(K0, p.value(s))
-    return integrand
+def curve_angle(p, coefficient, theta):
+    """Unit-speed angle of the curve in the polar form dr^2 + G^2 dtheta^2:
+    phi' = sqrt(1 - rho'^2) / G, integrated from the profile minimum.
 
-
-def phi0_curve(p, K0):
-    """Reference angle: integral of sqrt(1 - rho'^2)/sin_k(K0, rho) from
-    the minimizer; returns values at the profile nodes.
-
-    phi0 vanishes at the minimizer and is strictly increasing.
+    G on the curve is ``coefficient(rho, theta)``, read at the nodes and
+    at the 5 Gauss-Legendre points of each interval, where theta is
+    interpolated linearly between the node angles ``theta``.  One sweep
+    integrates per interval and anchors the angle to vanish at
+    ``p.argmin_node()``; feeding the result back as ``theta`` solves for
+    a coefficient read at the angle itself.  Returns phi, the integrand
+    phi' and rho' at the nodes.
     """
     t = p.t_nodes
-    if K0 * float(np.max(p.rho)) ** 2 >= np.pi ** 2:
-        raise DomainError("K0 * max(rho)^2 must stay below pi^2")
-    integrand = _phi0_integrand(p, K0)
-    # per-interval 5-point Gauss, then signed cumulative sum from t0
     mid = 0.5 * (t[1:] + t[:-1])
     half = 0.5 * np.diff(t)
-    samples = integrand((mid[:, None] + half[:, None] * _GL_X[None, :]).ravel())
-    samples = samples.reshape(-1, _GL_X.size)
-    pieces = half * (samples * _GL_W[None, :]).sum(axis=1)
+    s = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    th_s = (0.5 * (theta[1:] + theta[:-1]))[:, None] \
+        + (0.5 * np.diff(theta))[:, None] * _GL_X[None, :]
+
+    def integrand(u, th):
+        rd = np.asarray(p.deriv(u), dtype=float)
+        speed = np.sqrt(np.clip(1.0 - rd * rd, 0.0, None))
+        return speed / coefficient(p.value(u), th), rd
+
+    samples, _ = integrand(s, th_s.ravel())
+    pieces = half * (samples.reshape(-1, _GL_X.size) * _GL_W[None, :]).sum(
+        axis=1)
     cum = np.concatenate(([0.0], np.cumsum(pieces)))
-    i0 = p.argmin_node()
-    return cum - cum[i0]
+    phi_dot, rd = integrand(t, theta)
+    return cum - cum[p.argmin_node()], phi_dot, rd
 
 
 def f0_curve(p, K0):
@@ -93,7 +98,6 @@ class AnalysisSummary:
     m: float
     K0: float
     t_nodes: np.ndarray
-    kappa: np.ndarray
     phi0: np.ndarray
     phi0_prime: np.ndarray
     f0: np.ndarray
@@ -101,25 +105,33 @@ class AnalysisSummary:
     H: float
     K0_clamped: bool = False
 
-    def to_dict(self):
-        return {
-            "t0": self.t0, "m": self.m, "K0": self.K0,
-            "alpha": self.alpha, "H": self.H,
-            "K0_clamped": self.K0_clamped,
-            "max_abs_kappa": float(np.max(np.abs(self.kappa))),
-            "max_abs_phi0": float(np.max(np.abs(self.phi0))),
-            "max_abs_f0": float(np.max(np.abs(self.f0))),
-        }
+
+def _minimum_kappa(p, t0):
+    """kappa at the minimum; +-inf where rho rho''/(1 - rho'^2) lies
+    outside the range of phi_inverse (a minimum sharper than any
+    curvature it resolves gives -inf).  |rho'| >= 1 still raises."""
+    try:
+        return float(kappa(p, t0))
+    except DomainError:
+        if not abs(float(p.deriv(t0))) < 1.0:
+            raise
+        return -np.inf if float(p.second_deriv(t0)) > 0 else np.inf
 
 
 def _clamped_K0(K0, max_rho):
-    """Pull K0 inside the sin_k domain for the profile's radii.
+    """Pull K0 inside [floor, cap] for the profile's radii:
+    cap = 0.81 pi^2 / max_rho^2 keeps sin_k defined, and
+    floor = -(_SINH_ARG_MAX / max_rho)^2 keeps its sinh finite.
 
     A wildly out-of-range K0 (the checker will fail the curvature record
-    anyway) would otherwise make phi0/f0 undefined."""
+    anyway) would otherwise make phi0/f0 undefined or overflow; every K0
+    in between is used as it is."""
     cap = 0.81 * np.pi ** 2 / max_rho ** 2
     if K0 > cap:
         return cap, True
+    floor = -(_SINH_ARG_MAX / max_rho) ** 2
+    if K0 < floor:
+        return floor, True
     return K0, False
 
 
@@ -128,14 +140,13 @@ def analyze(p, H=1.0, alpha=0.5):
     i0 = p.argmin_node()
     t0 = float(p.t_nodes[i0])
     m = float(p.rho[i0])
-    K0 = float(kappa(p, t0))
+    K0 = _minimum_kappa(p, t0)
     K0_used, clamped = _clamped_K0(K0, float(np.max(p.rho)))
     t = p.t_nodes
-    kap = kappa(p, t)
-    phi0 = phi0_curve(p, K0_used)
-    phi0p = _phi0_integrand(p, K0_used)(t)
+    phi0, phi0p, _ = curve_angle(p, lambda r, theta: sin_k(K0_used, r),
+                                 np.zeros_like(t))
     f0 = f0_curve(p, K0_used)
-    return AnalysisSummary(t0=t0, m=m, K0=K0, t_nodes=t, kappa=kap,
+    return AnalysisSummary(t0=t0, m=m, K0=K0, t_nodes=t,
                            phi0=phi0, phi0_prime=phi0p, f0=f0,
                            alpha=alpha, H=H, K0_clamped=clamped)
 

@@ -148,12 +148,18 @@ def phi_prime(x):
     return float(out) if scalar else out
 
 
-def phi_inverse(y, tol_inv=1e-12, max_newton=6):
+# phi_inverse: Newton steps after the bisection, and the relative residual
+# it must reach.
+PHI_INVERSE_NEWTON_STEPS = 6
+PHI_INVERSE_TOL = 1e-12
+
+
+def phi_inverse(y):
     """Solve phi(x) = y for x < pi**2.
 
     Bracketed bisection (phi is strictly decreasing, so this is
     unconditionally safe) refined by Newton steps.  The residual
-    |phi(x) - y| is driven below ``tol_inv * max(1, |y|)``.
+    |phi(x) - y| is driven below ``PHI_INVERSE_TOL * max(1, |y|)``.
     phi_inverse(1.0) is exactly 0.
     """
     a, scalar = _as_array(y)
@@ -171,12 +177,12 @@ def phi_inverse(y, tol_inv=1e-12, max_newton=6):
         lo = np.where(too_low, mid, lo)
         hi = np.where(too_low, hi, mid)
     x = 0.5 * (lo + hi)
-    for _ in range(max_newton):
+    for _ in range(PHI_INVERSE_NEWTON_STEPS):
         resid = phi(x) - a
         step = resid / phi_prime(x)
         x = np.clip(x - step, lo, hi)
     resid = np.abs(phi(x) - a)
-    bad = resid > tol_inv * np.maximum(1.0, np.abs(a))
+    bad = resid > PHI_INVERSE_TOL * np.maximum(1.0, np.abs(a))
     if np.any(bad):
         worst = int(np.argmax(resid))
         raise ArithmeticError(

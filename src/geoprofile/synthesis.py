@@ -17,7 +17,7 @@ import numpy as np
 from .special_functions import sin_k, cot_k
 from .whitney import (SampledFunction, whitney_extend, extension_bounds,
                       holder_seminorm_pairs, HypothesisViolation)
-from .profile_analysis import analyze
+from .profile_analysis import analyze, curve_angle
 from .geodesy import (MetricGrid, GeodesicPath, PolarPoint, distance,
                       five_point_stencil, _unit_speed_residual)
 from .report import CheckerRecord, CheckerReport
@@ -102,12 +102,18 @@ def _runs(mask, merge_gap=3):
     return merged
 
 
+def _rates(s, k, i_lo, i_hi, alpha):
+    """Angular rate lambda (geometric mean of the extremes of phi0' over
+    the nodes [i_lo, i_hi]) and net scale delta of an annulus piece."""
+    phi0p = s.phi0_prime[i_lo:i_hi + 1]
+    lam = float(np.sqrt(np.max(phi0p) * np.min(phi0p)))
+    return lam, lam ** alpha * 2.0 ** (k * (1 + alpha))
+
+
 def _piece_case(p, s, k, i_lo, i_hi, alpha):
     """Case predicate in order I, II, III, IV plus lambda and delta."""
     rd = np.asarray(p.deriv(p.t_nodes[i_lo:i_hi + 1]), dtype=float)
-    phi0p = s.phi0_prime[i_lo:i_hi + 1]
-    lam = float(np.sqrt(np.max(phi0p) * np.min(phi0p)))
-    delta = lam ** alpha * 2.0 ** (k * (1 + alpha))
+    lam, delta = _rates(s, k, i_lo, i_hi, alpha)
     length = float(p.t_nodes[i_hi] - p.t_nodes[i_lo])
     if np.min(np.abs(rd)) <= 0.5:
         case = "I"
@@ -146,9 +152,7 @@ def decompose_annuli(p, s):
         plist = []
         if len(runs) == 2 and m > 2.0 ** (k - 3):
             i_lo, i_hi = runs[0][0], runs[1][1]
-            lam = float(np.sqrt(np.max(s.phi0_prime[i_lo:i_hi + 1])
-                                * np.min(s.phi0_prime[i_lo:i_hi + 1])))
-            delta = lam ** alpha * 2.0 ** (k * (1 + alpha))
+            lam, delta = _rates(s, k, i_lo, i_hi, alpha)
             plist.append(AnnulusPiece(
                 k=k, side="both", case="I", lam=lam, delta=delta,
                 node_slice=(i_lo, i_hi),
@@ -484,37 +488,6 @@ def _dyadic_r_nodes(r_min, r_max):
     return r
 
 
-def _curve_angle(p, coefficient, theta, sweeps=1):
-    """Unit-speed angle of the curve: phi' = sqrt(1 - rho'^2) / G.
-
-    G on the curve is ``coefficient(rho, theta)``, taken at the angles
-    ``theta`` of the nodes and at their means on the interval midpoints.
-    Each sweep integrates by per-interval Simpson, anchors the angle to
-    vanish at the profile minimum and feeds it back as ``theta``, so
-    several sweeps solve for a coefficient read at the angle itself.
-    Returns phi and phi' at the nodes (phi' from the last sweep's G) and
-    rho' at the nodes.
-    """
-    t = p.t_nodes
-    tm = 0.5 * (t[1:] + t[:-1])
-    rd = np.asarray(p.deriv(t), dtype=float)
-    speed = np.sqrt(np.clip(1.0 - rd * rd, 0.0, None))
-    rho_m = np.asarray(p.value(tm), dtype=float)
-    rd_m = np.asarray(p.deriv(tm), dtype=float)
-    speed_m = np.sqrt(np.clip(1.0 - rd_m * rd_m, 0.0, None))
-    dt = np.diff(t)
-    i0 = p.argmin_node()
-    for _ in range(sweeps):
-        integrand = speed / coefficient(p.rho, theta)
-        integrand_m = speed_m / coefficient(rho_m,
-                                            0.5 * (theta[1:] + theta[:-1]))
-        pieces = dt / 6.0 * (integrand[:-1] + 4.0 * integrand_m
-                             + integrand[1:])
-        cum = np.concatenate(([0.0], np.cumsum(pieces)))
-        theta = cum - cum[i0]
-    return theta, integrand, rd
-
-
 def assemble_metric(p, s, decomp, correction, r_pad=1.05):
     """Build the metric grid, the deformed curve, and the angle map.
 
@@ -545,7 +518,7 @@ def assemble_metric(p, s, decomp, correction, r_pad=1.05):
         integral = base + 0.5 * (f_lo + f_at) * (r - r_sub[idx])
         return sin_k(K0, r) * np.exp(integral)
 
-    phi, phi_dot, rd = _curve_angle(p, reference_coefficient, s.phi0)
+    phi, phi_dot, rd = curve_angle(p, reference_coefficient, s.phi0)
 
     if np.any(np.diff(phi) <= 0):
         bad = int(np.argmax(np.diff(phi) <= 0))
@@ -702,13 +675,15 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, tol_dist=1e-4, seed=0):
     """Verify a metric grid against a profile, e.g. a grid read from disk.
 
     The angle of the curve is re-integrated from the grid coefficient
-    (convention: it vanishes at the profile minimum), then the checks of
-    ``verify_synthesis`` run, less those that need the correction field
-    or the angle map (neither is stored with a grid).
+    (convention: it vanishes at the profile minimum) in 5 sweeps from
+    zero; then the checks of ``verify_synthesis`` run, less those that
+    need the correction field or the angle map (neither is stored with a
+    grid).
     """
     t = p.t_nodes
-    phi, phi_dot, rd = _curve_angle(p, grid.value, np.zeros_like(t),
-                                    sweeps=5)
+    phi = np.zeros_like(t)
+    for _ in range(5):
+        phi, phi_dot, rd = curve_angle(p, grid.value, phi)
     gamma = GeodesicPath(t_nodes=t, rho=p.rho, phi=phi, rho_dot=rd,
                          phi_dot=phi_dot,
                          rho_ddot=np.asarray(p.second_deriv(t), dtype=float),

@@ -8,6 +8,7 @@ measured implementation constant C_w (recorded, never assumed).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
@@ -62,22 +63,15 @@ def divided_difference(s, subset_indices):
     return float(coef[0])
 
 
-def holder_seminorm(s, alpha, max_pairs=4_000_000):
+def holder_seminorm(s, alpha):
     """max |y_i - y_j| / |x_i - x_j|^alpha over sample pairs.
 
     Exact on the sample set; a lower bound for the seminorm of any
-    extension.  Subsamples deterministically if the pair count would
-    exceed ``max_pairs``.
+    extension.
     """
-    x, y = s.x, s.y
-    if x.size < 2:
+    if s.x.size < 2:
         raise ValueError("need at least 2 points")
-    n = x.size
-    if n * (n - 1) // 2 > max_pairs:
-        stride = int(np.ceil(n / np.sqrt(2 * max_pairs)))
-        x = x[::stride]
-        y = y[::stride]
-    return holder_seminorm_pairs(y, x, alpha)
+    return holder_seminorm_pairs(s.y, s.x, alpha)
 
 
 # Rows of the pair matrix formed at once: memory stays linear in the
@@ -155,7 +149,7 @@ class WhitneyExtension:
 
     Linear continuation with the boundary derivative outside the data
     hull.  ``measured_sup_deriv`` and ``measured_holder_deriv`` are
-    computed on a dense grid at build time.
+    measured on a dense grid on first read.
     """
 
     a: float
@@ -166,17 +160,23 @@ class WhitneyExtension:
     alpha: float
     T1: float
     T2: float
-    measured_sup_deriv: float = 0.0
-    measured_holder_deriv: float = 0.0
 
     def __post_init__(self):
         self._spline = CubicHermiteSpline(self.x, self.y, self.slopes)
         self._dspline = self._spline.derivative()
+
+    @cached_property
+    def _dense_deriv(self):
         grid = np.linspace(self.a, self.b, 2049)
-        dv = self.deriv(grid)
-        self.measured_sup_deriv = float(np.max(np.abs(dv)))
-        self.measured_holder_deriv = holder_seminorm(
-            SampledFunction(grid, dv), self.alpha)
+        return SampledFunction(grid, self.deriv(grid))
+
+    @property
+    def measured_sup_deriv(self):
+        return float(np.max(np.abs(self._dense_deriv.y)))
+
+    @cached_property
+    def measured_holder_deriv(self):
+        return holder_seminorm(self._dense_deriv, self.alpha)
 
     def __call__(self, t):
         t_arr, scalar = np.asarray(t, dtype=float), np.isscalar(t)
@@ -224,7 +224,7 @@ def whitney_extend(s, alpha, T1, T2, interval):
     bound T2*diam^alpha on triples, and the interval must not exceed
     INTERVAL_LENGTH_FACTOR * (T1/T2)^(1/alpha); ``extension_bounds``
     gives the least such T1 and T2.  The result interpolates exactly and
-    its measured derivative norms are recorded on the object.
+    measures its derivative norms on first read.
 
     Slopes are assigned by a weighted-harmonic three-point rule
     (monotone-safe) and clamped so neighbouring slope differences

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -63,6 +64,15 @@ def test_check_deterministic_bytes(sphere_csv, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# sha256 of the analyze outputs on sphere_csv
+ANALYZE_DIGESTS = {
+    "summary.json":
+        "f8468828cb35787c5e4f273df01abcc7768168d351a50a3703388dbdcc8d6de6",
+    "plot.csv":
+        "25bc3141d0e5b7bedf394d2fbdb391345049c034cd54673b4df100e5ccd9625d",
+}
+
+
 def test_analyze_outputs(sphere_csv, tmp_path):
     out = tmp_path / "summary.json"
     plot = tmp_path / "plot.csv"
@@ -73,6 +83,9 @@ def test_analyze_outputs(sphere_csv, tmp_path):
     assert abs(payload["K0"] - 0.5) < 1e-3
     header = plot.read_text().splitlines()[0]
     assert header == "t,rho,kappa,phi0,f0"
+    for name, digest in ANALYZE_DIGESTS.items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_synthesize_and_verify(sphere_csv, tmp_path, capsys):
@@ -214,6 +227,29 @@ def test_domain_error_exit_code(steep_csv, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "rho'" in err
+
+
+@pytest.fixture
+def sharp_minimum_csv(tmp_path):
+    """1-Lipschitz, but rho rho''/(1 - rho'^2) = 2000 at the minimum lies
+    above the range of phi_inverse: kappa there is below -1e6 / m^2."""
+    t = np.linspace(-4e-6, 4e-6, 2001)
+    return write_csv(tmp_path / "sharp.csv", t, 0.01 + 1e5 * t ** 2)
+
+
+def test_sharp_minimum_is_unrealizable(sharp_minimum_csv, tmp_path, capsys):
+    """A curvature too negative to resolve is a failed check, not
+    malformed input; forced synthesis refuses it without a traceback."""
+    out = tmp_path / "report.json"
+    assert main(["check", "--input", sharp_minimum_csv,
+                 "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["meta"]["K0_clamped"] is True
+    failed = {rec["name"] for rec in payload["records"] if not rec["pass"]}
+    assert "curvature_bound" in failed
+    assert main(["synthesize", "--force", "--input", sharp_minimum_csv,
+                 "--grid-out", str(tmp_path / "grid.json")]) == 1
+    assert "synthesis failed" in capsys.readouterr().out
 
 
 def _corrupt_grid(text):

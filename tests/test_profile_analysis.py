@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geoprofile import (kappa, phi0_curve, f0_curve, analyze, phi_inverse,
-                        twelve_point_configurations, finiteness_check)
+from geoprofile import (kappa, curve_angle, f0_curve, analyze, phi_inverse,
+                        sin_k, twelve_point_configurations,
+                        finiteness_check)
 from geoprofile.profiles import (DistanceProfile, ProfileError,
-                                 metric_condition_quotients)
+                                 metric_condition_quotients,
+                                 read_profile_csv, write_profile_csv)
 from geoprofile.surfaces import (flat_profile, spherical_profile,
                                  hyperbolic_profile, offset_hyperbola_profile,
                                  perturbed_cone_profile, checker_suite,
@@ -52,7 +54,8 @@ def test_phi0_flat_closed_form():
 def test_phi0_spherical_closed_form():
     m = 0.1
     p = spherical_profile(1.0, m, (-0.2, 0.2))
-    phi0 = phi0_curve(p, 1.0)
+    phi0, _, _ = curve_angle(p, lambda r, theta: sin_k(1.0, r),
+                             np.zeros(len(p)))
     oracle = np.arctan(np.tan(p.t_nodes) / np.sin(m))
     assert np.max(np.abs(phi0 - oracle)) < 1e-8
     assert np.max(np.abs(phi0)) < 3 * np.pi / 4
@@ -78,7 +81,18 @@ def test_summary_fields():
     assert s.t0 == 0.0
     assert abs(s.m - 0.05) < 1e-12
     assert abs(s.K0 - 0.5) < 1e-8
-    assert abs(s.kappa[len(p) // 2] - 0.5) < 1e-8
+    assert abs(kappa(p, p.t_nodes)[len(p) // 2] - 0.5) < 1e-8
+
+
+def test_large_negative_K0_is_not_clamped():
+    """-K0 max_rho^2 = 9 is far below the positive cap's size but well
+    inside the range of sinh: K0 and the angle stay exact."""
+    p = hyperbolic_profile(-1.0, 0.1, (-3.0, 3.0))
+    s = analyze(p)
+    assert abs(s.K0 + 1.0) < 1e-12
+    assert s.K0_clamped is False
+    exact = np.arctan(np.tanh(p.t_nodes) / np.sinh(0.1))
+    assert np.max(np.abs(s.phi0 - exact)) < 1e-12
 
 
 def test_configurations_deterministic_and_symmetric():
@@ -373,15 +387,22 @@ CHECK_DIGESTS = {
         "54634482bb761b6d9fe7105fc8a46f393fad4afd8d3d823268dfe3659eb1a9f2",
     ("bump", 960):
         "7f268e9997727c5cf5b9a94338da595f73a7bf2838900572538442dc28bc84ef",
+    ("roundtrip_csv", 240):
+        "7daabe84aded5ff426ed9dbb491f8b6b7aab2218186bf69c54b999f68d7f65d7",
 }
 
 
 @pytest.mark.parametrize("which,budget", sorted(CHECK_DIGESTS))
-def test_check_report_bytes_are_pinned(consts, which, budget):
+def test_check_report_bytes_are_pinned(consts, which, budget, tmp_path):
+    """The roundtrip_csv case reads the profile back from its CSV: the
+    spline's node values differ from the samples in the last bits."""
     if which == "bump":
         p = perturbed_cone_profile(1e-2, 0.25)
     else:
         p = roundtrip_suite(1, seed=1)[0]["profile"]
+    if which == "roundtrip_csv":
+        write_profile_csv(p, tmp_path / "rt.csv")
+        p = read_profile_csv(tmp_path / "rt.csv")
     configs = twelve_point_configurations(p.interval, budget, seed=0)
     text = finiteness_check(p, consts, configs).to_json()
     assert (hashlib.sha256(text.encode()).hexdigest()

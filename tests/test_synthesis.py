@@ -7,6 +7,7 @@ from geoprofile import (synthesize, verify_synthesis, verify_grid,
                         decompose_annuli, extend_fk, glue_f, analyze,
                         MetricGrid, SynthesisError,
                         twelve_point_configurations, finiteness_check)
+from geoprofile import whitney
 from geoprofile.profiles import DistanceProfile
 from geoprofile.synthesis import (bump_weight, assemble_metric, _sample_holder,
                                   _PieceField, AnnulusField,
@@ -149,6 +150,14 @@ def test_verify_grid_on_synthesized_grid(consts, flat_result):
     assert full_names - only_with_synthesis == grid_names
 
 
+def test_flat_synthesized_angle_is_exact(consts):
+    """On a flat profile the synthesized angle is arctan(t / m)."""
+    m, half = 1.5e-3, np.sqrt(0.045 ** 2 - 1.5e-3 ** 2)
+    p = flat_profile(m, (-half, half), n=3001)
+    phi = synthesize(p, consts).gamma.phi
+    assert np.max(np.abs(phi - np.arctan(p.t_nodes / m))) <= 1e-12
+
+
 def test_variable_curvature_roundtrip(consts):
     def K_fn(r, theta):
         return (0.2 + 0.25 * np.sin(6.0 * r + 1.0)) * np.ones_like(theta)
@@ -215,13 +224,23 @@ def test_piece_seminorm_budgets(consts):
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0])
-def test_bump_nets_are_extended(consts, beta):
+def test_bump_nets_are_extended(consts, beta, monkeypatch):
     """The eps = 3e-3 bump passes the check at beta = 0.5 and 1.0.  Some
     of its case-III nets have their worst triple away from adjacent
     points; synthesis takes T1 and T2 over the same triples that
-    whitney_extend checks, so it is not refused."""
+    whitney_extend checks, so it is not refused.  The measured derivative
+    norms of an extension are read only through c_w, so synthesis forms
+    none of their pair quotients."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return holder_seminorm_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(whitney, "holder_seminorm_pairs", counting)
     res = synthesize(perturbed_cone_profile(3e-3, beta), consts)
     assert "III" in {pc.case for pc in res.decomposition.all_pieces()}
+    assert calls == []
 
 
 def test_refuses_wild_reference_curvature(consts):
