@@ -103,7 +103,7 @@ def default_constants():
 # |kappa| <= H, |phi0| <= 3pi/4, 1-Lipschitz) - those get only a small
 # numerical slack and are never widened by data.  The genuinely
 # existential factors are set to twice the worst ratio observed on the
-# generator suite of known-realizable profiles, floored at 1.
+# generator suite of known-realizable profiles, floored.
 
 _FIXED = {
     "c_rhoest1_lo": 1.05,
@@ -115,14 +115,30 @@ _FIXED = {
     "c_bilipschitz": 1.5,
 }
 
-_RECORD_TO_CONSTANT = {
-    "kappa_holder": "c_kappa_alpha",
-    "f0_size": "c_f0est1",
-    "f0_slope": "c_f0est2",
-    "f0_slope_pair": "c_f0est3",
-    "f0_cross_scale": "c_f0est4",
-    "angle_ratio": "c_phi0vary_C",
+# record -> (constant, floor): the record is measured with its constant
+# at 1, and the constant is set to max(2 * worst margin, floor)
+_CALIBRATED = {
+    # finiteness checker
+    "kappa_holder": ("c_kappa_alpha", 1.0),
+    "f0_size": ("c_f0est1", 1.0),
+    "f0_slope": ("c_f0est2", 1.0),
+    "f0_slope_pair": ("c_f0est3", 1.0),
+    "f0_cross_scale": ("c_f0est4", 1.0),
+    "angle_ratio": ("c_phi0vary_C", 1.0),
+    # Riccati stability conclusions (a)-(d)
+    "riccati_a_sup_f": ("c_riccati_a", 0.5),
+    "riccati_b_sup_fprime": ("c_riccati_b", 0.5),
+    "riccati_c_holder_f": ("c_riccati_c", 0.5),
+    "riccati_d_holder_fprime": ("c_riccati_d", 0.5),
+    # synthesis: three verify_synthesis records and two surrogates
+    "curvature_sup": ("c_k_sup", 1.1),
+    "curvature_holder": ("c_k_holder", 1.0),
+    "f_holder_budget": ("c_f_holder_budget", 1.0),
+    "phi_ratio": ("c_phi_ratio", 1.0),
+    "rhoddot": ("c_rhoddot", 1.5),
 }
+_SYNTHESIS_RECORDS = ("curvature_sup", "curvature_holder", "f_holder_budget",
+                      "phi_ratio", "rhoddot")
 
 
 def random_riccati_pair(rng, alpha=0.5):
@@ -175,7 +191,7 @@ def calibrate_constants(alpha=0.5, H=1.0, seed=1729, n_grid=16,
                         n_roundtrip=6, budget=240, version=None,
                         verbose=False):
     """Measure worst inequality ratios on known-good inputs and freeze
-    the calibrated constants (worst * 2, floored at 1)."""
+    the calibrated constants (worst * 2, floored as ``_CALIBRATED`` says)."""
     import numpy as np
     from . import surfaces
     from .profile_analysis import twelve_point_configurations, finiteness_check
@@ -185,15 +201,15 @@ def calibrate_constants(alpha=0.5, H=1.0, seed=1729, n_grid=16,
 
     rng = np.random.default_rng(seed)
     unit = CheckerConstants(
-        alpha=alpha, H=H, version="unit",
-        c_kappa_alpha=1.0, c_f0est1=1.0, c_f0est2=1.0, c_f0est3=1.0,
-        c_f0est4=1.0, c_phi0vary_C=1.0, c_riccati_a=1.0, c_riccati_b=1.0,
-        c_riccati_c=1.0, c_riccati_d=1.0, **_FIXED)
+        alpha=alpha, H=H, version="unit", **_FIXED,
+        **{const: 1.0 for const, _ in _CALIBRATED.values()})
 
-    worst = {}
+    # synthesis records go to their own provenance entry, 0 until measured
+    worst, synth_worst = {}, dict.fromkeys(_SYNTHESIS_RECORDS, 0.0)
 
-    def note(name, margin):
-        worst[name] = max(worst.get(name, 0.0), float(margin))
+    def note(into, name, margin):
+        if name in _CALIBRATED:
+            into[name] = max(into.get(name, 0.0), float(margin))
 
     profiles = []
     for entry in surfaces.checker_suite(n_grid, seed=seed + 1):
@@ -210,8 +226,7 @@ def calibrate_constants(alpha=0.5, H=1.0, seed=1729, n_grid=16,
         cfgs = twelve_point_configurations(prof.interval, budget, seed=seed)
         rep = finiteness_check(prof, unit, cfgs)
         for rec in rep.records:
-            if rec.name in _RECORD_TO_CONSTANT:
-                note(rec.name, rec.margin)
+            note(worst, rec.name, rec.margin)
         if verbose:
             w = max(rep.records, key=lambda r: r.margin)
             print(f"  {label}: worst {w.name}={w.margin:.3g}")
@@ -220,7 +235,7 @@ def calibrate_constants(alpha=0.5, H=1.0, seed=1729, n_grid=16,
         k1, k2, r_min = random_riccati_pair(rng, alpha=alpha)
         rep = riccati_stability_check(k1, k2, r_min, unit, step=k1.R / 1500)
         for rec in rep.records:
-            note(rec.name, rec.margin)
+            note(worst, rec.name, rec.margin)
 
     cw = []
     wrng = np.random.default_rng(seed + 7)
@@ -230,58 +245,27 @@ def calibrate_constants(alpha=0.5, H=1.0, seed=1729, n_grid=16,
         cw.append(ext.c_w)
     c_whitney = float(np.max(cw)) * 1.05
 
-    synth_worst = {"curvature_sup": 0.0, "curvature_holder": 0.0,
-                   "f_holder_budget": 0.0, "phi_ratio": 0.0, "rhoddot": 0.0}
-    synth_unit = CheckerConstants(alpha=alpha, H=H, version="unit",
-                                  c_k_sup=1.0, c_k_holder=1.0,
-                                  c_f_holder_budget=1.0)
     entries = surfaces.roundtrip_suite(n_roundtrip, seed=seed + 3)
     for entry in entries:
         prof = entry["profile"]
         res = synthesize(prof, unit)
-        rep = verify_synthesis(res, prof, synth_unit)
-        synth_worst["curvature_sup"] = max(
-            synth_worst["curvature_sup"], rep.record("curvature_sup").margin)
-        synth_worst["curvature_holder"] = max(
-            synth_worst["curvature_holder"],
-            rep.record("curvature_holder").margin)
-        synth_worst["f_holder_budget"] = max(
-            synth_worst["f_holder_budget"],
-            rep.record("f_holder_budget").margin)
+        for rec in verify_synthesis(res, prof, unit).records:
+            note(synth_worst, rec.name, rec.margin)
         m = res.summary.m
         rdd = np.max(np.abs(prof.second_deriv(prof.t_nodes)))
-        synth_worst["rhoddot"] = max(synth_worst["rhoddot"], rdd * m / H)
+        note(synth_worst, "rhoddot", rdd * m / H)
         lam = max(res.theta_map.lipschitz_constants())
         hr2 = H * float(np.max(prof.rho)) ** 2
         log_ratio = abs(np.log(lam))
-        synth_worst["phi_ratio"] = max(
-            synth_worst["phi_ratio"],
-            log_ratio / hr2 ** (1 + alpha / 2) if hr2 > 0 else 0.0)
+        note(synth_worst, "phi_ratio",
+             log_ratio / hr2 ** (1 + alpha / 2) if hr2 > 0 else 0.0)
 
-    def scaled(name, floor=1.0):
-        return max(2.0 * worst.get(name, 0.0), floor)
-
+    measured = {**worst, **synth_worst}
     consts = CheckerConstants(
-        alpha=alpha, H=H,
-        version=version or f"cal-{seed}",
-        c_kappa_alpha=scaled("kappa_holder"),
-        c_f0est1=scaled("f0_size"),
-        c_f0est2=scaled("f0_slope"),
-        c_f0est3=scaled("f0_slope_pair"),
-        c_f0est4=scaled("f0_cross_scale"),
-        c_phi0vary_C=scaled("angle_ratio"),
-        c_riccati_a=max(2.0 * worst.get("riccati_a_sup_f", 0.0), 0.5),
-        c_riccati_b=max(2.0 * worst.get("riccati_b_sup_fprime", 0.0), 0.5),
-        c_riccati_c=max(2.0 * worst.get("riccati_c_holder_f", 0.0), 0.5),
-        c_riccati_d=max(2.0 * worst.get("riccati_d_holder_fprime", 0.0), 0.5),
-        c_whitney=c_whitney,
-        c_k_sup=max(2.0 * synth_worst["curvature_sup"], 1.1),
-        c_k_holder=max(2.0 * synth_worst["curvature_holder"], 1.0),
-        c_f_holder_budget=max(2.0 * synth_worst["f_holder_budget"], 1.0),
-        c_phi_ratio=max(2.0 * synth_worst["phi_ratio"], 1.0),
-        c_rhoddot=max(2.0 * synth_worst["rhoddot"], 1.5),
-        **_FIXED,
-    )
+        alpha=alpha, H=H, version=version or f"cal-{seed}",
+        c_whitney=c_whitney, **_FIXED,
+        **{const: max(2.0 * measured.get(name, 0.0), floor)
+           for name, (const, floor) in _CALIBRATED.items()})
     consts.extras["provenance"] = {
         "seed": seed, "n_grid_profiles": n_grid,
         "n_closed_form": len(profiles) - n_grid,

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import phi, phi_inverse, sin_k, cot_k, DomainError
+from .special_functions import (phi, phi_inverse, sin_k, cot_k, DomainError,
+                                PHI_INVERSE_Y_MIN, PHI_INVERSE_Y_MAX)
 from .profiles import metric_condition_quotients
 from .report import CheckerRecord, CheckerReport
 
@@ -34,7 +35,9 @@ def kappa(p, t):
 
     For profiles of genuine surfaces this value is attained by the Gauss
     curvature somewhere on the segment from the center, so |kappa| <= H
-    is a necessary condition.
+    is a necessary condition.  Where rho*rho''/(1-rho'^2) lies above the
+    range of phi_inverse (a minimum sharper than any curvature it
+    resolves) kappa is -inf, and where it lies below, +inf.
     """
     t_arr = np.asarray(t, dtype=float)
     rho = np.asarray(p.value(t_arr), dtype=float)
@@ -44,7 +47,10 @@ def kappa(p, t):
     if np.any(one_minus <= 0):
         raise DomainError("kappa needs |rho'| < 1")
     v = rho * rdd / one_minus
-    out = phi_inverse(v) / rho ** 2
+    above, below = v >= PHI_INVERSE_Y_MAX, v <= PHI_INVERSE_Y_MIN
+    out = np.where(above, -np.inf, np.where(
+        below, np.inf,
+        phi_inverse(np.where(above | below, 1.0, v)) / rho ** 2))
     return float(out) if np.isscalar(t) else out
 
 
@@ -106,18 +112,6 @@ class AnalysisSummary:
     K0_clamped: bool = False
 
 
-def _minimum_kappa(p, t0):
-    """kappa at the minimum; +-inf where rho rho''/(1 - rho'^2) lies
-    outside the range of phi_inverse (a minimum sharper than any
-    curvature it resolves gives -inf).  |rho'| >= 1 still raises."""
-    try:
-        return float(kappa(p, t0))
-    except DomainError:
-        if not abs(float(p.deriv(t0))) < 1.0:
-            raise
-        return -np.inf if float(p.second_deriv(t0)) > 0 else np.inf
-
-
 def _clamped_K0(K0, max_rho):
     """Pull K0 inside [floor, cap] for the profile's radii:
     cap = 0.81 pi^2 / max_rho^2 keeps sin_k defined, and
@@ -140,7 +134,7 @@ def analyze(p, H=1.0, alpha=0.5):
     i0 = p.argmin_node()
     t0 = float(p.t_nodes[i0])
     m = float(p.rho[i0])
-    K0 = _minimum_kappa(p, t0)
+    K0 = kappa(p, t0)
     K0_used, clamped = _clamped_K0(K0, float(np.max(p.rho)))
     t = p.t_nodes
     phi0, phi0p, _ = curve_angle(p, lambda r, theta: sin_k(K0_used, r),
@@ -264,21 +258,22 @@ def _cluster_table(p, configs):
     }
 
 
-def _pair_quantities(tb, rho, f0, phi0p, alpha, i, j):
-    """Slope of f0 against rho between cluster centers i, j plus the
-    angular penalty xi; returns (slope, xi, valid_pair, same_annulus)."""
-    drho = rho[:, i] - rho[:, j]
-    dt = tb[:, i] - tb[:, j]
-    scale = np.maximum(rho[:, i], rho[:, j])
-    valid = np.abs(drho) > 1e-12 * scale
-    drho_safe = np.where(valid, drho, 1.0)
-    slope = (f0[:, i] - f0[:, j]) / drho_safe
-    xi = rho[:, i] ** (1 + alpha) * np.abs(phi0p[:, i]) ** alpha \
-        * np.abs(dt) ** alpha / np.abs(drho_safe)
-    xi = np.where(valid, xi, np.inf)
-    ratio = np.maximum(rho[:, i], rho[:, j]) / np.minimum(rho[:, i], rho[:, j])
-    same_annulus = ratio <= 4.0
-    return slope, xi, valid, same_annulus
+def _gated_record(name, margin, res, allowed, valid, witness, detail=""):
+    """The record of one inequality over clusters or cluster pairs.
+
+    An entry counts only where it is ``valid`` and its resolution ``res``
+    is at most half its allowance (the sensitivity gate); every other
+    entry counts 0.  The width cycle of the configurations guarantees
+    clusters that pass the gate wherever the profile is sampled.  The
+    first worst entry gives the margin, and the ``witness`` arrays,
+    broadcast to the margin's shape, its points.
+    """
+    margin = np.where(valid & (res <= 0.5 * allowed), margin, 0.0)
+    worst = np.unravel_index(np.argmax(margin), margin.shape)
+    return CheckerRecord.from_margin(
+        name, float(np.max(margin)),
+        witness=[np.broadcast_to(w, margin.shape)[worst] for w in witness],
+        detail=detail)
 
 
 def finiteness_check(p, consts, configs):
@@ -358,124 +353,97 @@ def finiteness_check(p, consts, configs):
 
     records = [lip_record]
 
-    # convexity sandwich: phi(H rho^2) <= v <= phi(-H rho^2).  A cluster
-    # may enforce a record only when its resolution is well inside the
-    # allowed window (sensitivity gate): the width cycle guarantees such
-    # clusters wherever the profile is sampled.
+    # convexity sandwich: phi(H rho^2) <= v <= phi(-H rho^2)
     lo_env = phi(H * rho ** 2)
     hi_env = phi(-H * rho ** 2)
     window = consts.c_rhoest1_hi * hi_env - lo_env / consts.c_rhoest1_lo
-    sens = good & (v_res <= 0.5 * window)
     with np.errstate(divide="ignore", invalid="ignore"):
         m_lo = np.where(v + v_res > 0,
                         lo_env / (consts.c_rhoest1_lo * (v + v_res)),
                         BIG_MARGIN)
         m_hi = (v - v_res) / (consts.c_rhoest1_hi * hi_env)
-    sandwich = np.where(sens, np.maximum(m_lo, m_hi), 0.0)
-    worst = np.unravel_index(np.argmax(sandwich), sandwich.shape)
-    records.append(CheckerRecord.from_margin(
-        "ddot_sandwich", float(np.max(sandwich)),
-        witness=[tb[worst]]))
+    records.append(_gated_record("ddot_sandwich", np.maximum(m_lo, m_hi),
+                                 v_res, window, good, [tb]))
 
     # |kappa| <= H at cluster centers: the least |kappa| consistent with
     # the interval [kap_min, kap_max] must stay below the bound
     kap_width = kap_max - kap_min
-    sens_k = good & (kap_width <= consts.c_kappa * H)
-    kap_best = np.where(kap_min > 0, kap_min,
-                        np.where(kap_max < 0, -kap_max, 0.0))
-    kap_margin = kap_best / (consts.c_kappa * H)
+    allowed = consts.c_kappa * H
+    kap_margin = np.maximum(np.maximum(kap_min, -kap_max), 0.0) / allowed
     kap_margin = np.where(np.abs(v) > 9.0e2, BIG_MARGIN, kap_margin)
-    kap_margin = np.where(sens_k, kap_margin, 0.0)
-    worst = np.unravel_index(np.argmax(kap_margin), kap_margin.shape)
-    records.append(CheckerRecord.from_margin(
-        "curvature_bound", float(np.max(kap_margin)),
-        witness=[tb[worst]], detail=f"K0={K0:.6g}"))
+    records.append(_gated_record(
+        "curvature_bound", kap_margin, 0.5 * kap_width, allowed, good, [tb],
+        detail=f"K0={K0:.6g}"))
 
     # Hölder contrast of kappa: its values are curvatures attained within
     # distance rho of the center, so |kappa(t) - kappa(t')| is bounded by
     # the curvature seminorm times (rho + rho')^alpha; the guaranteed
-    # contrast is the gap between the two kappa intervals
-    kh_margin = 0.0
-    kh_witness = [float(tb[0, 0]), float(tb[0, 1])]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            allowed = consts.c_kappa_alpha * h_factor \
-                * (rho[:, i] + rho[:, j]) ** alpha
-            both = good[:, i] & good[:, j] \
-                & (kap_width[:, i] + kap_width[:, j] <= allowed)
-            gap = np.maximum(kap_min[:, i] - kap_max[:, j],
-                             kap_min[:, j] - kap_max[:, i])
-            quot = np.maximum(gap, 0.0) / allowed
-            quot = np.where(both, quot, 0.0)
-            idx = int(np.argmax(quot))
-            if quot[idx] > kh_margin:
-                kh_margin = float(quot[idx])
-                kh_witness = [float(tb[idx, i]), float(tb[idx, j])]
-    records.append(CheckerRecord.from_margin(
-        "kappa_holder", kh_margin, witness=kh_witness))
+    # contrast is the gap between the two kappa intervals.  The 6 cluster
+    # pairs are rows, so the first worst entry is pair-major.
+    i, j = np.triu_indices(4, 1)
+    k_min, k_max, k_width = kap_min.T, kap_max.T, kap_width.T
+    allowed = consts.c_kappa_alpha * h_factor \
+        * (rho.T[i] + rho.T[j]) ** alpha
+    gap = np.maximum(k_min[i] - k_max[j], k_min[j] - k_max[i])
+    records.append(_gated_record(
+        "kappa_holder", np.maximum(gap, 0.0) / allowed,
+        0.5 * (k_width[i] + k_width[j]), allowed, good.T[i] & good.T[j],
+        [tb.T[i], tb.T[j]]))
 
     # f0 and phi0' at cluster centers (divided-difference versions)
     f0c = dd2 / om_safe - cot_k(K0_used, rho)
     phi0pc = np.sqrt(np.clip(one_minus, 0.0, None)) / sin_k(K0_used, rho)
 
-    allowed_size = consts.c_f0est1 * h_factor * rho ** (1 + alpha)
-    size_margin = np.maximum(np.abs(f0c) - f0_res, 0.0) / allowed_size
-    size_margin = np.where(good & (f0_res <= 0.5 * allowed_size),
-                           size_margin, 0.0)
-    worst = np.unravel_index(np.argmax(size_margin), size_margin.shape)
-    records.append(CheckerRecord.from_margin(
-        "f0_size", float(np.max(size_margin)), witness=[tb[worst]]))
+    allowed = consts.c_f0est1 * h_factor * rho ** (1 + alpha)
+    records.append(_gated_record(
+        "f0_size", np.maximum(np.abs(f0c) - f0_res, 0.0) / allowed,
+        f0_res, allowed, good, [tb]))
 
-    # pair and cross-scale estimates
-    s12, xi12, ok12, same12 = _pair_quantities(tb, rho, f0c, phi0pc, alpha, 0, 1)
-    s34, xi34, ok34, same34 = _pair_quantities(tb, rho, f0c, phi0pc, alpha, 2, 3)
-    ok12 &= good[:, 0] & good[:, 1]
-    ok34 &= good[:, 2] & good[:, 3]
-    drho12 = np.abs(rho[:, 0] - rho[:, 1])
-    drho34 = np.abs(rho[:, 2] - rho[:, 3])
+    # slope of f0 against rho on the cluster pairs (0, 1) and (2, 3), one
+    # column each, with the angular penalty xi
+    i, j = [0, 2], [1, 3]
+    drho = rho[:, i] - rho[:, j]
+    ok = (np.abs(drho) > 1e-12 * np.maximum(rho[:, i], rho[:, j])) \
+        & good[:, i] & good[:, j]
+    drho_safe = np.where(ok, drho, 1.0)
+    slope = (f0c[:, i] - f0c[:, j]) / drho_safe
+    xi = np.where(ok, rho[:, i] ** (1 + alpha)
+                  * np.abs(phi0pc[:, i]) ** alpha
+                  * np.abs(tb[:, i] - tb[:, j]) ** alpha / np.abs(drho_safe),
+                  np.inf)
+    same = np.maximum(rho[:, i], rho[:, j]) \
+        / np.minimum(rho[:, i], rho[:, j]) <= 4.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        res12 = (f0_res[:, 0] + f0_res[:, 1]) / np.where(ok12, drho12, 1.0)
-        res34 = (f0_res[:, 2] + f0_res[:, 3]) / np.where(ok34, drho34, 1.0)
+        res = (f0_res[:, i] + f0_res[:, j]) / np.abs(drho_safe)
 
-    slope_margins = []
-    for slope, xi, res, ok, same, i, j in (
-            (s12, xi12, res12, ok12, same12, 0, 1),
-            (s34, xi34, res34, ok34, same34, 2, 3)):
-        r_geo = np.sqrt(rho[:, i] * rho[:, j])
-        allowed = consts.c_f0est2 * h_factor * (r_geo ** alpha + xi)
-        lhs = np.maximum(np.abs(slope) - res, 0.0)
-        marg = np.where(ok & same & (res <= 0.5 * allowed),
-                        lhs / allowed, 0.0)
-        slope_margins.append(marg)
-    slope_margin = np.maximum(*slope_margins)
-    worst = int(np.argmax(slope_margin))
-    records.append(CheckerRecord.from_margin(
-        "f0_slope", float(np.max(slope_margin)), witness=[tb[worst, 0]]))
+    allowed = consts.c_f0est2 * h_factor \
+        * (np.sqrt(rho[:, i] * rho[:, j]) ** alpha + xi)
+    records.append(_gated_record(
+        "f0_slope", np.maximum(np.abs(slope) - res, 0.0) / allowed,
+        res, allowed, ok & same, [tb[:, :1]]))
 
-    diam = np.max(tb, axis=1) - np.min(tb, axis=1)
-    both = ok12 & ok34
-    all_same = both & same12 & same34 & (
-        np.max(rho, axis=1) / np.min(rho, axis=1) <= 4.0)
-    allowed3 = consts.c_f0est3 * h_factor * (diam ** alpha + xi12 + xi34)
-    lhs3 = np.maximum(np.abs(s12 - s34) - res12 - res34, 0.0)
-    marg3 = np.where(all_same & (res12 + res34 <= 0.5 * allowed3),
-                     lhs3 / allowed3, 0.0)
-    worst = int(np.argmax(marg3))
-    records.append(CheckerRecord.from_margin(
-        "f0_slope_pair", float(np.max(marg3)), witness=[tb[worst, 0]]))
+    # cross-scale estimates between the two pairs
+    pairs_same = np.all(ok & same, axis=1)
+    spread = (np.max(tb, axis=1) - np.min(tb, axis=1)) ** alpha \
+        + xi[:, 0] + xi[:, 1]
+    allowed = consts.c_f0est3 * h_factor * spread
+    records.append(_gated_record(
+        "f0_slope_pair",
+        np.maximum(np.abs(slope[:, 0] - slope[:, 1]) - res[:, 0] - res[:, 1],
+                   0.0) / allowed,
+        res[:, 0] + res[:, 1], allowed,
+        pairs_same & (np.max(rho, axis=1) / np.min(rho, axis=1) <= 4.0),
+        [tb[:, 0]]))
 
-    cross_ok = both & same12 & same34
-    cot0 = cot_k(K0_used, rho[:, 0])
-    cot2 = cot_k(K0_used, rho[:, 2])
-    lhs4 = np.abs(s12 + 2 * f0c[:, 0] * cot0 - s34 - 2 * f0c[:, 2] * cot2)
-    res4 = res12 + res34 + 2 * f0_res[:, 0] * np.abs(cot0) \
-        + 2 * f0_res[:, 2] * np.abs(cot2)
-    allowed4 = consts.c_f0est4 * h_factor * (diam ** alpha + xi12 + xi34)
-    marg4 = np.where(cross_ok & (res4 <= 0.5 * allowed4),
-                     np.maximum(lhs4 - res4, 0.0) / allowed4, 0.0)
-    worst = int(np.argmax(marg4))
-    records.append(CheckerRecord.from_margin(
-        "f0_cross_scale", float(np.max(marg4)), witness=[tb[worst, 0]]))
+    cot = cot_k(K0_used, rho[:, i])
+    lhs = np.abs(slope[:, 0] + 2 * f0c[:, 0] * cot[:, 0]
+                 - slope[:, 1] - 2 * f0c[:, 2] * cot[:, 1])
+    res4 = res[:, 0] + res[:, 1] + 2 * f0_res[:, 0] * np.abs(cot[:, 0]) \
+        + 2 * f0_res[:, 2] * np.abs(cot[:, 1])
+    allowed = consts.c_f0est4 * h_factor * spread
+    records.append(_gated_record(
+        "f0_cross_scale", np.maximum(lhs - res4, 0.0) / allowed, res4,
+        allowed, pairs_same, [tb[:, 0]]))
 
     # angle-rate ratio over dyadic windows (dense curves)
     phi0p = summary.phi0_prime

@@ -152,6 +152,11 @@ def phi_prime(x):
 # it must reach.
 PHI_INVERSE_NEWTON_STEPS = 6
 PHI_INVERSE_TOL = 1e-12
+# phi_inverse solves on [-1e6, pi^2 - 1e-9]; its arguments must lie
+# strictly inside the image (PHI_INVERSE_Y_MIN, PHI_INVERSE_Y_MAX).
+_PHI_INVERSE_X_MIN, _PHI_INVERSE_X_MAX = -1e6, PI_SQUARED - 1e-9
+PHI_INVERSE_Y_MIN = phi(_PHI_INVERSE_X_MAX)
+PHI_INVERSE_Y_MAX = phi(_PHI_INVERSE_X_MIN)
 
 
 def phi_inverse(y):
@@ -163,14 +168,13 @@ def phi_inverse(y):
     phi_inverse(1.0) is exactly 0.
     """
     a, scalar = _as_array(y)
-    lo_edge, hi_edge = -1e6, PI_SQUARED - 1e-9
-    y_min, y_max = phi(hi_edge), phi(lo_edge)
-    if np.any(a <= y_min) or np.any(a >= y_max):
+    if np.any(a <= PHI_INVERSE_Y_MIN) or np.any(a >= PHI_INVERSE_Y_MAX):
         raise DomainError(
-            f"phi_inverse argument outside ({y_min:.3e}, {y_max:.3e})"
+            f"phi_inverse argument outside ({PHI_INVERSE_Y_MIN:.3e}, "
+            f"{PHI_INVERSE_Y_MAX:.3e})"
         )
-    lo = np.full_like(a, lo_edge)
-    hi = np.full_like(a, hi_edge)
+    lo = np.full_like(a, _PHI_INVERSE_X_MIN)
+    hi = np.full_like(a, _PHI_INVERSE_X_MAX)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         too_low = phi(mid) > a  # phi decreasing: value above target -> x right of mid

@@ -367,21 +367,29 @@ class RadialCorrectionField:
             / (self._chi_hi - self._chi_lo)
 
     def _weighted(self, r, theta, want_deriv):
-        r, theta = np.broadcast_arrays(np.asarray(r, dtype=float),
-                                       np.asarray(theta, dtype=float))
-        val = np.zeros(r.shape)
-        der = np.zeros(r.shape) if want_deriv else None
+        # the annulus weights depend on r alone: they are evaluated on r's
+        # own shape and broadcast only to select entries
+        r = np.asarray(r, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        shape = np.broadcast_shapes(r.shape, theta.shape)
+        r_full, theta = np.broadcast_to(r, shape), np.broadcast_to(theta, shape)
+        val = np.zeros(shape)
+        der = np.zeros(shape) if want_deriv else None
         live = r > self._chi_lo
         x = np.log2(r, where=live, out=np.zeros(r.shape))
         for k in sorted(self.fields):
             w = bump_weight(x - k)
-            sel = live & (w > 0)
-            fld, rs, ts, ws = self.fields[k], r[sel], theta[sel], w[sel]
+            on = live & (w > 0)
+            sel = np.broadcast_to(on, shape)
+            fld, rs, ts = self.fields[k], r_full[sel], theta[sel]
+            ws = np.broadcast_to(w, shape)[sel]
             f = fld.value(rs, ts)
             val[sel] += ws * f
             if want_deriv:
-                wp = bump_weight_prime(x[sel] - k) / (rs * LN2)
-                der[sel] += wp * f + ws * fld.d_dr(rs, ts)
+                wp = np.zeros(r.shape)
+                wp[on] = bump_weight_prime(x[on] - k) / (r[on] * LN2)
+                der[sel] += np.broadcast_to(wp, shape)[sel] * f \
+                    + ws * fld.d_dr(rs, ts)
         return val, der
 
     def value(self, r, theta):

@@ -252,6 +252,16 @@ def test_sharp_minimum_is_unrealizable(sharp_minimum_csv, tmp_path, capsys):
     assert "synthesis failed" in capsys.readouterr().out
 
 
+def test_analyze_sharp_minimum_has_infinite_kappa(sharp_minimum_csv,
+                                                  tmp_path):
+    """kappa beyond the range phi_inverse resolves is infinite, not
+    malformed input."""
+    out = tmp_path / "analysis.json"
+    assert main(["analyze", "--input", sharp_minimum_csv,
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["max_abs_kappa"] == "inf"
+
+
 def _corrupt_grid(text):
     """Three kinds of damage to a grid file: cut short, a key gone,
     theta_nodes one short of the rows of G."""

@@ -389,6 +389,26 @@ CHECK_DIGESTS = {
         "7f268e9997727c5cf5b9a94338da595f73a7bf2838900572538442dc28bc84ef",
     ("roundtrip_csv", 240):
         "7daabe84aded5ff426ed9dbb491f8b6b7aab2218186bf69c54b999f68d7f65d7",
+    ("offset", 240):
+        "4a4b5942ba869e6e89b8a18bc19570a2402989d0a33ed90a335ee54059feb265",
+    ("wave", 240):
+        "b579477c3bfecfb9d18f9404ef889e13b8975ac279732090370252be56ec8c49",
+    ("bump_beta_alpha", 240):
+        "c4eec3f2b51a3a1f763ce7158e2d86a0838acff71ab913c03784cc6df0361ae2",
+}
+
+# the last three admit and shut out clusters at the gate of every
+# cluster record
+PINNED_PROFILES = {
+    "roundtrip": lambda: roundtrip_suite(1, seed=1)[0]["profile"],
+    "roundtrip_csv": lambda: roundtrip_suite(1, seed=1)[0]["profile"],
+    "bump": lambda: perturbed_cone_profile(1e-2, 0.25),
+    # every record fails
+    "offset": lambda: offset_hyperbola_profile(0.99),
+    # grid-generated, rho' and rho'' carried from the integrator
+    "wave": lambda: checker_suite(4, seed=0)[3]["profile"],
+    # beta = alpha: the sensitivity gate holds kappa_holder at 0
+    "bump_beta_alpha": lambda: perturbed_cone_profile(3e-3, 0.5),
 }
 
 
@@ -396,10 +416,7 @@ CHECK_DIGESTS = {
 def test_check_report_bytes_are_pinned(consts, which, budget, tmp_path):
     """The roundtrip_csv case reads the profile back from its CSV: the
     spline's node values differ from the samples in the last bits."""
-    if which == "bump":
-        p = perturbed_cone_profile(1e-2, 0.25)
-    else:
-        p = roundtrip_suite(1, seed=1)[0]["profile"]
+    p = PINNED_PROFILES[which]()
     if which == "roundtrip_csv":
         write_profile_csv(p, tmp_path / "rt.csv")
         p = read_profile_csv(tmp_path / "rt.csv")
