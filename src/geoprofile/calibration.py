@@ -49,7 +49,6 @@ class CheckerConstants:
     c_k_sup: float = 2.0
     c_k_holder: float = 4.0
     c_f_holder_budget: float = 4.0
-    c_bilipschitz: float = 1.5
     # measured Whitney implementation constant
     c_whitney: float = 10.0
     extras: dict = field(default_factory=dict)
@@ -112,7 +111,6 @@ _FIXED = {
     "c_phi0_bound": 1.0,
     "c_lipschitz": 1.0 + 1e-6,
     "c_phi0vary_Cprime": 2.05,
-    "c_bilipschitz": 1.5,
 }
 
 # record -> (constant, floor): the record is measured with its constant

@@ -3,7 +3,8 @@ calibrate.
 
 Reports are JSON with floats at 17 significant digits; identical inputs
 and seeds produce byte-identical files.  Exit codes: 0 success, 1 a
-checker or verification failed, 2 malformed input.
+checker or verification failed, 2 malformed input or a path that
+cannot be read or written.
 """
 
 import argparse
@@ -225,21 +226,26 @@ def build_parser():
                     "metrics.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_input=True):
+    def common(sp, with_input=True, checks=True, shoots=False):
+        """Options of the subcommands that read a profile: ``checks``
+        adds the checker's sampling, ``shoots`` the verification
+        tolerances."""
         if with_input:
             sp.add_argument("--input", required=True,
                             help="profile CSV (header 't,rho')")
         sp.add_argument("--constants", help="calibration JSON")
         sp.add_argument("--out", help="output JSON path (default stdout)")
-        sp.add_argument("--seed", type=_nonnegative_int, default=0)
         sp.add_argument("--h-bound", type=_positive_float, default=None)
         sp.add_argument("--alpha", type=_alpha, default=None)
-        sp.add_argument("--budget", type=_positive_int, default=240)
-        sp.add_argument("--tol-geo", type=_positive_float, default=1e-5)
-        sp.add_argument("--tol-dist", type=_positive_float, default=1e-4)
+        if checks:
+            sp.add_argument("--seed", type=_nonnegative_int, default=0)
+            sp.add_argument("--budget", type=_positive_int, default=240)
+        if shoots:
+            sp.add_argument("--tol-geo", type=_positive_float, default=1e-5)
+            sp.add_argument("--tol-dist", type=_positive_float, default=1e-4)
 
     sp = sub.add_parser("analyze", help="derived curves of a profile")
-    common(sp)
+    common(sp, checks=False)
     sp.add_argument("--plot-csv", help="write t,rho,kappa,phi0,f0 samples")
     sp.set_defaults(fn=cmd_analyze)
 
@@ -248,7 +254,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("synthesize", help="build and verify a metric")
-    common(sp)
+    common(sp, shoots=True)
     sp.add_argument("--grid-out", required=True, help="metric grid JSON")
     sp.add_argument("--force", action="store_true",
                     help="synthesize even if the checker fails")
@@ -256,7 +262,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_synthesize)
 
     sp = sub.add_parser("verify", help="verify an existing grid + profile")
-    common(sp)
+    common(sp, shoots=True)
     sp.add_argument("--grid", required=True, help="metric grid JSON")
     sp.set_defaults(fn=cmd_verify)
 
@@ -285,8 +291,10 @@ def main(argv=None):
     except (ProfileError, DomainError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # a path that cannot be read or written: missing, a directory,
+        # no permission
+        print(f"malformed input: {exc}", file=sys.stderr)
         return 2
 
 

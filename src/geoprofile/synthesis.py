@@ -10,14 +10,14 @@ curvature bounds by finite differences, the geodesic equation along the
 curve, and pairwise distances by shooting.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import sin_k, cot_k
+from .special_functions import sin_k, cot_k, psi
 from .whitney import (SampledFunction, whitney_extend, extension_bounds,
                       holder_seminorm_pairs, HypothesisViolation)
-from .profile_analysis import analyze, curve_angle
+from .profile_analysis import analyze, curve_angle, kappa
 from .geodesy import (MetricGrid, GeodesicPath, PolarPoint, distance,
                       five_point_stencil, _unit_speed_residual)
 from .report import CheckerRecord, CheckerReport
@@ -479,7 +479,6 @@ class SynthesisResult:
     correction: RadialCorrectionField
     summary: object
     decomposition: AnnulusDecomposition
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _dyadic_r_nodes(r_min, r_max):
@@ -579,18 +578,9 @@ def assemble_metric(p, s, decomp, correction, r_pad=1.05):
     gamma = GeodesicPath(t_nodes=t, rho=rho, phi=phi, rho_dot=rd,
                          phi_dot=phi_dot, rho_ddot=rdd,
                          unit_speed_residual=0.0)
-    lips = tmap.lipschitz_constants()
-    diagnostics = {
-        "n_theta": n_theta,
-        "n_r": len(r_nodes),
-        "H_grid": H_grid,
-        "bilipschitz": max(lips),
-        "K0": K0,
-    }
     return SynthesisResult(metric=metric, gamma=gamma, theta_map=tmap,
                            K_grid=K_grid, correction=correction, summary=s,
-                           decomposition=decomp,
-                           diagnostics=diagnostics)
+                           decomposition=decomp)
 
 
 def synthesize(p, consts):
@@ -667,26 +657,39 @@ def _sample_holder(values, r_nodes, theta_nodes, alpha, rng, resolution,
 
 def verify_synthesis(res, p, consts, tol_geo=1e-5, tol_unit=1e-6,
                      tol_dist=1e-4, n_dist_pairs=4, seed=0):
-    """Independent checks of a synthesis result; always returns a report.
-
-    Curvature is recomputed from G by radial finite differences (never
-    from the stored analytic derivatives), the geodesic equation is
-    evaluated through the grid interpolant, and pairwise distances along
-    the curve are measured by angle shooting.
-    """
-    return _verify(res.metric, res.gamma, res.summary, res.correction,
-                   res.diagnostics["bilipschitz"], consts, tol_geo, tol_dist,
-                   seed, tol_unit=tol_unit, n_dist_pairs=n_dist_pairs)
+    """The records of ``verify_grid``, run on the synthesized grid and
+    curve, plus the Hölder budget of the curvature correction term,
+    which needs the correction field; always returns a report."""
+    s = res.summary
+    report = _verify(res.metric, res.gamma, s.K0, s.m, consts, tol_geo,
+                     tol_dist, seed, tol_unit=tol_unit,
+                     n_dist_pairs=n_dist_pairs)
+    # analytic-route Hölder budget of f^2 + 2 f cot + df/dr
+    rs = np.geomspace(max(0.55 * s.m, res.metric.r_nodes[0]),
+                      res.metric.r_nodes[-1] * 0.999, 40)
+    ths = np.linspace(-np.pi * 0.95, np.pi * 0.95, 40)
+    RS, THS = np.meshgrid(rs, ths, indexing="ij")
+    fv, dfv = res.correction.value_and_deriv(RS, THS)
+    gam_term = fv ** 2 + 2 * fv * cot_k(s.K0, RS) + dfv
+    pts = np.column_stack([(RS * np.cos(THS)).ravel(),
+                           (RS * np.sin(THS)).ravel()])
+    hol_gamma = holder_seminorm_pairs(gam_term.ravel()[::2], pts[::2],
+                                      consts.alpha)
+    report.records.append(CheckerRecord.from_margin(
+        "f_holder_budget", hol_gamma / consts.c_f_holder_budget,
+        detail=f"sampled seminorm = {hol_gamma:.4g}"))
+    return report
 
 
 def verify_grid(grid, p, consts, tol_geo=1e-5, tol_dist=1e-4, seed=0):
-    """Verify a metric grid against a profile, e.g. a grid read from disk.
+    """Verify that a metric grid realizes a profile, e.g. a grid read
+    from disk or one the synthesizer did not build.
 
     The angle of the curve is re-integrated from the grid coefficient
     (convention: it vanishes at the profile minimum) in 5 sweeps from
-    zero; then the checks of ``verify_synthesis`` run, less those that
-    need the correction field or the angle map (neither is stored with a
-    grid).
+    zero; then every record reads only the grid and that curve:
+    curvature bounds by finite differences on G, the geodesic equation
+    along the curve, and pairwise distances by angle shooting.
     """
     t = p.t_nodes
     phi = np.zeros_like(t)
@@ -696,36 +699,23 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, tol_dist=1e-4, seed=0):
                          phi_dot=phi_dot,
                          rho_ddot=np.asarray(p.second_deriv(t), dtype=float),
                          unit_speed_residual=0.0)
-    s = analyze(p, H=consts.H, alpha=consts.alpha)
-    return _verify(grid, gamma, s, None, None, consts, tol_geo, tol_dist,
-                   seed)
+    return _verify(grid, gamma, kappa(p, p.t0), p.m, consts, tol_geo,
+                   tol_dist, seed)
 
 
-def _verify(grid, gamma, s, correction, bilipschitz, consts, tol_geo,
-            tol_dist, seed, tol_unit=1e-6, n_dist_pairs=4):
-    """The verification battery; ``correction`` and ``bilipschitz`` are
-    None when only the grid is known."""
+def _verify(grid, gamma, K0, m, consts, tol_geo, tol_dist, seed,
+            tol_unit=1e-6, n_dist_pairs=4):
+    """The verification battery: it reads only the grid and the curve.
+    K0 and m are reported in the meta."""
     rng = np.random.default_rng(seed)
     alpha = consts.alpha
     H = consts.H
     records = []
 
-    # construction exactness below the support floor
-    m = s.m
     r_nodes = grid.r_nodes
-    inner = r_nodes <= 0.5 * m
-    if np.any(inner):
-        ratio = grid.G[:, inner] / sin_k(s.K0, r_nodes[inner])[None, :]
-        worst = float(np.max(np.abs(ratio - 1.0)))
-    else:
-        worst = 0.0
-    records.append(CheckerRecord.from_margin(
-        "boundary_limit", worst / 1e-9))
-
-    from .special_functions import psi as _psi
     ratio_env = grid.G / r_nodes[None, :]
-    lo_env = _psi(grid.H * r_nodes ** 2)
-    hi_env = _psi(-grid.H * r_nodes ** 2)
+    lo_env = psi(grid.H * r_nodes ** 2)
+    hi_env = psi(-grid.H * r_nodes ** 2)
     env_margin = max(np.max(lo_env[None, :] / ratio_env),
                      np.max(ratio_env / hi_env[None, :]))
     records.append(CheckerRecord.from_margin(
@@ -746,21 +736,6 @@ def _verify(grid, gamma, s, correction, bilipschitz, consts, tol_geo,
         hol_k / (consts.c_k_holder * H ** (1 + alpha / 2)),
         detail=f"sampled [K]_alpha = {hol_k:.4g}"))
 
-    # analytic-route Hölder budget of f^2 + 2 f cot + df/dr
-    if correction is not None:
-        rs = np.geomspace(max(0.55 * m, r_nodes[0]), r_nodes[-1] * 0.999, 40)
-        ths = np.linspace(-np.pi * 0.95, np.pi * 0.95, 40)
-        RS, THS = np.meshgrid(rs, ths, indexing="ij")
-        fv, dfv = correction.value_and_deriv(RS, THS)
-        gam_term = fv ** 2 + 2 * fv * cot_k(s.K0, RS) + dfv
-        pts = np.column_stack([(RS * np.cos(THS)).ravel(),
-                               (RS * np.sin(THS)).ravel()])
-        hol_gamma = holder_seminorm_pairs(gam_term.ravel()[::2], pts[::2],
-                                          alpha)
-        records.append(CheckerRecord.from_margin(
-            "f_holder_budget", hol_gamma / consts.c_f_holder_budget,
-            detail=f"sampled seminorm = {hol_gamma:.4g}"))
-
     # geodesic equation along the curve, h through the grid interpolant
     t = gamma.t_nodes
     g_on, h_on = grid.value_and_h(gamma.rho, gamma.phi)
@@ -775,25 +750,6 @@ def _verify(grid, gamma, s, correction, bilipschitz, consts, tol_geo,
                                     gamma.rho_dot, five_point_stencil(t))
     records.append(CheckerRecord.from_margin(
         "unit_speed", res_unit / tol_unit))
-
-    # correction interpolation and support
-    if correction is not None:
-        f_curve = correction.value(gamma.rho, s.phi0)
-        interp_err = float(np.max(np.abs(f_curve - s.f0)))
-        records.append(CheckerRecord.from_margin(
-            "correction_interpolation", interp_err / 1e-8))
-        if np.any(inner):
-            RR, TT = np.meshgrid(r_nodes[inner], grid.theta_nodes)
-            sup_inner = float(np.max(np.abs(correction.value(RR, TT))))
-        else:
-            sup_inner = 0.0
-        records.append(CheckerRecord.from_margin(
-            "correction_support", sup_inner / 1e-12))
-
-    # bi-Lipschitz constant of the angle map
-    if bilipschitz is not None:
-        records.append(CheckerRecord.from_margin(
-            "bilipschitz", bilipschitz / consts.c_bilipschitz))
 
     # independent pairwise distances by shooting
     tol_d = tol_dist * grid.R
@@ -824,5 +780,5 @@ def _verify(grid, gamma, s, correction, bilipschitz, consts, tol_geo,
 
     return CheckerReport(
         records=records, constants_version=consts.version,
-        meta={"K0": s.K0, "m": s.m, "H_grid": grid.H,
+        meta={"K0": K0, "m": m, "H_grid": grid.H,
               "sup_K_fd": sup_k, "n_theta": len(grid.theta_nodes)})

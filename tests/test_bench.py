@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -22,3 +23,28 @@ def test_bench_pass_is_correct(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_tracer_targets_exist():
+    """Every function the benchmark's tracer wraps by name is still
+    there: install finds and wraps each one, a call through a wrapper
+    records a span, and uninstall puts every original back."""
+    import geoprofile.cli  # noqa: F401  (imports every package module)
+    from geoprofile import special_functions
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name == "geoprofile" or name.startswith("geoprofile.")]
+    before = [(m, dict(vars(m))) for m in modules]
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()  # looks up every target by name
+        special_functions.phi_inverse(0.5)
+    finally:
+        tracer.uninstall()
+    assert tracer.table()["special_functions.phi_inverse"]["calls"] == 1
+    for m, names in before:
+        assert all(vars(m)[k] is v for k, v in names.items()), m.__name__

@@ -11,9 +11,9 @@ CALIBRATE_SIZES = dict(n_grid=1, n_closed=3, n_riccati=8, n_whitney=12,
 
 # sha256 of the constants JSON of calibrate_constants(seed=1000, ...)
 CALIBRATION_DIGESTS = {
-    0: "e2d0265372c333ad88f98af96da22c5ac312df776d361a7b610eebb25a69d760",
+    0: "cd7c520d6f76727d1836f5790df4700ac5682b28405e1eda471a8603d9d2332f",
     # one round trip: the synthesis records are measured too
-    1: "1db2e426ad08b0fbfb4d47ab93067df0df2a7e3ecf492828d72c8373cb72327d",
+    1: "d76eca65391f94caa0483f0184a09f1503ae428890d54208f0d9d1d9c1371062",
 }
 
 

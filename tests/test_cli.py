@@ -153,15 +153,20 @@ def test_budget_below_one_exit_code(sphere_csv, capsys):
     ("check", "--seed", "-1"), ("synthesize", "--seed", "-1"),
     ("verify", "--seed", "-1"), ("demo eps-bump", "--seed", "-1"),
     ("calibrate", "--seed", "-1"), ("demo eps-bump", "--eps", "-1"),
-    ("demo eps-bump", "--beta", "2"), ("demo euclid-offset", "--c", "1.5")])
+    ("demo eps-bump", "--beta", "2"), ("demo euclid-offset", "--c", "1.5"),
+    ("analyze", "--seed", "1"), ("analyze", "--budget", "1"),
+    ("analyze", "--tol-geo", "1"), ("analyze", "--tol-dist", "1"),
+    ("check", "--tol-geo", "1e-5"), ("check", "--tol-dist", "1"),
+    ("demo eps-bump", "--tol-geo", "1"), ("demo eps-bump", "--tol-dist", "1")])
 def test_out_of_range_option_exit_code(sphere_csv, tmp_path, capsys, command,
                                        option, value):
     """A tolerance or curvature bound must be finite and above 0, alpha in
     (0, 1], a seed at least 0, the demos' eps above 0, beta in (0, 1] and
     c in [0, 1); anything else is malformed input, refused before any
-    work."""
+    work.  A subcommand offers only the options it reads: analyze has no
+    checker sampling, and only synthesize and verify shoot geodesics."""
     argv = command.split() + [option, value]
-    if command in ("check", "synthesize", "verify"):
+    if command in ("analyze", "check", "synthesize", "verify"):
         argv += ["--input", sphere_csv]
     if command == "synthesize":
         argv += ["--grid-out", str(tmp_path / "grid.json")]
@@ -276,17 +281,37 @@ def _corrupt_grid(text):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "missing_key",
-                                    "inconsistent"])
+                                    "inconsistent", "directory"])
 def test_verify_malformed_grid_exit_code(sphere_csv, tmp_path, capsys,
                                          damage):
-    good = tmp_path / "good.json"
-    save_metric_json(constant_curvature_grid(0.5, 0.05, n_r=40, n_theta=8),
-                     good)
     bad = tmp_path / "bad.json"
-    bad.write_text(_corrupt_grid(good.read_text())[damage])
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--input", sphere_csv, "--grid", str(bad)])
-    assert exc.value.code == 2
+    if damage == "directory":
+        bad.mkdir()
+    else:
+        good = tmp_path / "good.json"
+        save_metric_json(
+            constant_curvature_grid(0.5, 0.05, n_r=40, n_theta=8), good)
+        bad.write_text(_corrupt_grid(good.read_text())[damage])
+    # a damaged file is refused while it is read, a directory by main
+    try:
+        code = main(["verify", "--input", sphere_csv, "--grid", str(bad)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("malformed input: ")
+
+
+@pytest.mark.parametrize("command,option", [
+    ("check", "--out"), ("analyze", "--out"), ("analyze", "--plot-csv")])
+def test_directory_output_path_exit_code(sphere_csv, tmp_path, capsys,
+                                         command, option):
+    """An output path that names a directory cannot be written: exit 2
+    with a one-line message, not a traceback."""
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main([command, "--input", sphere_csv, option, str(target)]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("malformed input: ")
@@ -314,6 +339,17 @@ def test_variable_curvature_csv_roundtrip(variable_curvature_profile,
     assert main(["synthesize", "--input", str(csv), "--grid-out", str(grid),
                  "--out", str(tmp_path / "synth.json")]) == 0
     assert main(["verify", "--input", str(csv), "--grid", str(grid),
+                 "--out", str(tmp_path / "verify.json")]) == 0
+
+
+def test_verify_generating_disc(variable_curvature_disc, tmp_path, capsys):
+    """The disc the variable-curvature profile was integrated on, read
+    back from its grid file, realizes the profile's CSV samples."""
+    grid, profile = variable_curvature_disc
+    csv, grid_path = tmp_path / "vc.csv", tmp_path / "disc.json"
+    write_profile_csv(profile, csv)
+    save_metric_json(grid, grid_path)
+    assert main(["verify", "--input", str(csv), "--grid", str(grid_path),
                  "--out", str(tmp_path / "verify.json")]) == 0
 
 

@@ -16,7 +16,8 @@ from geoprofile.surfaces import (flat_profile, spherical_profile,
                                  hyperbolic_profile, offset_hyperbola_profile,
                                  perturbed_cone_profile,
                                  variable_curvature_grid, grid_profile,
-                                 roundtrip_suite, constant_curvature_grid)
+                                 roundtrip_suite, constant_curvature_grid,
+                                 checker_suite)
 from geoprofile.special_functions import sin_k
 from geoprofile.whitney import holder_seminorm_pairs
 
@@ -133,7 +134,9 @@ def test_flat_roundtrip_residuals(consts, flat_result):
     rep = verify_synthesis(res, p, consts)
     assert rep.verdict
     assert rep.record("geodesic_residual").margin * 1e-5 <= 1e-8
-    assert rep.record("correction_interpolation").margin * 1e-8 <= 1e-12
+    # the glued correction reproduces f0 on the reference curve
+    s = res.summary
+    assert np.max(np.abs(res.correction.value(p.rho, s.phi0) - s.f0)) <= 1e-12
 
 
 def test_verify_grid_on_synthesized_grid(consts, flat_result):
@@ -141,13 +144,34 @@ def test_verify_grid_on_synthesized_grid(consts, flat_result):
     grid_rep = verify_grid(res.metric, p, consts)
     assert grid_rep.verdict, [(r.name, r.margin) for r in grid_rep.records
                               if not r.passed]
-    only_with_synthesis = {"f_holder_budget", "correction_interpolation",
-                           "correction_support", "bilipschitz"}
+    only_with_synthesis = {"f_holder_budget"}
     grid_names = {r.name for r in grid_rep.records}
     assert not grid_names & only_with_synthesis
     full_names = {r.name for r in verify_synthesis(res, p, consts).records}
     assert only_with_synthesis <= full_names
     assert full_names - only_with_synthesis == grid_names
+
+
+def test_verify_grid_passes_generating_wave_disc(consts):
+    """A disc the synthesizer did not build realizes its own profile:
+    its G is not sin_k(K0, r) near the center, and no record asks it to
+    be."""
+    entry = [e for e in checker_suite(4, seed=0)
+             if e["label"].startswith("wave")][0]
+    rep = verify_grid(entry["grid"], entry["profile"], consts)
+    assert rep.verdict, [(r.name, r.margin) for r in rep.records
+                         if not r.passed]
+
+
+def test_synthesized_grid_is_reference_below_support_floor(consts):
+    """Below half the minimal distance the correction vanishes, so the
+    synthesized G is sin_k(K0, r) there, also off constant curvature."""
+    res = synthesize(perturbed_cone_profile(1e-2, 1.0), consts)
+    r = res.metric.r_nodes
+    inner = r <= 0.5 * res.summary.m
+    assert np.count_nonzero(inner) > 100
+    ratio = res.metric.G[:, inner] / sin_k(res.summary.K0, r[inner])[None, :]
+    assert np.max(np.abs(ratio - 1.0)) <= 1e-9
 
 
 def test_flat_synthesized_angle_is_exact(consts):
