@@ -39,7 +39,7 @@ print("\n".join(rep.summary_lines()))
 # the construction carries curvature information along the curve: the
 # reconstructed field, evaluated where the geodesic actually runs, must
 # match the generating one
-K_fd, _ = res.metric.curvature_fd(with_resolution=True)
+K_fd, _ = res.metric.curvature_fd()
 print("\nreconstructed curvature along the curve vs the generating field:")
 for frac in np.linspace(0.05, 0.95, 6):
     i = int(frac * (len(profile) - 1))

@@ -208,14 +208,14 @@ class MetricGrid:
             # G = 0 at a float point: numpy's inf or NaN, as for arrays
             return np.float64(g), np.float64(d) / g
 
-    def curvature_fd(self, with_resolution=False):
-        """K = -G''/G by radial finite differences on the grid nodes.
+    def curvature_fd(self):
+        """K = -G''/G by radial finite differences on the grid nodes, and
+        the rounding amplification 6*eps/(h1*h2) per node, so callers can
+        discount sub-resolution values near the origin: ``(K, resolution)``.
 
         Deliberately independent of any analytic second derivative so it
         can flag inconsistencies injected into G.  Three-point non-uniform
-        stencil; endpoints copy their neighbours.  With ``with_resolution`` the
-        rounding amplification 6*eps/(h1*h2) per node is returned too, so
-        callers can discount sub-resolution values near the origin.
+        stencil; endpoints copy their neighbours.
         """
         r = self.r_nodes
         G = self.G
@@ -231,8 +231,6 @@ class MetricGrid:
         K_full[:, 1:-1] = K
         K_full[:, 0] = K[:, 0]
         K_full[:, -1] = K[:, -1]
-        if not with_resolution:
-            return K_full
         res = 6.0 * np.finfo(float).eps / (h1 * h2)
         res_full = np.empty(r.size)
         res_full[1:-1] = res
@@ -264,12 +262,12 @@ def _clamp_rho_dot(state):
 
 
 def geodesic_integrate(grid, start, rho_dot0, direction_sign, length,
-                       step=None, r_floor=None):
+                       step=None):
     """Integrate a unit-speed geodesic of given length from ``start``.
 
     ``rho_dot0`` in (-1, 1) fixes the radial component of the initial
     velocity; ``direction_sign`` the rotation sense.  Raises
-    GeodesicDomainError when the path leaves [r_floor, R].
+    GeodesicDomainError when the path leaves [grid.r_floor, R].
     """
     if not -1.0 < rho_dot0 < 1.0:
         raise ValueError("rho_dot0 must lie in (-1, 1)")
@@ -277,11 +275,10 @@ def geodesic_integrate(grid, start, rho_dot0, direction_sign, length,
         raise ValueError("direction_sign must be +1 or -1")
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if r_floor is None:
-        r_floor = grid.r_floor
     if step is None:
         step = min(1e-3, length / 50.0) if length > 0 else 1e-3
     R = grid.R
+    r_floor = grid.r_floor
 
     if length == 0.0:
         g, h = grid.value_and_h(start.r, start.theta)
@@ -458,7 +455,7 @@ def _chord_bracket(miss, psi0):
         delta *= CHORD_GROWTH
 
 
-def distance(grid, p, q, step=None, tol_hit=None):
+def distance(grid, p, q):
     """Geodesic distance between grid points by angle shooting.
 
     Shoots from the outer point.  The launch angle starts from the chord
@@ -466,21 +463,19 @@ def distance(grid, p, q, step=None, tol_hit=None):
     the radius miss at ``q``'s bearing changes sign; a shot that leaves
     the domain misses by a signed infinity, which gives the direction.
     Brent's method then finds the angle until the geodesic hits ``q``'s
-    radius within ``tol_hit`` (default 1e-6*R), and the arclength is
-    returned, guarded by the via-origin radial bound p.r + q.r.  With no
-    sign change up to PSI_MIN or PSI_MAX, the shot nearest a hit gives
-    the arclength if it misses by less than ``tol_hit``, else the bound
-    is returned.  Near-radial and near-antipodal pairs take the radial
+    radius within tol_hit = 1e-6*R, and the arclength is returned,
+    guarded by the via-origin radial bound p.r + q.r.  With no sign
+    change up to PSI_MIN or PSI_MAX, the shot nearest a hit gives the
+    arclength if it misses by less than tol_hit, else the bound is
+    returned.  Near-radial and near-antipodal pairs take the radial
     path without shooting.  Each launch angle is shot once per call: the
     miss is memoized, so Brent's re-evaluation of the bracket ends and
     the final reading of the arclength cost nothing.  Relies on strong
     convexity of the disc.
     """
     R = grid.R
-    if tol_hit is None:
-        tol_hit = 1e-6 * R
-    if step is None:
-        step = min(1e-3, R / 150.0)
+    tol_hit = 1e-6 * R
+    step = min(1e-3, R / 150.0)
     r_floor = grid.r_floor
     if p.r > R or q.r > R:
         raise ValueError("points must lie inside the grid")

@@ -26,6 +26,7 @@ LN2 = np.log(2.0)
 R_NODES_PER_OCTAVE = 64     # geometric radial grid nodes per dyadic band
 MIN_SECTOR_GAP = 0.35       # angular separation asserted between split pieces
 FADE_WIDTH = 0.45           # angular width of the theta cutoff beyond the sweep
+TOL_UNIT_SPEED = 1e-6       # unit-speed residual of the curve that margin 1 allows
 
 
 class SynthesisError(RuntimeError):
@@ -69,7 +70,7 @@ class AnnulusPiece:
     node_slice: tuple      # (i_lo, i_hi) indices into the profile nodes
     theta_lo: float = 0.0
     theta_hi: float = 0.0
-    fallback: bool = False
+    net: tuple = ()        # radial net node indices by radius (III, IV)
 
 
 @dataclass
@@ -110,20 +111,49 @@ def _rates(s, k, i_lo, i_hi, alpha):
     return lam, lam ** alpha * 2.0 ** (k * (1 + alpha))
 
 
+def _net_indices(t, i_lo, i_hi, delta):
+    """Greedy left-to-right delta-net among node indices [i_lo, i_hi]."""
+    picks = [i_lo]
+    for i in range(i_lo + 1, i_hi + 1):
+        if t[i] - t[picks[-1]] >= delta:
+            picks.append(i)
+    if picks[-1] != i_hi and t[i_hi] - t[picks[-1]] >= 0.25 * delta:
+        picks.append(i_hi)
+    return picks
+
+
+def _by_radius(rho, picks):
+    """The node indices ``picks`` ordered by radius, one per radius
+    (radii within 1e-14 count as one)."""
+    picks = np.asarray(picks)
+    picks = picks[np.argsort(rho[picks])]
+    keep = np.concatenate(([True], np.diff(rho[picks]) > 1e-14))
+    return tuple(int(i) for i in picks[keep])
+
+
 def _piece_case(p, s, k, i_lo, i_hi, alpha):
-    """Case predicate in order I, II, III, IV plus lambda and delta."""
+    """Case predicate in order I, II, III, IV plus lambda, delta and the
+    radial net.  Case III interpolates the delta-net, case IV the two
+    end nodes; a net with fewer than two distinct radii demotes III to
+    IV, and IV to II."""
     rd = np.asarray(p.deriv(p.t_nodes[i_lo:i_hi + 1]), dtype=float)
     lam, delta = _rates(s, k, i_lo, i_hi, alpha)
     length = float(p.t_nodes[i_hi] - p.t_nodes[i_lo])
+    net = ()
     if np.min(np.abs(rd)) <= 0.5:
         case = "I"
     elif alpha < 1.0 and length <= (2.0 ** k * lam ** alpha) ** (1.0 / (1.0 - alpha)):
         case = "II"
-    elif length >= delta:
-        case = "III"
     else:
-        case = "IV"
-    return case, lam, delta
+        case = "III" if length >= delta else "IV"
+        if case == "III":
+            net = _by_radius(p.rho, _net_indices(p.t_nodes, i_lo, i_hi, delta))
+        if len(net) < 2:
+            case = "IV"
+            net = _by_radius(p.rho, [i_lo, i_hi])
+        if len(net) < 2:
+            case, net = "II", ()
+    return case, lam, delta, net
 
 
 def decompose_annuli(p, s):
@@ -160,11 +190,12 @@ def decompose_annuli(p, s):
         else:
             for run_idx, (i_lo, i_hi) in enumerate(runs):
                 side = "both" if len(runs) == 1 else ("-" if run_idx == 0 else "+")
-                case, lam, delta = _piece_case(p, s, k, i_lo, i_hi, alpha)
+                case, lam, delta, net = _piece_case(p, s, k, i_lo, i_hi, alpha)
                 plist.append(AnnulusPiece(
                     k=k, side=side, case=case, lam=lam, delta=delta,
                     node_slice=(i_lo, i_hi),
-                    theta_lo=float(s.phi0[i_lo]), theta_hi=float(s.phi0[i_hi])))
+                    theta_lo=float(s.phi0[i_lo]), theta_hi=float(s.phi0[i_hi]),
+                    net=net))
         if len(plist) == 2:
             gap = plist[1].theta_lo - plist[0].theta_hi
             if gap < MIN_SECTOR_GAP:
@@ -179,20 +210,21 @@ def decompose_annuli(p, s):
 
 
 class _PieceField:
-    """One annulus piece as a vectorized function of (r, theta).
+    """One annulus piece as a function of (r, theta):
+    fade(theta) * (g(theta) + y(r)).
 
-    value = fade(theta) * (y(r) + g(theta)); the theta part g carries the
-    profile values, the radial part y the net interpolant (zero for the
-    transport cases).  The fade is a C^1 cutoff over FADE_WIDTH beyond
-    the swept range, clamped inside (-pi, pi).
+    The theta part g carries the profile values; the optional radial
+    part y, a ``WhitneyExtension`` through the piece's radial net,
+    carries the net interpolant (absent for the transport cases).  The
+    fade is a C^2 cutoff over FADE_WIDTH beyond the swept range, clamped
+    inside (-pi, pi).
     """
 
-    def __init__(self, theta_nodes, g_nodes, y_fn=None, y_prime_fn=None,
+    def __init__(self, theta_nodes, g_nodes, radial=None,
                  fade_lo=None, fade_hi=None):
         self.theta_nodes = theta_nodes
         self.g_nodes = g_nodes
-        self.y_fn = y_fn
-        self.y_prime_fn = y_prime_fn
+        self.radial = radial
         t_lo, t_hi = theta_nodes[0], theta_nodes[-1]
         lo = min(FADE_WIDTH, 0.9 * (t_lo + np.pi))
         hi = min(FADE_WIDTH, 0.9 * (np.pi - t_hi))
@@ -203,62 +235,37 @@ class _PieceField:
         self.fade_lo = max(lo, 1e-6)
         self.fade_hi = max(hi, 1e-6)
 
-    def _fade(self, theta):
+    def fade(self, theta):
         t_lo, t_hi = self.theta_nodes[0], self.theta_nodes[-1]
         up = _smoothstep((theta - (t_lo - self.fade_lo)) / self.fade_lo)
         down = 1.0 - _smoothstep((theta - t_hi) / self.fade_hi)
         return up * down
 
-    def value(self, r, theta):
+    def term(self, theta, a, b):
+        """fade(theta) * (a + g(theta) * b) for radial factors a and b;
+        ``a`` is None for a piece without a radial part.  One expression
+        per case, so numpy reuses its temporaries on large grids."""
         g = np.interp(theta, self.theta_nodes, self.g_nodes)
-        base = g if self.y_fn is None else g + self.y_fn(r)
-        return self._fade(theta) * base
-
-    def d_dr(self, r, theta):
-        if self.y_prime_fn is None:
-            return np.zeros_like(np.asarray(r, dtype=float))
-        return self._fade(theta) * self.y_prime_fn(r)
+        if a is None:
+            return self.fade(theta) * (g * b)
+        return self.fade(theta) * (a + g * b)
 
 
 @dataclass
 class AnnulusField:
     k: int
-    piece_fns: list
-
-    def value(self, r, theta):
-        out = np.zeros(np.broadcast(r, theta).shape)
-        for fn in self.piece_fns:
-            out += fn.value(r, theta)
-        return out
-
-    def d_dr(self, r, theta):
-        out = np.zeros(np.broadcast(r, theta).shape)
-        for fn in self.piece_fns:
-            out += fn.d_dr(r, theta)
-        return out
-
-
-def _net_indices(t, i_lo, i_hi, delta):
-    """Greedy left-to-right delta-net among node indices [i_lo, i_hi]."""
-    picks = [i_lo]
-    for i in range(i_lo + 1, i_hi + 1):
-        if t[i] - t[picks[-1]] >= delta:
-            picks.append(i)
-    if picks[-1] != i_hi and t[i_hi] - t[picks[-1]] >= 0.25 * delta:
-        picks.append(i_hi)
-    return picks
+    pieces: list           # _PieceField
 
 
 def extend_fk(k, decomp, p, s):
     """Extension of f0 to the annulus at scale k, honoring the case tag.
 
-    Transport cases carry f0 along rays of constant angle; net cases add
-    a radial interpolant through the delta-net values (full interpolation
-    for case III, affine for case IV) so that the curve values are
-    reproduced exactly.  Case III takes T1 and T2 from
-    ``extension_bounds``, the same pairs and triples ``whitney_extend``
-    checks, so only non-finite net data is refused.  A net with fewer
-    than two distinct radii demotes III to IV (flagged).
+    Transport cases (I, II) carry f0 along rays of constant angle; net
+    cases (III, IV) add a radial interpolant through the values at the
+    piece's radial net, so that the curve values are reproduced exactly.
+    T1 and T2 come from ``extension_bounds``, the same pairs and triples
+    ``whitney_extend`` checks, so only non-finite net data is refused.
+    On the two-node net of case IV the extension is the secant line.
     """
     plist = decomp.pieces.get(k)
     if not plist:
@@ -269,70 +276,31 @@ def extend_fk(k, decomp, p, s):
         gap = plist[1].theta_lo - plist[0].theta_hi
         cap = min(FADE_WIDTH, 0.45 * gap)
         fade_caps = [(None, cap), (cap, None)]
-    fns = []
+    pieces = []
     for piece, (cap_lo, cap_hi) in zip(plist, fade_caps):
         i_lo, i_hi = piece.node_slice
         th_nodes = s.phi0[i_lo:i_hi + 1]
-        f0_nodes = s.f0[i_lo:i_hi + 1]
+        g_nodes = s.f0[i_lo:i_hi + 1]
         rho_nodes = p.rho[i_lo:i_hi + 1]
         if th_nodes.size == 1:
             th_nodes = np.concatenate([th_nodes, th_nodes + 1e-12])
-            f0_nodes = np.concatenate([f0_nodes, f0_nodes])
+            g_nodes = np.concatenate([g_nodes, g_nodes])
             rho_nodes = np.concatenate([rho_nodes, rho_nodes])
-        case = piece.case
-        if case in ("I", "II"):
-            fns.append(_PieceField(th_nodes, f0_nodes,
-                                   fade_lo=cap_lo, fade_hi=cap_hi))
-            continue
-        if case == "III":
-            picks = _net_indices(p.t_nodes, i_lo, i_hi, piece.delta)
-            xs = p.rho[picks]
-            ys = s.f0[picks]
-            order = np.argsort(xs)
-            xs, ys = xs[order], ys[order]
-            keep = np.concatenate(([True], np.diff(xs) > 1e-14))
-            xs, ys = xs[keep], ys[keep]
-            if xs.size < 2:
-                case = "IV"
-                piece.fallback = True
-            else:
-                sf = SampledFunction(xs, ys)
-                bounds = extension_bounds(sf, s.alpha, interval)
-                try:
-                    ext = whitney_extend(sf, s.alpha, *bounds, interval)
-                except HypothesisViolation as exc:
-                    raise SynthesisError(
-                        f"annulus k={k}: net data violates extension "
-                        f"hypotheses: {exc}") from exc
-                g_nodes = f0_nodes - ext(rho_nodes)
-                fns.append(_PieceField(th_nodes, g_nodes, y_fn=ext,
-                                       y_prime_fn=ext.deriv,
-                                       fade_lo=cap_lo, fade_hi=cap_hi))
-                piece.case = "III"
-                continue
-        if case == "IV":
-            j0, j1 = i_lo, i_hi
-            x0, x1 = p.rho[j0], p.rho[j1]
-            if abs(x1 - x0) < 1e-14:
-                fns.append(_PieceField(th_nodes, f0_nodes,
-                                       fade_lo=cap_lo, fade_hi=cap_hi))
-                piece.case = "II"
-                continue
-            slope = (s.f0[j1] - s.f0[j0]) / (x1 - x0)
-            inter = s.f0[j0] - slope * x0
-
-            def y_fn(r, a=slope, b=inter):
-                return a * np.asarray(r, dtype=float) + b
-
-            def y_prime_fn(r, a=slope):
-                return np.full_like(np.asarray(r, dtype=float), a)
-
-            g_nodes = f0_nodes - y_fn(rho_nodes)
-            fns.append(_PieceField(th_nodes, g_nodes, y_fn=y_fn,
-                                   y_prime_fn=y_prime_fn,
-                                   fade_lo=cap_lo, fade_hi=cap_hi))
-            piece.case = "IV"
-    return AnnulusField(k=k, piece_fns=fns)
+        radial = None
+        if piece.net:
+            net = list(piece.net)
+            sf = SampledFunction(p.rho[net], s.f0[net])
+            bounds = extension_bounds(sf, s.alpha, interval)
+            try:
+                radial = whitney_extend(sf, s.alpha, *bounds, interval)
+            except HypothesisViolation as exc:
+                raise SynthesisError(
+                    f"annulus k={k}: net data violates extension "
+                    f"hypotheses: {exc}") from exc
+            g_nodes = g_nodes - radial(rho_nodes)
+        pieces.append(_PieceField(th_nodes, g_nodes, radial,
+                                  fade_lo=cap_lo, fade_hi=cap_hi))
+    return AnnulusField(k=k, pieces=pieces)
 
 
 # -- gluing ---------------------------------------------------------------------
@@ -347,9 +315,13 @@ class RadialCorrectionField:
     leaving it untouched at the curve radii (all >= m).
 
     Each piece p of f_k is fade_p(theta) * (g_p(theta) + y_p(r)), so f is
-    separable: f = sum_{k,p} fade_p(theta) * (chi w_k y_p (r)
-    + g_p(theta) * chi w_k (r)).  ``cumulative_radial`` integrates along
-    rays through this form.
+    a sum of separable terms fade_p(theta) * (A(r) + g_p(theta) * B(r))
+    with B = chi w_k and A = B y_p.  This is the one route by which f is
+    evaluated: ``value`` sums the terms with (A, B), the radial
+    derivative with (A', B'), and ``cumulative_radial`` with the 1-D
+    cumulative trapezoids of A and B.  y_p is read only where w_k > 0,
+    and ``value`` forms each term only over the bounding box of that
+    radial support, so a large tensor grid never meets every piece.
     """
 
     def __init__(self, fields_by_k, m):
@@ -366,77 +338,84 @@ class RadialCorrectionField:
             (r - self._chi_lo) / (self._chi_hi - self._chi_lo)) \
             / (self._chi_hi - self._chi_lo)
 
-    def _weighted(self, r, theta, want_deriv):
-        # the annulus weights depend on r alone: they are evaluated on r's
-        # own shape and broadcast only to select entries
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(r.shape, theta.shape)
-        r_full, theta = np.broadcast_to(r, shape), np.broadcast_to(theta, shape)
-        val = np.zeros(shape)
-        der = np.zeros(shape) if want_deriv else None
+    def _terms(self, r, deriv=False):
+        """Each piece with its radial factors on r's own shape: ``on``
+        (where w_k > 0) and the pairs [(A, B)], with ``deriv`` also
+        (A', B').  A is None for a piece without a radial part."""
         live = r > self._chi_lo
         x = np.log2(r, where=live, out=np.zeros(r.shape))
+        chi = self._chi(r)
+        chi_p = self._chi_prime(r) if deriv else None
         for k in sorted(self.fields):
             w = bump_weight(x - k)
             on = live & (w > 0)
-            sel = np.broadcast_to(on, shape)
-            fld, rs, ts = self.fields[k], r_full[sel], theta[sel]
-            ws = np.broadcast_to(w, shape)[sel]
-            f = fld.value(rs, ts)
-            val[sel] += ws * f
-            if want_deriv:
-                wp = np.zeros(r.shape)
-                wp[on] = bump_weight_prime(x[on] - k) / (r[on] * LN2)
-                der[sel] += np.broadcast_to(wp, shape)[sel] * f \
-                    + ws * fld.d_dr(rs, ts)
-        return val, der
+            if not np.any(on):
+                continue
+            b = np.where(on, chi * w, 0.0)
+            if deriv:
+                w_p = np.zeros(r.shape)
+                w_p[on] = bump_weight_prime(x[on] - k) / (r[on] * LN2)
+                b_p = np.where(on, chi_p * w + chi * w_p, 0.0)
+            for piece in self.fields[k].pieces:
+                a = a_p = None
+                if piece.radial is not None:
+                    y = np.zeros(r.shape)
+                    y[on] = piece.radial(r[on])
+                    a = b * y
+                    if deriv:
+                        y_p = np.zeros(r.shape)
+                        y_p[on] = piece.radial.deriv(r[on])
+                        a_p = b_p * y + b * y_p
+                yield piece, on, [(a, b), (a_p, b_p)] if deriv else [(a, b)]
+
+    def _sums(self, r, theta, deriv):
+        """The term sums at the broadcast (r, theta), each term over the
+        bounding box of its ``on`` only: f, and with ``deriv`` df/dr."""
+        r = np.asarray(r, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        shape = np.broadcast_shapes(r.shape, theta.shape)
+        nd = max(len(shape), 1)
+        r = r.reshape((1,) * (nd - r.ndim) + r.shape)
+        theta = theta.reshape((1,) * (nd - theta.ndim) + theta.shape)
+        sums = [np.zeros(np.broadcast_shapes(r.shape, theta.shape))
+                for _ in range(1 + deriv)]
+        for piece, on, pairs in self._terms(r, deriv):
+            box = tuple(slice(i.min(), i.max() + 1) if n > 1 else slice(None)
+                        for i, n in zip(np.nonzero(on), on.shape))
+            th = theta[tuple(sl if n > 1 else slice(None)
+                             for sl, n in zip(box, theta.shape))]
+            for total, (a, b) in zip(sums, pairs):
+                total[box] += piece.term(th, None if a is None else a[box],
+                                         b[box])
+        return [total.reshape(shape) for total in sums]
 
     def value(self, r, theta):
-        raw, _ = self._weighted(r, theta, want_deriv=False)
-        return self._chi(np.asarray(r, dtype=float)) * raw
+        return self._sums(r, theta, deriv=False)[0]
 
     def value_and_deriv(self, r, theta):
-        raw, draw = self._weighted(r, theta, want_deriv=True)
-        r_arr = np.asarray(r, dtype=float)
-        chi = self._chi(r_arr)
-        return chi * raw, chi * draw + self._chi_prime(r_arr) * raw
+        return tuple(self._sums(r, theta, deriv=True))
 
     def cumulative_radial(self, r_nodes, thetas, cells=None):
         """Cumulative trapezoid of f along the rays at ``thetas`` over the
         increasing ``r_nodes``: the (len(thetas), len(r_nodes)) table, or
         with ``cells`` only its entry [i, cells[i]] for each row i.
 
-        The trapezoid is linear, so by the separable form it is
-        sum_{k,p} fade_p(theta) * (A_{k,p} + g_p(theta) * B_k) with A_{k,p}
-        and B_k the 1-D cumulative trapezoids of chi w_k y_p and chi w_k.
-        y_p is read only where w_k > 0, inside its annulus.
+        The trapezoid is linear, so it is the sum of the terms with the
+        1-D cumulative trapezoids of A and B as radial factors.
         """
         r = np.asarray(r_nodes, dtype=float)
         thetas = np.asarray(thetas, dtype=float)
         th = thetas[:, None] if cells is None else thetas
         dr = np.diff(r)
-        x = np.log2(r)
-        chi = self._chi(r)
 
         def cumulative(v):
             cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * dr)))
             return cum if cells is None else cum[cells]
 
         out = np.zeros((thetas.size, r.size) if cells is None else thetas.shape)
-        for k in sorted(self.fields):
-            w = bump_weight(x - k)
-            sel = w > 0
-            chi_w = np.where(sel, chi * w, 0.0)
-            B = cumulative(chi_w)
-            for piece in self.fields[k].piece_fns:
-                A = 0.0
-                if piece.y_fn is not None:
-                    y = np.zeros(r.size)
-                    y[sel] = piece.y_fn(r[sel])
-                    A = cumulative(chi_w * y)
-                g = np.interp(th, piece.theta_nodes, piece.g_nodes)
-                out += piece._fade(th) * (A + g * B)
+        for piece, _, [(a, b)] in self._terms(r):
+            out += piece.term(th, None if a is None else cumulative(a),
+                              cumulative(b))
         return out
 
 
@@ -655,15 +634,14 @@ def _sample_holder(values, r_nodes, theta_nodes, alpha, rng, resolution,
     return float(np.max(partial))
 
 
-def verify_synthesis(res, p, consts, tol_geo=1e-5, tol_unit=1e-6,
-                     tol_dist=1e-4, n_dist_pairs=4, seed=0):
+def verify_synthesis(res, p, consts, tol_geo=1e-5, tol_dist=1e-4,
+                     n_dist_pairs=4, seed=0):
     """The records of ``verify_grid``, run on the synthesized grid and
     curve, plus the Hölder budget of the curvature correction term,
     which needs the correction field; always returns a report."""
     s = res.summary
     report = _verify(res.metric, res.gamma, s.K0, s.m, consts, tol_geo,
-                     tol_dist, seed, tol_unit=tol_unit,
-                     n_dist_pairs=n_dist_pairs)
+                     tol_dist, seed, n_dist_pairs=n_dist_pairs)
     # analytic-route Hölder budget of f^2 + 2 f cot + df/dr
     rs = np.geomspace(max(0.55 * s.m, res.metric.r_nodes[0]),
                       res.metric.r_nodes[-1] * 0.999, 40)
@@ -704,7 +682,7 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, tol_dist=1e-4, seed=0):
 
 
 def _verify(grid, gamma, K0, m, consts, tol_geo, tol_dist, seed,
-            tol_unit=1e-6, n_dist_pairs=4):
+            n_dist_pairs=4):
     """The verification battery: it reads only the grid and the curve.
     K0 and m are reported in the meta."""
     rng = np.random.default_rng(seed)
@@ -724,7 +702,7 @@ def _verify(grid, gamma, K0, m, consts, tol_geo, tol_dist, seed,
     # curvature bounds from finite differences on G; FD values carry a
     # rounding resolution that blows up at geometrically small spacings,
     # so only super-resolution excesses count
-    K_fd, K_res = grid.curvature_fd(with_resolution=True)
+    K_fd, K_res = grid.curvature_fd()
     sup_excess = np.maximum(np.abs(K_fd) - K_res, 0.0)
     sup_k = float(np.max(sup_excess))
     records.append(CheckerRecord.from_margin(
@@ -749,7 +727,7 @@ def _verify(grid, gamma, K0, m, consts, tol_geo, tol_dist, seed,
     res_unit = _unit_speed_residual(grid, gamma.rho, gamma.phi,
                                     gamma.rho_dot, five_point_stencil(t))
     records.append(CheckerRecord.from_margin(
-        "unit_speed", res_unit / tol_unit))
+        "unit_speed", res_unit / TOL_UNIT_SPEED))
 
     # independent pairwise distances by shooting
     tol_d = tol_dist * grid.R

@@ -171,10 +171,9 @@ def test_criterion_7_synthesis_roundtrip(consts):
     for entry in roundtrip_suite(20, seed=1):
         p = entry["profile"]
         res = synthesize(p, consts)
-        rep = verify_synthesis(res, p, consts, tol_geo=1e-5, tol_unit=1e-6,
-                               tol_dist=1e-4)
+        rep = verify_synthesis(res, p, consts, tol_geo=1e-5, tol_dist=1e-4)
         fails = [r.name for r in rep.records if not r.passed]
-        K_fd, _ = res.metric.curvature_fd(with_resolution=True)
+        K_fd, _ = res.metric.curvature_fd()
         gam = res.gamma
         sel_t = ((res.metric.theta_nodes >= gam.phi.min())
                  & (res.metric.theta_nodes <= gam.phi.max()))

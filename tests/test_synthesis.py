@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -9,7 +10,8 @@ from geoprofile import (synthesize, verify_synthesis, verify_grid,
                         twelve_point_configurations, finiteness_check)
 from geoprofile import whitney
 from geoprofile.profiles import DistanceProfile
-from geoprofile.synthesis import (bump_weight, assemble_metric, _sample_holder,
+from geoprofile.synthesis import (bump_weight, bump_weight_prime, LN2,
+                                  assemble_metric, _sample_holder,
                                   _PieceField, AnnulusField,
                                   RadialCorrectionField, _dyadic_r_nodes)
 from geoprofile.surfaces import (flat_profile, spherical_profile,
@@ -19,7 +21,7 @@ from geoprofile.surfaces import (flat_profile, spherical_profile,
                                  roundtrip_suite, constant_curvature_grid,
                                  checker_suite)
 from geoprofile.special_functions import sin_k
-from geoprofile.whitney import holder_seminorm_pairs
+from geoprofile.whitney import holder_seminorm_pairs, WhitneyExtension
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +195,7 @@ def test_variable_curvature_roundtrip(consts):
     assert rep.verdict, [(r.name, r.margin) for r in rep.records
                          if not r.passed]
     # reconstructed curvature agrees with the generating field on the sector
-    K_fd, K_res = res.metric.curvature_fd(with_resolution=True)
+    K_fd, K_res = res.metric.curvature_fd()
     sel_t = ((res.metric.theta_nodes >= res.gamma.phi.min())
              & (res.metric.theta_nodes <= res.gamma.phi.max()))
     sel_r = ((res.metric.r_nodes >= 0.9 * p.m)
@@ -232,8 +234,12 @@ def test_piece_seminorm_budgets(consts):
         r = np.geomspace(2.0 ** (k - 1) * 1.001, 2.0 ** (k + 1) * 0.999, 24)
         th = np.linspace(-np.pi * 0.98, np.pi * 0.98, 48)
         R, TH = np.meshgrid(r, th, indexing="ij")
-        V = fld.value(R, TH).ravel()
-        D = fld.d_dr(R, TH).ravel()
+        # f_k = sum_p fade_p (g_p + y_p) and its r-derivative
+        V = sum(pc.term(TH, None if pc.radial is None else pc.radial(R),
+                        np.ones_like(R)) for pc in fld.pieces).ravel()
+        D = sum((pc.term(TH, pc.radial.deriv(R), np.zeros_like(R))
+                 for pc in fld.pieces if pc.radial is not None),
+                np.zeros_like(R)).ravel()
         pts = np.column_stack([(R * np.cos(TH)).ravel(),
                                (R * np.sin(TH)).ravel()])
         sub = slice(0, None, 3)
@@ -347,6 +353,23 @@ def _dense_cumulative_radial(field, r_nodes, thetas, chunk=256):
     return cum
 
 
+class _AnnulusOnly(WhitneyExtension):
+    """A Whitney extension that fails when it is read outside its
+    interval, the open annulus."""
+
+    def _inside(self, r):
+        r = np.asarray(r, dtype=float)
+        assert np.all((r > self.a) & (r < self.b)), "y read outside its annulus"
+
+    def __call__(self, t):
+        self._inside(t)
+        return super().__call__(t)
+
+    def deriv(self, t):
+        self._inside(t)
+        return super().deriv(t)
+
+
 def _hand_built_field():
     """Five annuli k = -6..-2, each with a transport piece, an affine-y
     piece and a nonlinear-y piece, all with nonzero g; annulus -4 has a
@@ -356,24 +379,18 @@ def _hand_built_field():
     for k in range(-6, -1):
         lo, hi = 2.0 ** (k - 1), 2.0 ** (k + 1)
 
-        def inside(r, lo=lo, hi=hi):
-            r = np.asarray(r, dtype=float)
-            assert np.all((r > lo) & (r < hi)), "y read outside its annulus"
-            return r
+        def radial(x, y, slopes, lo=lo, hi=hi):
+            return _AnnulusOnly(a=lo, b=hi, x=x, y=y, slopes=slopes,
+                                alpha=0.5, T1=1.0, T2=1.0)
 
-        def affine(r, a=0.7 * 2.0 ** -k, b=0.1 * k, inside=inside):
-            return a * inside(r) + b
-
-        def affine_prime(r, a=0.7 * 2.0 ** -k, inside=inside):
-            return np.full_like(inside(r), a)
-
-        def wave(r, c=9.0 * 2.0 ** -k, inside=inside):
-            r = inside(r)
-            return 0.4 * np.sin(c * r) + r * r
-
-        def wave_prime(r, c=9.0 * 2.0 ** -k, inside=inside):
-            r = inside(r)
-            return 0.4 * c * np.cos(c * r) + 2.0 * r
+        # affine: the Hermite cubic through two nodes with the secant slope
+        a, b = 0.7 * 2.0 ** -k, 0.1 * k
+        x_aff = np.array([1.2 * lo, 0.8 * hi])
+        affine = radial(x_aff, a * x_aff + b, np.full(2, a))
+        c = 9.0 * 2.0 ** -k
+        x_wave = np.linspace(1.1 * lo, 0.9 * hi, 9)
+        wave = radial(x_wave, 0.4 * np.sin(c * x_wave) + x_wave ** 2,
+                      0.4 * c * np.cos(c * x_wave) + 2.0 * x_wave)
 
         shift = 0.1 * k
         th_a = np.linspace(-2.5, -1.3, 40) + shift
@@ -382,12 +399,12 @@ def _hand_built_field():
         cap = 0.2 if k == -4 else None
         pieces = [
             _PieceField(th_a, 0.3 + 0.2 * np.cos(3.0 * th_a), fade_hi=cap),
-            _PieceField(th_b, -0.25 + 0.5 * th_b ** 2, y_fn=affine,
-                        y_prime_fn=affine_prime, fade_lo=cap, fade_hi=cap),
-            _PieceField(th_c, 0.15 * np.sin(5.0 * th_c) - 0.05, y_fn=wave,
-                        y_prime_fn=wave_prime, fade_lo=cap),
+            _PieceField(th_b, -0.25 + 0.5 * th_b ** 2, affine,
+                        fade_lo=cap, fade_hi=cap),
+            _PieceField(th_c, 0.15 * np.sin(5.0 * th_c) - 0.05, wave,
+                        fade_lo=cap),
         ]
-        fields[k] = AnnulusField(k=k, piece_fns=pieces)
+        fields[k] = AnnulusField(k=k, pieces=pieces)
     return RadialCorrectionField(fields, m=1.5 * 2.0 ** -7)
 
 
@@ -457,3 +474,100 @@ def test_synthesize_memory_is_bounded(consts):
     finally:
         tracemalloc.stop()
     assert peak <= 20e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _pointwise_reference(field, r, theta):
+    """f and df/dr one point at a time, as
+    chi sum_k w_k sum_p fade_p (g_p + y_p)."""
+    value, deriv = [], []
+    for ri, ti in zip(r, theta):
+        raw = draw = 0.0
+        for k, fld in field.fields.items():
+            x = np.log2(ri) - k
+            w = float(bump_weight(x))
+            if w == 0.0:
+                continue
+            w_p = float(bump_weight_prime(x)) / (ri * LN2)
+            f_k = df_k = 0.0
+            for pc in fld.pieces:
+                fade = float(pc.fade(ti))
+                g = float(np.interp(ti, pc.theta_nodes, pc.g_nodes))
+                y = y_p = 0.0
+                if pc.radial is not None:
+                    y, y_p = pc.radial(ri), pc.radial.deriv(ri)
+                f_k += fade * (g + y)
+                df_k += fade * y_p
+            raw += w * f_k
+            draw += w_p * f_k + w * df_k
+        chi, chi_p = float(field._chi(ri)), float(field._chi_prime(ri))
+        value.append(chi * raw)
+        deriv.append(chi_p * raw + chi * draw)
+    return np.array(value), np.array(deriv)
+
+
+def test_correction_matches_pointwise_reference():
+    """The separable-term sums equal the glued field written out point by
+    point, value and radial derivative alike."""
+    field = _hand_built_field()
+    rng = np.random.default_rng(6)
+    r = np.exp(rng.uniform(np.log(0.4 * field.m), np.log(0.6), 400))
+    theta = rng.uniform(-np.pi, np.pi, 400)
+    ref_value, ref_deriv = _pointwise_reference(field, r, theta)
+    value, deriv = field.value_and_deriv(r, theta)
+    assert np.all(value == field.value(r, theta))
+    for got, ref in ((value, ref_value), (deriv, ref_deriv)):
+        scale = np.max(np.abs(ref))
+        assert scale > 0.0
+        assert np.max(np.abs(got - ref)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("which", ["hand_built", "flat_glued"])
+def test_tensor_and_paired_evaluation_agree(consts, which):
+    """A (theta, r) tensor grid and the same points passed as pairs give
+    the same bits, value and radial derivative."""
+    if which == "hand_built":
+        field = _hand_built_field()
+        r_nodes = _dyadic_r_nodes(1e-4, 0.6)
+    else:
+        field, _ = _flat_glued_field(consts)
+        r_nodes = _dyadic_r_nodes(4.2e-6, 0.042)
+    thetas = -np.pi + 2 * np.pi * np.arange(96) / 96
+    tensor = field.value_and_deriv(r_nodes[None, :], thetas[:, None])
+    R, TH = np.meshgrid(r_nodes, thetas)
+    paired = field.value_and_deriv(R.ravel(), TH.ravel())
+    assert np.max(np.abs(tensor[1])) > 0.0
+    for t_part, p_part in zip(tensor, paired):
+        assert np.array_equal(t_part.ravel(), p_part)
+    assert np.array_equal(field.value(R, TH), tensor[0])
+
+
+def test_extend_fk_leaves_decomposition_unchanged(consts):
+    for p in (flat_profile(0.002, (-0.0399, 0.0399), n=4001),
+              perturbed_cone_profile(1e-2, 1.0)):
+        s = analyze(p, H=consts.H, alpha=consts.alpha)
+        d = decompose_annuli(p, s)
+        before = copy.deepcopy(d)
+        for k in d.pieces:
+            extend_fk(k, d, p, s)
+        assert d == before
+
+
+def test_case_iv_piece_reproduces_end_values(consts):
+    """A case IV piece interpolates f0 through its two end nodes."""
+    p = perturbed_cone_profile(3e-2, 1.0)
+    s = analyze(p, H=consts.H, alpha=consts.alpha)
+    d = decompose_annuli(p, s)
+    checked = 0
+    for k, plist in d.pieces.items():
+        fld = extend_fk(k, d, p, s)
+        for piece, pc in zip(plist, fld.pieces):
+            if piece.case != "IV":
+                continue
+            ends = list(piece.node_slice)
+            assert sorted(piece.net) == ends and pc.radial is not None
+            rho, theta = p.rho[ends], s.phi0[ends]
+            got = pc.term(theta, pc.radial(rho), np.ones(2))
+            assert np.max(np.abs(got - s.f0[ends])) <= 1e-12
+            assert np.max(np.abs(s.f0[ends])) > 1e-3
+            checked += 1
+    assert checked == 2
