@@ -49,9 +49,7 @@ class RadialCurvature:
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
         r = np.linspace(self.R / 256.0, self.R, 256)
-        k = np.asarray(self.K(r), dtype=float)
-        if k.shape != r.shape:
-            k = np.full_like(r, float(self.K(self.R / 2)))
+        k = self.values(r)
         if self.validate:
             if self.H * self.R ** 2 > PI_SQ_QUARTER * (1 + 1e-12):
                 raise ValueError(
@@ -68,6 +66,17 @@ class RadialCurvature:
 
     def __call__(self, r):
         return self.K(r)
+
+    def values(self, r):
+        """K at every radius of the array ``r``, as floats of r's shape:
+        one vectorized call, or one call per point when K(array) does not
+        return r's shape (a K written for scalars)."""
+        r = np.asarray(r, dtype=float)
+        k = np.asarray(self.K(r), dtype=float)
+        if k.shape != r.shape:
+            k = np.array([float(self.K(x))
+                          for x in r.ravel()]).reshape(r.shape)
+        return k
 
 
 @dataclass(frozen=True)
@@ -115,18 +124,34 @@ def rk4_step(f, x, y, h, k1):
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _rk4_nodes(x0, x1, n_steps):
+    """The nodes xs and the step h of ``_rk4``: step i evaluates f at
+    xs[i], xs[i] + 0.5 * h and xs[i] + h (not always xs[i + 1])."""
+    return np.linspace(x0, x1, n_steps + 1), (x1 - x0) / n_steps
+
+
 def _rk4(f, y0, x0, x1, n_steps):
-    """Classical fixed-step RK4 from x0 to x1; returns (xs, ys).  ``y0``
-    may be an array, e.g. one column per ray."""
-    xs = np.linspace(x0, x1, n_steps + 1)
-    h = (x1 - x0) / n_steps
+    """Classical fixed-step RK4 from x0 to x1; returns (xs, ys).  The
+    state keeps the type of ``y0``: an array (e.g. one column per ray),
+    a float or a tuple of floats, which ``rk4_step`` steps without
+    numpy's overhead.  f receives x as a Python float."""
+    xs, h = _rk4_nodes(x0, x1, n_steps)
     ys = np.empty((n_steps + 1,) + np.shape(y0))
-    y = np.asarray(y0, dtype=float)
+    y = y0
     ys[0] = y
-    for i in range(n_steps):
-        y = rk4_step(f, xs[i], y, h, f(xs[i], y))
+    for i, x in enumerate(xs[:-1].tolist()):
+        y = rk4_step(f, x, y, h, f(x, y))
         ys[i + 1] = y
     return xs, ys
+
+
+def _stage_curvature(k, r0, n_steps):
+    """K at every radius ``_rk4`` visits from r0 to k.R in n_steps, from
+    one vectorized evaluation, as a dict keyed by the float radius."""
+    xs, h = _rk4_nodes(r0, k.R, n_steps)
+    x = xs[:-1]
+    radii = np.concatenate((x, x + 0.5 * h, x + h))
+    return dict(zip(radii.tolist(), k.values(radii).tolist()))
 
 
 def solve_jacobi(k, step):
@@ -139,13 +164,14 @@ def solve_jacobi(k, step):
     if step > R / 100.0:
         raise ValueError(f"step {step} too coarse; need step <= R/100")
     r0 = max(step, R * 1e-4)
-    k0 = float(k.K(r0))
-    y0 = np.array([r0 - k0 * r0 ** 3 / 6.0, 1.0 - k0 * r0 ** 2 / 2.0])
+    n = max(2, int(np.ceil((R - r0) / step)))
+    kv = _stage_curvature(k, r0, n)
+    k0 = kv[r0]
+    y0 = (r0 - k0 * r0 ** 3 / 6.0, 1.0 - k0 * r0 ** 2 / 2.0)
 
     def rhs(r, y):
-        return np.array([y[1], -float(k.K(r)) * y[0]])
+        return (y[1], -kv[r] * y[0])
 
-    n = max(2, int(np.ceil((R - r0) / step)))
     rs, ys = _rk4(rhs, y0, r0, R, n)
     G = ys[:, 0]
     if np.any(G <= 0):
@@ -167,13 +193,13 @@ def solve_riccati(k, step):
     if step > R / 100.0:
         raise ValueError(f"step {step} too coarse; need step <= R/100")
     r0 = max(step, R * 1e-4)
-    k0 = float(k.K(r0))
-    g0 = -k0 * r0 ** 3 / 3.0
+    n = max(2, int(np.ceil((R - r0) / step)))
+    kv = _stage_curvature(k, r0, n)
+    g0 = -kv[r0] * r0 ** 3 / 3.0
 
     def rhs(r, g):
-        return -(g * g) / (r * r) - float(k.K(r)) * r * r
+        return -(g * g) / (r * r) - kv[r] * r * r
 
-    n = max(2, int(np.ceil((R - r0) / step)))
     rs, gs = _rk4(rhs, g0, r0, R, n)
     f = gs / rs ** 2
     h = 1.0 / rs + f
@@ -218,8 +244,8 @@ def riccati_stability_check(k1, k2, r_min, consts, step=None, T=None):
     sel = r >= r_min * (1 - 1e-12)
     r = r[sel]
     h1, h2 = s1.h[sel], s2.h[sel]
-    kv1 = np.asarray(k1.K(r), dtype=float) * np.ones_like(r)
-    kv2 = np.asarray(k2.K(r), dtype=float) * np.ones_like(r)
+    kv1 = k1.values(r)
+    kv2 = k2.values(r)
     if T is None:
         T = float(np.max(np.abs(kv1 - kv2)))
     L = max(k1.L, k2.L)

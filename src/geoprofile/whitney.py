@@ -7,6 +7,7 @@ produces an interpolant whose derivative obeys the same bounds up to a
 measured implementation constant C_w (recorded, never assumed).
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -74,9 +75,11 @@ def holder_seminorm(s, alpha):
     return holder_seminorm_pairs(s.y, s.x, alpha)
 
 
-# Rows of the pair matrix formed at once: memory stays linear in the
-# number of points.
-HOLDER_BLOCK_ROWS = 128
+# A block-pair bound applies the pair quotient's own rounded operations to
+# larger numerators and smaller distances; all of them are monotone but
+# pow(), which need not be correctly rounded.  The slack keeps a bound
+# that pow() rounded low from pruning a pair it bounds.
+_BOUND_SLACK = 1.0 + 1e-12
 
 
 def holder_seminorm_pairs(values, points, alpha, resolution=None):
@@ -85,19 +88,56 @@ def holder_seminorm_pairs(values, points, alpha, resolution=None):
     Points may have any dimension (1-d arrays are read as points on a
     line).  With a per-point ``resolution`` only the part of each value
     difference beyond res_i + res_j counts.  NaN values give NaN.
+
+    Exact branch and bound: the points are sorted by their first
+    coordinate and cut into about sqrt(n) blocks of about sqrt(n), so the
+    bound table and one block pair both stay linear in n.  A block pair
+    is bounded by its value range, less the least resolution in each
+    block, over the gap between the blocks' bounding boxes to the power
+    alpha.  Block pairs are evaluated in decreasing bound order with the
+    per-pair quotients of the dense formula, until no remaining bound
+    beats the best quotient found.
     """
     v = np.asarray(values, dtype=float)
     p = np.asarray(points, dtype=float)
     if p.ndim == 1:
         p = p[:, None]
-    res = None if resolution is None else np.asarray(resolution, dtype=float)
+    order = np.argsort(p[:, 0], kind="stable")
+    v, p = v[order], p[order]
+    res = (np.zeros_like(v) if resolution is None
+           else np.asarray(resolution, dtype=float)[order])
+    size = max(16, math.isqrt(v.size) + 1)
+    starts = np.arange(0, v.size, size)
+    lo = np.minimum.reduceat(p, starts)
+    hi = np.maximum.reduceat(p, starts)
+    v_lo = np.minimum.reduceat(v, starts)
+    v_hi = np.maximum.reduceat(v, starts)
+    r_lo = np.minimum.reduceat(res, starts)
+    a, b = np.triu_indices(starts.size)
+    # block pairs a <= b; each pair is formed in both orders, as the
+    # dense formula subtracts the first point's resolution first
+    spread = np.maximum(v_hi[a] - v_lo[b], v_hi[b] - v_lo[a])
+    num = np.maximum(np.maximum(spread - r_lo[a] - r_lo[b],
+                                spread - r_lo[b] - r_lo[a]), 0.0)
+    gap = np.maximum(np.maximum(lo[b] - hi[a], lo[a] - hi[b]), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = num / np.sqrt((gap ** 2).sum(-1)) ** alpha * _BOUND_SLACK
+    bound[num == 0.0] = 0.0
+    # a NaN value or point leaves its block pairs unbounded: they are all
+    # evaluated, and a NaN quotient ends the loop (NaN > x is false)
+    bound[np.isnan(bound)] = np.inf
     best = 0.0
-    for a in range(0, v.size, HOLDER_BLOCK_ROWS):
-        b = a + HOLDER_BLOCK_ROWS
-        d = np.sqrt(((p[a:b, None, :] - p[None, :, :]) ** 2).sum(-1))
-        dv = np.abs(v[a:b, None] - v[None, :])
-        if res is not None:
-            dv = np.maximum(dv - res[a:b, None] - res[None, :], 0.0)
+    for k in np.argsort(-bound, kind="stable"):
+        if not bound[k] > best:
+            break
+        i = slice(starts[a[k]], starts[a[k]] + size)
+        j = slice(starts[b[k]], starts[b[k]] + size)
+        d = np.sqrt(((p[i, None, :] - p[None, j, :]) ** 2).sum(-1))
+        dv = np.abs(v[i, None] - v[None, j])
+        if resolution is not None:
+            dv = np.maximum(np.maximum(dv - res[i, None] - res[None, j],
+                                       dv - res[None, j] - res[i, None]),
+                            0.0)
         mask = d > 0
         best = np.max(dv[mask] / d[mask] ** alpha, initial=best)
     return float(best)

@@ -1,8 +1,10 @@
 import hashlib
+from importlib import resources
 
 import pytest
 
-from geoprofile.calibration import calibrate_constants
+from geoprofile.calibration import (DEFAULT_RESOURCE, calibrate_constants,
+                                    default_constants)
 from geoprofile.report import dumps_deterministic
 
 # the sizes of the benchmark's calibrate workload
@@ -24,3 +26,12 @@ def test_calibrated_bytes_are_pinned(n_roundtrip):
     text = dumps_deterministic(consts.to_dict())
     assert (hashlib.sha256(text.encode()).hexdigest()
             == CALIBRATION_DIGESTS[n_roundtrip])
+
+
+def test_shipped_calibration_is_fresh():
+    """The packaged constants file, provenance included, holds the bytes
+    of a fresh default calibration under its version."""
+    shipped = resources.files("geoprofile").joinpath(
+        "data", DEFAULT_RESOURCE).read_text()
+    consts = calibrate_constants(version=default_constants().version)
+    assert dumps_deterministic(consts.to_dict()) == shipped

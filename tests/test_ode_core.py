@@ -5,6 +5,7 @@ from geoprofile import (RadialCurvature, solve_jacobi, solve_riccati,
                         riccati_stability_check, OdeBlowupError,
                         sin_k, cot_k)
 from geoprofile.calibration import random_riccati_pair
+from geoprofile.ode_core import rk4_step
 
 
 def const_field(K, R=1.0, H=None):
@@ -123,3 +124,76 @@ def test_sandwich_random_fields(consts, rng):
         g_m, h_m = sol.sandwich_margins(k1.H)
         assert g_m <= 1.0 + 1e-9
         assert h_m <= 1.0 + 1e-9
+
+
+def reference_solve(k, step, riccati):
+    """The radial solve with one scalar K call per RHS evaluation, on a
+    numpy state stepped by rk4_step: r nodes, h and G (G = None for the
+    Riccati route), or OdeBlowupError's r_bad in place of h."""
+    R = k.R
+    r0 = max(step, R * 1e-4)
+    n = max(2, int(np.ceil((R - r0) / step)))
+    xs = np.linspace(r0, R, n + 1)
+    h = (R - r0) / n
+    k0 = float(k.K(r0))
+    if riccati:
+        y = np.asarray(-k0 * r0 ** 3 / 3.0)
+
+        def f(r, g):
+            return -(g * g) / (r * r) - float(k.K(r)) * r * r
+    else:
+        y = np.array([r0 - k0 * r0 ** 3 / 6.0, 1.0 - k0 * r0 ** 2 / 2.0])
+
+        def f(r, y):
+            return np.array([y[1], -float(k.K(r)) * y[0]])
+    ys = [y]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            y = rk4_step(f, xs[i], y, h, f(xs[i], y))
+            ys.append(y)
+        ys = np.array(ys)
+        if riccati:
+            hv = 1.0 / xs + ys / xs ** 2
+            bad = ~np.isfinite(hv)
+            return xs, (xs[np.argmax(bad)] if bad.any() else hv), None
+    G = ys[:, 0]
+    if np.any(G <= 0):
+        return xs, xs[np.argmax(G <= 0)], G
+    return xs, ys[:, 1] / G, G
+
+
+def radial_fields(rng):
+    """Random Riccati-pair fields, and two K written for scalars: K(array)
+    returns one number, so K is read one point at a time."""
+    for _ in range(4):
+        yield from random_riccati_pair(rng)[:2]
+    yield RadialCurvature(K=lambda r: 0.5, R=1.0, H=0.5, alpha=0.5)
+    yield RadialCurvature(K=lambda r: 0.4 * np.sin(3.0 * np.max(r)),
+                          R=1.0, H=0.5, alpha=0.5)
+
+
+def test_radial_solves_equal_scalar_reference(rng):
+    """Curvature read once, vectorized, at every RK4 stage radius gives
+    the bits of one scalar K call per RHS evaluation."""
+    for k in radial_fields(rng):
+        for solve, riccati in ((solve_riccati, True), (solve_jacobi, False)):
+            sol = solve(k, step=k.R / 700)
+            xs, h, G = reference_solve(k, k.R / 700, riccati)
+            assert np.array_equal(sol.r_nodes, xs)
+            assert np.array_equal(sol.h, h)
+            if G is not None:
+                assert np.array_equal(sol.G, G)
+
+
+@pytest.mark.parametrize("solve, riccati", [(solve_riccati, True),
+                                            (solve_jacobi, False)])
+def test_blowup_node_equals_scalar_reference(solve, riccati):
+    k = RadialCurvature(
+        K=lambda r: 4.0 * np.ones_like(np.asarray(r, dtype=float)),
+        R=2.0, H=4.0, alpha=0.5, validate=False)
+    xs, r_bad, _ = reference_solve(k, 1e-3, riccati)
+    assert np.ndim(r_bad) == 0
+    with pytest.raises(OdeBlowupError) as err:
+        with np.errstate(over="ignore", invalid="ignore"):
+            solve(k, step=1e-3)
+    assert err.value.r_bad == r_bad

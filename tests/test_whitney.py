@@ -8,7 +8,7 @@ import pytest
 from geoprofile import (SampledFunction, divided_difference, holder_seminorm,
                         whitney_extend, HypothesisViolation)
 from geoprofile.calibration import random_whitney_dataset
-from geoprofile.whitney import (holder_seminorm_pairs, HOLDER_BLOCK_ROWS,
+from geoprofile.whitney import (holder_seminorm_pairs,
                                 check_extension_hypotheses, extension_bounds,
                                 _extension_sweep)
 
@@ -172,8 +172,7 @@ def dense_holder(values, points, alpha, resolution=None):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("n", [7, HOLDER_BLOCK_ROWS,
-                               3 * HOLDER_BLOCK_ROWS + 5])
+@pytest.mark.parametrize("n", [7, 128, 389])
 @pytest.mark.parametrize("with_resolution", [False, True])
 def test_holder_pairs_equals_dense_reference(dim, n, with_resolution):
     rng = np.random.default_rng(n * 10 + dim)
@@ -189,6 +188,56 @@ def test_holder_pairs_equals_dense_reference(dim, n, with_resolution):
         assert got > 0.0
 
 
+def test_holder_pairs_equals_dense_reference_at_both_pruning_extremes():
+    """Pure noise: the closest pairs win, and every block pair but the
+    diagonal ones and their neighbours is pruned by its bound.  A linear
+    function at alpha = 1: every quotient is at most its gradient's norm
+    and every bound exceeds it, so no block pair is pruned.  Smooth
+    data lies between the two."""
+    rng = np.random.default_rng(11)
+    x = np.linspace(0.0, 1.0, 1025)
+    pts = rng.uniform(0.0, 1.0, (700, 2))
+    cases = [(rng.normal(size=x.size), x, 0.5),
+             (rng.normal(size=700), pts, 0.5),
+             (x, x, 1.0),
+             (pts[:, 0] - 2.0 * pts[:, 1], pts, 1.0),
+             (np.sin(9.0 * x), x, 0.5),
+             (np.sqrt(x), x, 0.5)]
+    for vals, p, alpha in cases:
+        assert holder_seminorm_pairs(vals, p, alpha) == dense_holder(
+            vals, p, alpha)
+        res = rng.uniform(0.0, 1e-3, vals.size)
+        assert holder_seminorm_pairs(vals, p, alpha, res) == dense_holder(
+            vals, p, alpha, res)
+
+
+@pytest.mark.parametrize("with_resolution", [False, True])
+def test_holder_pairs_edge_inputs_equal_dense_reference(with_resolution):
+    """Unsorted points on a line, duplicate points straddling block
+    boundaries, all-equal points or values, n = 2 and 3-d points."""
+    rng = np.random.default_rng(12)
+    line = rng.uniform(0.0, 1.0, 300)
+    # each point repeated 1 to 3 times: duplicate groups straddle the
+    # block boundaries; their pairs have distance 0 and are skipped
+    repeated = np.repeat(np.sort(line), rng.integers(1, 4, line.size))
+    cases = [(np.cos(5.0 * line) + rng.normal(0.0, 1e-3, line.size), line),
+             (rng.normal(size=repeated.size), repeated),
+             (rng.normal(size=50), np.full(50, 0.25)),
+             (np.full(50, 3.0), rng.uniform(0.0, 1.0, (50, 2))),
+             (np.array([1.0, -2.0]), np.array([0.3, 0.1])),
+             (rng.normal(size=400), rng.uniform(0.0, 1.0, (400, 3)))]
+    for vals, pts in cases:
+        res = (rng.uniform(0.0, 1e-3, vals.size) if with_resolution
+               else None)
+        for alpha in (0.5, 1.0):
+            got = holder_seminorm_pairs(vals, pts, alpha, resolution=res)
+            assert got == dense_holder(vals, pts, alpha, res)
+    order = rng.permutation(line.size)
+    vals = np.sin(7.0 * line)
+    assert (holder_seminorm_pairs(vals[order], line[order], 0.5)
+            == holder_seminorm_pairs(vals, line, 0.5))
+
+
 def test_holder_seminorm_matches_dense_reference():
     """On a line the kernel's sqrt(d*d) equals |d| bit for bit."""
     rng = np.random.default_rng(3)
@@ -202,12 +251,12 @@ def test_holder_seminorm_matches_dense_reference():
 
 
 def test_holder_pairs_nan_gives_nan():
-    x = np.linspace(0.0, 1.0, 2 * HOLDER_BLOCK_ROWS + 3)
+    x = np.linspace(0.0, 1.0, 259)
     y = x ** 2
-    y[-1] = np.nan                     # in the last row block
+    y[-1] = np.nan                     # in the last block
     assert np.isnan(holder_seminorm_pairs(y, x, 0.5))
     y = x ** 2
-    y[0] = np.nan                      # in the first row block
+    y[0] = np.nan                      # in the first block
     assert np.isnan(holder_seminorm_pairs(y, x, 0.5))
 
 
@@ -242,13 +291,13 @@ def test_pair_condition_equals_dense_reference(damage):
     """The check raises exactly when some pair breaks |dy| <= T1|dx|; its
     message carries the all-pairs maximum, attained by the adjacent pair
     it names as witness."""
-    n = 3 * HOLDER_BLOCK_ROWS + 5
+    n = 389
     rng = np.random.default_rng(n)
     x = np.sort(rng.uniform(0.0, 1.0, n))
     y = 0.5 * np.sin(x)
     T1 = 0.6
     if damage == "jump_late":
-        y[2 * HOLDER_BLOCK_ROWS + 40:] += 0.05
+        y[296:] += 0.05
     elif damage == "jump_last_row":
         y[-1] += 0.05
     elif damage == "nan_middle":
