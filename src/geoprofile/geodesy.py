@@ -29,6 +29,14 @@ NEAR_RADIAL_EPS = 1e-10     # freeze phi when 1 - rho_dot^2 drops below this
 PSI_MIN, PSI_MAX = 1e-4, math.pi - 1e-4   # launch angles shot by distance()
 CHORD_STEP = 1e-3           # first step away from the chord direction
 CHORD_GROWTH = 8.0          # its growth factor per widening
+TOL_HIT = 1e-6              # a shot hits q when it misses by this times R
+# RK4 step of a shot at radius r: SHOT_ETA * r * (r/R)**(1/4).  RK4 errs
+# by about (h/r)**4 per unit length there, SHOT_ETA**4 * r/R, so a shot of
+# length R accumulates at most about SHOT_ETA**4 * R = TOL_HIT * R.
+SHOT_ETA = TOL_HIT ** 0.25
+# Brent stops once its bracket is narrower than this fraction of the
+# launch-angle change that moves the miss by tol_hit at the bracket's slope
+BRENT_XTOL = 0.5
 
 
 class GeodesicDomainError(RuntimeError):
@@ -365,14 +373,28 @@ def _hermite(y0, d0, y1, d1, h, tau):
     return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
 
 
-def _shoot_to_angle(grid, start, psi_angle, sign, dtheta_target, step,
-                    r_floor, max_len):
-    """Integrate until the swept angle reaches the target; return the
-    radius and arclength at the crossing (Hermite-refined within a step).
+def _shot_step(r, R):
+    """The RK4 step of a shot at radius r on a disc of radius R.
 
-    A shot that leaves [r_floor, R] returns ``(inf, None)`` outward and
-    ``(-inf, None)`` below the floor; one that never sweeps the target
-    within ``max_len`` returns ``(inf, None)``.
+    Near a close approach the turning scale is the radius itself, so the
+    step is a fraction of r, narrowed by (r/R)**(1/4) towards the origin;
+    it holds no length of its own, so a disc scaled by lambda is shot in
+    the same steps scaled by lambda.  Shots stop at their radial floor,
+    so the step there is the smallest one taken: the rule is its own
+    floor.
+    """
+    return SHOT_ETA * r * math.sqrt(math.sqrt(r / R))
+
+
+def _shoot_to_angle(grid, start, psi_angle, sign, dtheta_target, r_floor,
+                    max_len):
+    """Integrate at the step ``_shot_step`` until the swept angle reaches
+    the target; return the radius, arclength and radial velocity at the
+    crossing (Hermite-refined within a step).
+
+    A shot that leaves [r_floor, R] returns ``(inf, None, None)`` outward
+    and ``(-inf, None, None)`` below the floor; one that never sweeps the
+    target within ``max_len`` returns ``(inf, None, None)``.
     """
     def rhs(_, state):
         return _geodesic_rhs(grid, state, sign)
@@ -382,12 +404,11 @@ def _shoot_to_angle(grid, start, psi_angle, sign, dtheta_target, step,
     t_now = 0.0
     k_prev = rhs(t_now, y)
     while t_now < max_len:
-        # near a close approach the turning scale is the radius itself
-        h_loc = min(step, max(0.05 * y[0], 0.01 * step))
+        h_loc = _shot_step(y[0], R)
         k1 = k_prev
         y_next = _clamp_rho_dot(rk4_step(rhs, t_now, y, h_loc, k1))
         if not (r_floor <= y_next[0] <= R):
-            return (math.inf if y_next[0] > R else -math.inf), None
+            return (math.inf if y_next[0] > R else -math.inf), None, None
         k_next = rhs(t_now + h_loc, y_next)
         if abs(y_next[2] - start.theta) >= dtheta_target:
             # refine crossing inside [t_now, t_now+h_loc] with Hermite models
@@ -404,10 +425,12 @@ def _shoot_to_angle(grid, start, psi_angle, sign, dtheta_target, step,
                     hi = mid
             tau = 0.5 * (lo + hi)
             rho_c = _hermite(y[0], k1[0], y_next[0], k_next[0], h_loc, tau)
-            return rho_c, t_now + tau
+            rho_dot_c = _hermite(y[1], k1[1], y_next[1], k_next[1], h_loc,
+                                 tau)
+            return rho_c, t_now + tau, rho_dot_c
         y, k_prev = y_next, k_next
         t_now += h_loc
-    return math.inf, None
+    return math.inf, None, None
 
 
 def _finite_bracket(f, psi_a, va, psi_b, vb, max_iter=60):
@@ -463,19 +486,31 @@ def distance(grid, p, q):
     the radius miss at ``q``'s bearing changes sign; a shot that leaves
     the domain misses by a signed infinity, which gives the direction.
     Brent's method then finds the angle until the geodesic hits ``q``'s
-    radius within tol_hit = 1e-6*R, and the arclength is returned,
-    guarded by the via-origin radial bound p.r + q.r.  With no sign
-    change up to PSI_MIN or PSI_MAX, the shot nearest a hit gives the
-    arclength if it misses by less than tol_hit, else the bound is
-    returned.  Near-radial and near-antipodal pairs take the radial
-    path without shooting.  Each launch angle is shot once per call: the
-    miss is memoized, so Brent's re-evaluation of the bracket ends and
-    the final reading of the arclength cost nothing.  Relies on strong
-    convexity of the disc.
+    radius within tol_hit = 1e-6*R: a hit counts as a root, so Brent
+    stops at the first one, or else once its bracket is narrower than
+    half the angle that moves the miss by tol_hit at the bracket's
+    slope.  The arclength to the crossing, less the miss times the
+    geodesic's radial velocity there, is the distance to ``q`` to first
+    order in the miss, so which hit Brent stops at moves the result by
+    O(tol_hit^2 / d) only.  It is returned guarded by the via-origin
+    radial bound p.r + q.r.  With no sign change up to PSI_MIN or
+    PSI_MAX, the shot nearest a hit gives the arclength if it misses by
+    less than tol_hit, else the bound is returned.  Near-radial and
+    near-antipodal pairs take the radial path without shooting.  Each
+    launch angle is shot once per call: the miss is memoized, so Brent's
+    re-evaluation of the bracket ends and the final reading of the
+    arclength cost nothing.  Relies on strong convexity of the disc.
+
+    Each shot is RK4 at the local step h(r) = eta*r*(r/R)**(1/4) with
+    eta = (tol_hit/R)**(1/4), which bounds the error RK4 accumulates
+    along a path of length R by about tol_hit.  Against the law of
+    cosines on constant-curvature discs the distance errs by at most
+    about 3e-8*R, well inside verification's tol_dist = 1e-4*R.  No
+    length but R enters, so scaling the disc by lambda scales every
+    distance by lambda, up to rounding.
     """
     R = grid.R
-    tol_hit = 1e-6 * R
-    step = min(1e-3, R / 150.0)
+    tol_hit = TOL_HIT * R
     r_floor = grid.r_floor
     if p.r > R or q.r > R:
         raise ValueError("points must lie inside the grid")
@@ -500,19 +535,22 @@ def distance(grid, p, q):
         return p.r - q.r
     sign = 1 if dtheta > 0 else -1
     target = abs(dtheta)
-    max_len = 3.0 * radial_guard + 10 * step
+    max_len = 3.0 * radial_guard + 10 * _shot_step(R, R)
     if p.r < r_floor:
         raise ValueError("source point below the radial floor")
 
     shots = {}
 
     def miss(psi_angle):
-        """(radius miss at q's bearing, arclength there) of one shot."""
+        """(radius miss at q's bearing, arclength to q) of one shot: the
+        distance from p grows along q's ray at the rate rho_dot of the
+        geodesic crossing it."""
         key = float(psi_angle)
         if key not in shots:
-            rho, t = _shoot_to_angle(grid, p, key, sign, target, step,
-                                     r_floor * 0.5, max_len)
-            shots[key] = (rho - q.r, t)
+            rho, t, rho_dot = _shoot_to_angle(grid, p, key, sign, target,
+                                              r_floor * 0.5, max_len)
+            m = rho - q.r
+            shots[key] = (m, None if t is None else t - m * rho_dot)
         return shots[key]
 
     psi0 = math.atan2(q.r * math.sin(target),
@@ -524,8 +562,16 @@ def distance(grid, p, q):
             return radial_guard
         return min(min(hits, key=lambda s: abs(s[0]))[1], radial_guard)
 
-    root = brentq(lambda ps: miss(ps)[0], bracket[0], bracket[1],
-                  xtol=1e-10, rtol=8.9e-16, maxiter=120)
+    lo, hi = bracket
+    slope = abs(miss(hi)[0] - miss(lo)[0]) / (hi - lo)
+
+    def hit(ps):
+        """The miss, zero once the shot hits q: Brent stops there."""
+        m = miss(ps)[0]
+        return 0.0 if abs(m) <= tol_hit else m
+
+    root = brentq(hit, lo, hi, xtol=BRENT_XTOL * tol_hit / slope,
+                  rtol=8.9e-16, maxiter=120)
     resid, t_cross = miss(root)
     if abs(resid) > tol_hit or t_cross is None:
         raise ShootingError(

@@ -27,6 +27,7 @@ R_NODES_PER_OCTAVE = 64     # geometric radial grid nodes per dyadic band
 MIN_SECTOR_GAP = 0.35       # angular separation asserted between split pieces
 FADE_WIDTH = 0.45           # angular width of the theta cutoff beyond the sweep
 TOL_UNIT_SPEED = 1e-6       # unit-speed residual of the curve that margin 1 allows
+N_DIST_PAIRS = 4            # curve point pairs whose distance verify measures
 
 
 class SynthesisError(RuntimeError):
@@ -634,14 +635,13 @@ def _sample_holder(values, r_nodes, theta_nodes, alpha, rng, resolution,
     return float(np.max(partial))
 
 
-def verify_synthesis(res, p, consts, tol_geo=1e-5, tol_dist=1e-4,
-                     n_dist_pairs=4, seed=0):
+def verify_synthesis(res, p, consts, tol_geo=1e-5, tol_dist=1e-4, seed=0):
     """The records of ``verify_grid``, run on the synthesized grid and
     curve, plus the Hölder budget of the curvature correction term,
     which needs the correction field; always returns a report."""
     s = res.summary
     report = _verify(res.metric, res.gamma, s.K0, s.m, consts, tol_geo,
-                     tol_dist, seed, n_dist_pairs=n_dist_pairs)
+                     tol_dist, seed)
     # analytic-route Hölder budget of f^2 + 2 f cot + df/dr
     rs = np.geomspace(max(0.55 * s.m, res.metric.r_nodes[0]),
                       res.metric.r_nodes[-1] * 0.999, 40)
@@ -681,8 +681,7 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, tol_dist=1e-4, seed=0):
                    tol_dist, seed)
 
 
-def _verify(grid, gamma, K0, m, consts, tol_geo, tol_dist, seed,
-            n_dist_pairs=4):
+def _verify(grid, gamma, K0, m, consts, tol_geo, tol_dist, seed):
     """The verification battery: it reads only the grid and the curve.
     K0 and m are reported in the meta."""
     rng = np.random.default_rng(seed)
@@ -732,7 +731,7 @@ def _verify(grid, gamma, K0, m, consts, tol_geo, tol_dist, seed,
     # independent pairwise distances by shooting
     tol_d = tol_dist * grid.R
     n = len(t)
-    picks = np.linspace(0.12, 0.88, n_dist_pairs)
+    picks = np.linspace(0.12, 0.88, N_DIST_PAIRS)
     worst_d = 0.0
     witness_d = []
     for frac in picks:

@@ -226,7 +226,7 @@ def test_criterion_9_defect_detection(consts):
                               H=res.metric.H, alpha=res.metric.alpha,
                               validate=False)
         rep = verify_synthesis(dataclasses.replace(res, metric=bad_grid),
-                               p, consts, n_dist_pairs=0)
+                               p, consts)
         flagged += int(not rep.record("curvature_holder").passed)
     _report("criterion 9: injected-defect detection",
             flagged == 10, f"{flagged}/10 trials flagged")

@@ -25,6 +25,19 @@ def test_bench_pass_is_correct(workload):
     assert result["failed"] == 0
 
 
+def test_traced_roundtrip_pass_counts_rhs_per_distance():
+    """One traced roundtrip pass is correct and reports how many geodesic
+    right-hand sides each shooting distance evaluates."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "roundtrip",
+         "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["metrics"]["geodesy.rhs_per_distance"]["value"] > 0
+
+
 def test_tracer_targets_exist():
     """Every function the benchmark's tracer wraps by name is still
     there: install finds and wraps each one, a call through a wrapper

@@ -228,20 +228,12 @@ def test_point_path_falls_back_to_numpy(sphere):
 
 
 # Distances recorded with the bracket taken from the chord direction; the
-# arithmetic of a shot is fixed, so they must repeat bit for bit.  The last
-# column is the value recorded when a coarse scan over 11 launch angles
-# made the bracket: Brent's method stopped at another angle inside its
-# tolerance, so the two may differ in their last digits, never by more
-# than 1e-9*R.
+# arithmetic of a shot is fixed, so they must repeat bit for bit.
 RECORDED_DISTANCES = [
-    ("flat_big", (0.5, 2.0), (0.8, 2.5), 0.4335134951621343,
-     0.4335134951621185),
-    ("sphere", (0.3, 0.0), (0.4, 0.5), 0.19567709959391588,
-     0.19567709959436452),
-    ("small_sphere", (0.01, 0.2), (0.04, -2.0), 0.04659174265560604,
-     0.04659174265560239),
-    ("small_sphere", (0.03, 3.0), (0.045, 1.0), 0.06362739785606303,
-     0.06362739785582669),
+    ("flat_big", (0.5, 2.0), (0.8, 2.5), 0.43351349797137617),
+    ("sphere", (0.3, 0.0), (0.4, 0.5), 0.19567710030935404),
+    ("small_sphere", (0.01, 0.2), (0.04, -2.0), 0.0465917422225301),
+    ("small_sphere", (0.03, 3.0), (0.045, 1.0), 0.06362739832276666),
 ]
 RECORDED_PATHS = [  # (rho, phi, rho_dot, phi_dot, rho_ddot) at the end,
     # and the unit-speed residual
@@ -257,14 +249,33 @@ RECORDED_PATHS = [  # (rho, phi, rho_dot, phi_dot, rho_ddot) at the end,
 ]
 
 
-@pytest.mark.parametrize("name,p,q,want,scan_value", RECORDED_DISTANCES,
+def _scan_bracket(miss, psi0):
+    """A coarse bracket: the first sign change of the miss over 11 launch
+    angles from PSI_MIN to PSI_MAX, shrunk to finite ends, or None."""
+    psis = np.linspace(geodesy.PSI_MIN, geodesy.PSI_MAX, 11)
+    vals = [miss(ps)[0] for ps in psis]
+    for i in range(psis.size - 1):
+        if np.sign(vals[i]) != np.sign(vals[i + 1]):
+            bracket = geodesy._finite_bracket(miss, psis[i], vals[i],
+                                              psis[i + 1], vals[i + 1])
+            if bracket is not None:
+                return tuple(sorted(bracket))
+    return None
+
+
+@pytest.mark.parametrize("name,p,q,want", RECORDED_DISTANCES,
                          ids=["flat_big", "sphere", "small_sphere-inner",
                               "small_sphere-outer"])
-def test_distance_repeats_recorded_value(request, name, p, q, want,
-                                         scan_value):
+def test_distance_repeats_recorded_value(request, monkeypatch, name, p, q,
+                                         want):
+    """The recorded value repeats; with the coarse scan bracket in place
+    of the chord bracket Brent's method stops at another shot that hits,
+    and the distance moves by at most 1e-9*R."""
     grid = request.getfixturevalue(name)
     assert distance(grid, PolarPoint(*p), PolarPoint(*q)) == want
-    assert abs(want - scan_value) <= 1e-9 * grid.R
+    monkeypatch.setattr(geodesy, "_chord_bracket", _scan_bracket)
+    scanned = distance(grid, PolarPoint(*p), PolarPoint(*q))
+    assert abs(scanned - want) <= 1e-9 * grid.R
 
 
 @pytest.mark.parametrize("name,start,rho_dot0,sign,length,want",
@@ -285,16 +296,15 @@ def test_distance_on_degenerate_input_repeats_recorded_values(sphere):
     recorded values; a non-finite coordinate is refused.
 
     The grid breaks the positivity of G that ``distance`` relies on, so
-    the miss of the pair crossing the zero row has several roots: a
-    coarse scan over 11 launch angles, the bracket of earlier versions,
-    found the one at 0.2065745605996742, the chord bracket finds the root
-    nearest the chord direction."""
+    the value of the pair crossing the zero row pins the arithmetic of
+    the shots, not a distance: where the steps fall on the zero row
+    decides it."""
     zero = _grid_with_zero_row(sphere)
     with np.errstate(all="ignore"):
         assert distance(zero, PolarPoint(0.4, -np.pi),
                         PolarPoint(0.3, -2.2)) == 0.7
         assert distance(zero, PolarPoint(0.4, 2.8),
-                        PolarPoint(0.3, -2.8)) == 0.21449558138811992
+                        PolarPoint(0.3, -2.8)) == 0.21702727598073202
     with pytest.raises(ValueError):
         PolarPoint(np.nan, 0.3)
     with pytest.raises(ValueError):
@@ -317,20 +327,20 @@ def _law_of_cosines(K, a, b, dtheta):
 
 
 @pytest.fixture
-def shot_angles(monkeypatch):
-    """The launch angles shot by ``distance``, in order."""
-    angles = []
+def shot_calls(monkeypatch):
+    """The arguments of the shots ``distance`` makes, in order."""
+    calls = []
     shoot = geodesy._shoot_to_angle
 
-    def counted(grid, start, psi_angle, *args):
-        angles.append(float(psi_angle))
-        return shoot(grid, start, psi_angle, *args)
+    def counted(*args):
+        calls.append(args)
+        return shoot(*args)
 
     monkeypatch.setattr(geodesy, "_shoot_to_angle", counted)
-    return angles
+    return calls
 
 
-def test_distance_matches_law_of_cosines(request, shot_angles):
+def test_distance_matches_law_of_cosines(request, shot_calls):
     """Seeded random pairs on each constant-curvature grid, and a
     near-radial pair, against the closed form of curvature K.  The
     near-radial pair lies inside the zone where ``distance`` returns the
@@ -352,15 +362,14 @@ def test_distance_matches_law_of_cosines(request, shot_angles):
                                    abs(geodesy._wrap_angle(q[1] - p[1])))
             assert abs(d - want) < 1e-5, (name, p, q, d, want)
     hyperbolic = request.getfixturevalue("hyperbolic")
-    del shot_angles[:]
+    del shot_calls[:]
     d = distance(hyperbolic, PolarPoint(0.9, 0.0), PolarPoint(0.85, 3.0))
     assert abs(d - _law_of_cosines(-1.0, 0.9, 0.85, 3.0)) < 1e-9
-    assert len(shot_angles) <= 15
-    # the first shot, with the step, floor and length distance() uses here
-    chord_shot = geodesy._shoot_to_angle(
-        hyperbolic, PolarPoint(0.9, 0.0), shot_angles[0], 1, 3.0, 1e-3,
-        0.5 * hyperbolic.r_floor, 5.26)
-    assert chord_shot == (np.inf, None)
+    assert len(shot_calls) <= 15
+    # the first shot again, with the floor and length distance() gave it,
+    # at the step of geodesy's one step rule
+    chord_shot = geodesy._shoot_to_angle(*shot_calls[0])
+    assert chord_shot == (np.inf, None, None)
 
 
 NEAR_RADIAL_CASES = [
@@ -383,24 +392,76 @@ def test_near_radial_distance_matches_law_of_cosines(request, name, K, a, b,
     assert abs(d - _law_of_cosines(K, a * R, b * R, dtheta)) <= 1e-6 * R
 
 
-def test_verify_needs_few_shots_per_distance(consts, monkeypatch,
-                                             shot_angles):
-    """The chord bracket keeps the median at most 8 shots per distance on
-    synthesized discs."""
-    shots = []
+@pytest.mark.parametrize("name", ["small_sphere", "flat_big"])
+def test_distance_is_scale_covariant(request, name):
+    """Scaling the disc by lambda (r -> lambda r, G -> lambda G,
+    H -> H/lambda^2) scales every distance by lambda: the shots hold no
+    length but R."""
+    grid = request.getfixturevalue(name)
+    R = grid.R
+    rng = np.random.default_rng(3)
+    pairs = [((rng.uniform(0.05, 0.95) * R, rng.uniform(-np.pi, np.pi)),
+              (rng.uniform(0.05, 0.95) * R, rng.uniform(-np.pi, np.pi)))
+             for _ in range(4)]
+    base = [distance(grid, PolarPoint(*p), PolarPoint(*q)) for p, q in pairs]
+    for lam in (0.5, 2.0, 3.0):
+        scaled = MetricGrid(lam * grid.r_nodes, grid.theta_nodes,
+                            lam * grid.G, dG_dr=grid.dG_dr,
+                            H=grid.H / lam ** 2, alpha=grid.alpha)
+        for (p, q), d in zip(pairs, base):
+            got = distance(scaled, PolarPoint(lam * p[0], p[1]),
+                           PolarPoint(lam * q[0], q[1]))
+            assert abs(got - lam * d) <= 1e-12 * scaled.R, (lam, p, q)
+
+
+@pytest.fixture(scope="module")
+def roundtrip_discs(consts):
+    """Two synthesized round-trip discs, each with its profile."""
+    return [(synthesis.synthesize(e["profile"], consts), e["profile"])
+            for e in roundtrip_suite(2, seed=1)]
+
+
+def _per_distance(discs, consts, monkeypatch, count):
+    """What ``count()`` grows by in each distance that verify_synthesis
+    measures on ``discs``."""
+    spent = []
     measure = synthesis.distance
 
     def counted(*args, **kwargs):
-        before = len(shot_angles)
+        before = count()
         d = measure(*args, **kwargs)
-        shots.append(len(shot_angles) - before)
+        spent.append(count() - before)
         return d
 
     monkeypatch.setattr(synthesis, "distance", counted)
-    for entry in roundtrip_suite(2, seed=1):
-        p = entry["profile"]
-        rep = synthesis.verify_synthesis(synthesis.synthesize(p, consts), p,
-                                         consts)
-        assert rep.verdict
+    for res, p in discs:
+        assert synthesis.verify_synthesis(res, p, consts).verdict
+    return spent
+
+
+def test_verify_needs_few_shots_per_distance(roundtrip_discs, consts,
+                                             monkeypatch, shot_calls):
+    """The chord bracket keeps the median at most 8 shots per distance on
+    synthesized discs."""
+    shots = _per_distance(roundtrip_discs, consts, monkeypatch,
+                          lambda: len(shot_calls))
     assert len(shots) >= 8
     assert np.median(shots) <= 8
+
+
+def test_verify_needs_few_rhs_per_distance(roundtrip_discs, consts,
+                                           monkeypatch):
+    """The step rule keeps the median at most 1,400 evaluations of the
+    geodesic right-hand side per distance on synthesized discs."""
+    calls = [0]
+    value_and_h = MetricGrid.value_and_h
+
+    def counted(self, r, theta):
+        calls[0] += 1
+        return value_and_h(self, r, theta)
+
+    monkeypatch.setattr(MetricGrid, "value_and_h", counted)
+    rhs = _per_distance(roundtrip_discs, consts, monkeypatch,
+                        lambda: calls[0])
+    assert len(rhs) >= 8
+    assert np.median(rhs) <= 1400
