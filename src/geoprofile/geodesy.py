@@ -85,16 +85,16 @@ class MetricGrid:
     """Immutable polar metric grid with anisotropic interpolation.
 
     ``G`` has one row per theta node (theta in [-pi, pi), periodic) and
-    one column per r node.  ``dG_dr`` is optional; when absent it comes
-    from the per-ray cubic splines.
+    one column per r node.  Its arrays are all the grid holds: dG_dr
+    comes from the per-ray cubic splines of G, so a grid read back from
+    its JSON interpolates exactly as the grid that was saved.
     """
 
-    def __init__(self, r_nodes, theta_nodes, G, dG_dr=None, H=1.0, alpha=0.5,
+    def __init__(self, r_nodes, theta_nodes, G, H=1.0, alpha=0.5,
                  validate=True):
         self.r_nodes = np.asarray(r_nodes, dtype=float)
         self.theta_nodes = np.asarray(theta_nodes, dtype=float)
         self.G = np.asarray(G, dtype=float)
-        self.dG_dr = None if dG_dr is None else np.asarray(dG_dr, dtype=float)
         self.H = float(H)
         self.alpha = float(alpha)
         n_t, n_r = self.G.shape
@@ -113,10 +113,7 @@ class MetricGrid:
                           rtol=0, atol=1e-9):
             raise ValueError("theta_nodes must tile the full circle")
         cg = CubicSpline(self.r_nodes, self.G.T).c  # (4, n_r-1, n_theta)
-        if self.dG_dr is not None:
-            cd = CubicSpline(self.r_nodes, self.dG_dr.T).c
-        else:
-            cd = np.stack([np.zeros_like(cg[0]), 3 * cg[0], 2 * cg[1], cg[2]])
+        cd = np.stack([np.zeros_like(cg[0]), 3 * cg[0], 2 * cg[1], cg[2]])
         # both tables flat: coefficient k of ray j in radial cell i sits at
         # k*stride + i*n_theta + j; the memoryviews serve float points
         self._stride = (n_r - 1) * n_t
@@ -132,7 +129,7 @@ class MetricGrid:
     def __reduce__(self):
         # memoryviews do not pickle: rebuild from the defining arrays
         return (MetricGrid, (self.r_nodes, self.theta_nodes, self.G,
-                             self.dG_dr, self.H, self.alpha, False))
+                             self.H, self.alpha, False))
 
     @property
     def R(self):

@@ -18,15 +18,6 @@ from .ode_core import _rk4
 WORKING_RADIUS = 0.05  # default bound on max rho for synthesis-grade profiles
 
 
-def _dsin_k(K, r):
-    r = np.asarray(r, dtype=float)
-    if K == 0.0:
-        return np.ones_like(r)
-    if K > 0:
-        return np.cos(np.sqrt(K) * r)
-    return np.cosh(np.sqrt(-K) * r)
-
-
 # -- closed-form profile families -------------------------------------------
 
 
@@ -168,11 +159,8 @@ def constant_curvature_grid(K, R, n_r=1200, n_theta=64, H=None, alpha=0.5,
         H = max(abs(K), 1e-6)
     r = np.linspace(r_min_factor * R, R, n_r)
     theta = -np.pi + 2 * np.pi * np.arange(n_theta) / n_theta
-    g_row = sin_k(K, r)
-    dg_row = _dsin_k(K, r)
-    G = np.tile(g_row, (n_theta, 1))
-    dG = np.tile(dg_row, (n_theta, 1))
-    return MetricGrid(r, theta, G, dG_dr=dG, H=H, alpha=alpha)
+    G = np.tile(sin_k(K, r), (n_theta, 1))
+    return MetricGrid(r, theta, G, H=H, alpha=alpha)
 
 
 def variable_curvature_grid(K_fn, R, H, n_r=1200, n_theta=64, alpha=0.5,
@@ -195,7 +183,7 @@ def variable_curvature_grid(K_fn, R, H, n_r=1200, n_theta=64, alpha=0.5,
     G = ys[:, 0].T.copy()
     if np.any(G <= 0):
         raise ArithmeticError("Jacobi coefficient went nonpositive")
-    return MetricGrid(r, theta, G, dG_dr=ys[:, 1].T.copy(), H=H, alpha=alpha)
+    return MetricGrid(r, theta, G, H=H, alpha=alpha)
 
 
 # -- profile generation on grids ----------------------------------------------

@@ -222,7 +222,6 @@ def test_criterion_9_defect_detection(consts):
         ir = int(rng.integers(lo, hi))
         G2[it, ir] *= 1.0 + 1e-2
         bad_grid = MetricGrid(res.metric.r_nodes, res.metric.theta_nodes, G2,
-                              dG_dr=res.metric.dG_dr,
                               H=res.metric.H, alpha=res.metric.alpha,
                               validate=False)
         rep = verify_synthesis(dataclasses.replace(res, metric=bad_grid),

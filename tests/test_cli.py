@@ -89,6 +89,8 @@ def test_analyze_outputs(sphere_csv, tmp_path):
 
 
 def test_synthesize_and_verify(sphere_csv, tmp_path, capsys):
+    """The verify file of the saved grid is the synthesize file without
+    its f_holder_budget record."""
     grid_path = tmp_path / "grid.json"
     rep_path = tmp_path / "rep.json"
     code = main(["synthesize", "--input", sphere_csv,
@@ -99,6 +101,10 @@ def test_synthesize_and_verify(sphere_csv, tmp_path, capsys):
     code = main(["verify", "--input", sphere_csv, "--grid", str(grid_path),
                  "--out", str(tmp_path / "rep2.json")])
     assert code == 0
+    synthesized = json.loads(rep_path.read_text())
+    assert synthesized["records"].pop()["name"] == "f_holder_budget"
+    assert dumps_deterministic(synthesized) \
+        == (tmp_path / "rep2.json").read_text()
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):

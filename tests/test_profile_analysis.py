@@ -380,21 +380,21 @@ def test_profile_validation_sees_every_node_pair():
 # recorded with the all-pairs pass of metric_condition_quotients
 CHECK_DIGESTS = {
     ("roundtrip", 240):
-        "a24d38453c46c305d8871984414927aed705aff2382ebf69366eb1d2976ada80",
+        "dc643ccd66c864bb165f8eb24f96ed4d684a93920033c3539c4564ca478a4acb",
     ("roundtrip", 960):
-        "5c5a6a0ea018327d0ef43105524c9e04f3a7aff446a4fa338e589f06538779f5",
+        "21f0451c25d7434758df6d8b4da7f3f3d1d1abb1fa83de79abad677360b6d90f",
     ("bump", 240):
-        "54634482bb761b6d9fe7105fc8a46f393fad4afd8d3d823268dfe3659eb1a9f2",
+        "ae3389081e22f0a0a3d9aa11ca387929f60a36ce24d26c86b712d3028840ac81",
     ("bump", 960):
-        "7f268e9997727c5cf5b9a94338da595f73a7bf2838900572538442dc28bc84ef",
+        "4e7a0e0e72c8b48f9893787b734628bd054689d2555e67e89204a8aa01286b58",
     ("roundtrip_csv", 240):
-        "7daabe84aded5ff426ed9dbb491f8b6b7aab2218186bf69c54b999f68d7f65d7",
+        "88c564a64ae90e13315db879f684ae3736a92de669a8f16b2a370420b8c7ca05",
     ("offset", 240):
-        "4a4b5942ba869e6e89b8a18bc19570a2402989d0a33ed90a335ee54059feb265",
+        "1e0866cd701dc0886b103dc7485ce841625d68f879119146c5b7c75dd5511fbf",
     ("wave", 240):
-        "b579477c3bfecfb9d18f9404ef889e13b8975ac279732090370252be56ec8c49",
+        "686aafb4695b97b2a8e92354145243ec33052819a6212dfc0ab36e00eea72709",
     ("bump_beta_alpha", 240):
-        "c4eec3f2b51a3a1f763ce7158e2d86a0838acff71ab913c03784cc6df0361ae2",
+        "dfc6196ad32486df33395e23e12e5964d8525a803530bfd8ad457fd3f2df54c3",
 }
 
 # the last three admit and shut out clusters at the gate of every

@@ -21,6 +21,8 @@ from geoprofile.surfaces import (flat_profile, spherical_profile,
                                  roundtrip_suite, constant_curvature_grid,
                                  checker_suite)
 from geoprofile.special_functions import sin_k
+from geoprofile.geodesy import save_metric_json, load_metric_json
+from geoprofile.profile_analysis import curve_angle
 from geoprofile.whitney import holder_seminorm_pairs, WhitneyExtension
 
 
@@ -141,17 +143,70 @@ def test_flat_roundtrip_residuals(consts, flat_result):
     assert np.max(np.abs(res.correction.value(p.rho, s.phi0) - s.f0)) <= 1e-12
 
 
-def test_verify_grid_on_synthesized_grid(consts, flat_result):
-    p, res = flat_result
-    grid_rep = verify_grid(res.metric, p, consts)
-    assert grid_rep.verdict, [(r.name, r.margin) for r in grid_rep.records
-                              if not r.passed]
-    only_with_synthesis = {"f_holder_budget"}
-    grid_names = {r.name for r in grid_rep.records}
-    assert not grid_names & only_with_synthesis
-    full_names = {r.name for r in verify_synthesis(res, p, consts).records}
-    assert only_with_synthesis <= full_names
-    assert full_names - only_with_synthesis == grid_names
+@pytest.fixture(scope="module")
+def synthesized(consts, flat_result, variable_curvature_profile):
+    """(profile, synthesis result) by case name: the flat profile, the
+    round-trip suite, the variable-curvature disc's geodesic and the
+    beta = 1 bumps."""
+    profiles = {f"roundtrip{i}": e["profile"]
+                for i, e in enumerate(roundtrip_suite(6, seed=1))}
+    profiles["variable_curvature"] = variable_curvature_profile
+    profiles.update({f"bump{eps:g}": perturbed_cone_profile(eps, 1.0)
+                     for eps in (1e-1, 3e-2, 1e-2)})
+    cases = {k: (p, synthesize(p, consts)) for k, p in profiles.items()}
+    cases["flat"] = flat_result
+    return cases
+
+
+def test_verify_grid_on_synthesized_grid(consts, synthesized, tmp_path):
+    """What synthesize reports is what verify finds on the grid it saved:
+    without f_holder_budget, which needs the correction field, the two
+    reports are byte-identical, failing records included."""
+    for case, (p, res) in synthesized.items():
+        rep = verify_synthesis(res, p, consts)
+        assert rep.records[-1].name == "f_holder_budget", case
+        rep.records.pop()
+        path = tmp_path / f"{case}.json"
+        save_metric_json(res.metric, path)
+        grid = load_metric_json(path, validate=False)
+        assert rep.to_json() == verify_grid(grid, p, consts).to_json(), case
+        if case == "flat" or case.startswith("roundtrip"):
+            assert rep.verdict, (case, [(r.name, r.margin)
+                                        for r in rep.records if not r.passed])
+
+
+@pytest.mark.parametrize("case,tol", [(f"roundtrip{i}", 1e-12)
+                                      for i in range(6)]
+                         + [("variable_curvature", 1e-8)])
+def test_construction_angle_matches_grid_angle(synthesized, case, tol):
+    """The construction's curve angle, integrated through the reference
+    coefficient, agrees with the angle verify re-integrates through the
+    grid (5 sweeps from zero): the grid resolves the curve."""
+    p, res = synthesized[case]
+    phi = np.zeros_like(p.t_nodes)
+    for _ in range(5):
+        phi = curve_angle(p, res.metric.value, phi)[0]
+    assert np.max(np.abs(res.gamma.phi - phi)) <= tol
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_f_holder_budget_is_scale_free(consts, lam):
+    """rho -> lam rho(t / lam) with H -> H / lam^2 leaves the margin of
+    f_holder_budget unchanged: its allowance scales as the seminorm,
+    H^(1 + alpha/2).  A power of 2 maps the dyadic annuli onto
+    themselves, so only rounding is left."""
+    p = perturbed_cone_profile(1e-2, 1.0)
+    a, b = p.interval
+    scaled = DistanceProfile.from_callable(
+        lambda t: lam * p.value(t / lam), (lam * a, lam * b),
+        n=p.t_nodes.size, d1=lambda t: p.deriv(t / lam),
+        d2=lambda t: p.second_deriv(t / lam) / lam, validate=False)
+    c_lam = dataclasses.replace(consts, H=consts.H / lam ** 2)
+    want = verify_synthesis(synthesize(p, consts), p, consts).record(
+        "f_holder_budget").margin
+    got = verify_synthesis(synthesize(scaled, c_lam), scaled, c_lam).record(
+        "f_holder_budget").margin
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_verify_grid_passes_generating_wave_disc(consts):
@@ -286,7 +341,6 @@ def test_defect_injection_flagged(consts):
     col = int(np.searchsorted(res.metric.r_nodes, 0.02))
     G2[7, col] *= 1.01
     bad = MetricGrid(res.metric.r_nodes, res.metric.theta_nodes, G2,
-                     dG_dr=res.metric.dG_dr,
                      H=res.metric.H, alpha=res.metric.alpha, validate=False)
     rep = verify_synthesis(dataclasses.replace(res, metric=bad), p, consts)
     assert not rep.record("curvature_holder").passed
