@@ -321,26 +321,15 @@ def geodesic_integrate(grid, start, rho_dot0, direction_sign, length,
             break
         y = _clamp_rho_dot(rk4_step(rhs, t[idx], y, hstep, k1))
 
-    residual = _unit_speed_residual(grid, rho, phi, rho_dot,
-                                    12 * (t[1] - t[0]))
+    residual = _unit_speed_residual(grid, rho, phi, rho_dot, t[1] - t[0])
     return GeodesicPath(t_nodes=t, rho=rho, phi=phi, rho_dot=rho_dot,
                         phi_dot=phi_dot, rho_ddot=rho_ddot,
                         unit_speed_residual=residual)
 
 
-def five_point_stencil(x):
-    """12 x'(u) at the interior samples: the 4th-order central difference
-    over the node index u = 0, 1, 2, ..."""
-    return x[:-4] - 8 * x[1:-3] + 8 * x[3:-1] - x[4:]
-
-
-def _unit_speed_residual(grid, rho, phi, rho_dot, dt12):
-    """max |rho_dot^2 + G^2 phi_dot_fd^2 - 1| with phi_dot_fd from a
-    4th-order central difference of the stored phi samples.
-
-    ``dt12`` is 12 dt/du at the interior nodes: ``12 * h`` on nodes of
-    uniform spacing h, ``five_point_stencil(t)`` on any strictly
-    increasing nodes (the chain rule through the node index u).
+def _unit_speed_residual(grid, rho, phi, rho_dot, dt):
+    """max |rho_dot^2 + G^2 phi_dot_fd^2 - 1| with phi_dot_fd the
+    4th-order central difference of the phi samples, spaced ``dt``.
 
     An a-posteriori consistency check: rho_dot is integrator state while
     phi_dot_fd differentiates the accumulated angle, so integration bugs
@@ -348,7 +337,7 @@ def _unit_speed_residual(grid, rho, phi, rho_dot, dt12):
     """
     if phi.size < 5:
         return 0.0
-    pf = five_point_stencil(phi) / dt12
+    pf = (phi[:-4] - 8 * phi[1:-3] + 8 * phi[3:-1] - phi[4:]) / (12 * dt)
     g = grid.value(rho[2:-2], phi[2:-2])
     res = np.abs(rho_dot[2:-2] ** 2 + (g * pf) ** 2 - 1.0)
     return float(np.max(res))
@@ -502,9 +491,8 @@ def distance(grid, p, q):
     eta = (tol_hit/R)**(1/4), which bounds the error RK4 accumulates
     along a path of length R by about tol_hit.  Against the law of
     cosines on constant-curvature discs the distance errs by at most
-    about 3e-8*R, well inside verification's tol_dist = 1e-4*R.  No
-    length but R enters, so scaling the disc by lambda scales every
-    distance by lambda, up to rounding.
+    about 3e-8*R.  No length but R enters, so scaling the disc by lambda
+    scales every distance by lambda, up to rounding.
     """
     R = grid.R
     tol_hit = TOL_HIT * R

@@ -25,9 +25,9 @@ def test_bench_pass_is_correct(workload):
     assert result["failed"] == 0
 
 
-def test_traced_roundtrip_pass_counts_rhs_per_distance():
-    """One traced roundtrip pass is correct and reports how many geodesic
-    right-hand sides each shooting distance evaluates."""
+def test_traced_roundtrip_pass_is_correct():
+    """One traced roundtrip pass is correct: the tracer's wrappers change
+    no outcome and no digest."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", "roundtrip",
          "--seed", "0", "--seconds", "1", "--trace", "1"],
@@ -35,7 +35,6 @@ def test_traced_roundtrip_pass_counts_rhs_per_distance():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
-    assert result["metrics"]["geodesy.rhs_per_distance"]["value"] > 0
 
 
 def test_tracer_targets_exist():

@@ -149,7 +149,6 @@ def test_budget_below_one_exit_code(sphere_csv, capsys):
 
 
 @pytest.mark.parametrize("command,option,value", [
-    ("synthesize", "--tol-dist", "-1"), ("synthesize", "--tol-dist", "0"),
     ("synthesize", "--tol-geo", "-1"), ("synthesize", "--tol-geo", "nan"),
     ("check", "--alpha", "0"), ("check", "--alpha", "-0.5"),
     ("check", "--alpha", "1.5"), ("check", "--alpha", "nan"),
@@ -163,14 +162,17 @@ def test_budget_below_one_exit_code(sphere_csv, capsys):
     ("analyze", "--seed", "1"), ("analyze", "--budget", "1"),
     ("analyze", "--tol-geo", "1"), ("analyze", "--tol-dist", "1"),
     ("check", "--tol-geo", "1e-5"), ("check", "--tol-dist", "1"),
-    ("demo eps-bump", "--tol-geo", "1"), ("demo eps-bump", "--tol-dist", "1")])
+    ("demo eps-bump", "--tol-geo", "1"), ("demo eps-bump", "--tol-dist", "1"),
+    ("synthesize", "--tol-dist", "-1"), ("synthesize", "--tol-dist", "0"),
+    ("verify", "--tol-dist", "1")])
 def test_out_of_range_option_exit_code(sphere_csv, tmp_path, capsys, command,
                                        option, value):
     """A tolerance or curvature bound must be finite and above 0, alpha in
     (0, 1], a seed at least 0, the demos' eps above 0, beta in (0, 1] and
     c in [0, 1); anything else is malformed input, refused before any
     work.  A subcommand offers only the options it reads: analyze has no
-    checker sampling, and only synthesize and verify shoot geodesics."""
+    checker sampling, only synthesize and verify take the geodesic
+    tolerance, and none takes a distance tolerance."""
     argv = command.split() + [option, value]
     if command in ("analyze", "check", "synthesize", "verify"):
         argv += ["--input", sphere_csv]

@@ -416,41 +416,41 @@ def test_distance_is_scale_covariant(request, name):
 
 @pytest.fixture(scope="module")
 def roundtrip_discs(consts):
-    """Two synthesized round-trip discs, each with its profile."""
-    return [(synthesis.synthesize(e["profile"], consts), e["profile"])
+    """Two synthesized round-trip discs."""
+    return [synthesis.synthesize(e["profile"], consts)
             for e in roundtrip_suite(2, seed=1)]
 
 
-def _per_distance(discs, consts, monkeypatch, count):
-    """What ``count()`` grows by in each distance that verify_synthesis
-    measures on ``discs``."""
+def _per_distance(discs, count):
+    """What ``count()`` grows by in each distance between curve points
+    of ``discs``: 4 pairs per disc, the first at 0.12 ... 0.88 of the
+    nodes and the second 0.35 further round.  Each distance is the
+    curve's arclength between them, within 1e-4*R."""
     spent = []
-    measure = synthesis.distance
-
-    def counted(*args, **kwargs):
-        before = count()
-        d = measure(*args, **kwargs)
-        spent.append(count() - before)
-        return d
-
-    monkeypatch.setattr(synthesis, "distance", counted)
-    for res, p in discs:
-        assert synthesis.verify_synthesis(res, p, consts).verdict
+    for res in discs:
+        path = res.gamma
+        n = path.t_nodes.size
+        for frac in np.linspace(0.12, 0.88, 4):
+            i = int(frac * (n - 1))
+            j = int(((frac + 0.35) % 1.0) * (n - 1))
+            before = count()
+            d = distance(res.metric, PolarPoint(path.rho[i], path.phi[i]),
+                         PolarPoint(path.rho[j], path.phi[j]))
+            spent.append(count() - before)
+            arc = abs(path.t_nodes[i] - path.t_nodes[j])
+            assert abs(d - arc) <= 1e-4 * res.metric.R
     return spent
 
 
-def test_verify_needs_few_shots_per_distance(roundtrip_discs, consts,
-                                             monkeypatch, shot_calls):
+def test_curve_distances_need_few_shots(roundtrip_discs, shot_calls):
     """The chord bracket keeps the median at most 8 shots per distance on
     synthesized discs."""
-    shots = _per_distance(roundtrip_discs, consts, monkeypatch,
-                          lambda: len(shot_calls))
+    shots = _per_distance(roundtrip_discs, lambda: len(shot_calls))
     assert len(shots) >= 8
     assert np.median(shots) <= 8
 
 
-def test_verify_needs_few_rhs_per_distance(roundtrip_discs, consts,
-                                           monkeypatch):
+def test_curve_distances_need_few_rhs(roundtrip_discs, monkeypatch):
     """The step rule keeps the median at most 1,400 evaluations of the
     geodesic right-hand side per distance on synthesized discs."""
     calls = [0]
@@ -461,7 +461,6 @@ def test_verify_needs_few_rhs_per_distance(roundtrip_discs, consts,
         return value_and_h(self, r, theta)
 
     monkeypatch.setattr(MetricGrid, "value_and_h", counted)
-    rhs = _per_distance(roundtrip_discs, consts, monkeypatch,
-                        lambda: calls[0])
+    rhs = _per_distance(roundtrip_discs, lambda: calls[0])
     assert len(rhs) >= 8
     assert np.median(rhs) <= 1400

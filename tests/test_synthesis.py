@@ -19,7 +19,7 @@ from geoprofile.surfaces import (flat_profile, spherical_profile,
                                  perturbed_cone_profile,
                                  variable_curvature_grid, grid_profile,
                                  roundtrip_suite, constant_curvature_grid,
-                                 checker_suite)
+                                 constant_curvature_profile, checker_suite)
 from geoprofile.special_functions import sin_k
 from geoprofile.geodesy import save_metric_json, load_metric_json
 from geoprofile.profile_analysis import curve_angle
@@ -359,7 +359,7 @@ def test_sample_holder_nan_gives_nan():
 def test_nonuniform_sampled_roundtrip(consts):
     """A profile sampled at nodes whose spacing varies by a factor 1.46,
     built from the samples alone, passes check, synthesize and verify:
-    the unit-speed record differentiates through the node index."""
+    the curve's angle is integrated per interval of the uneven nodes."""
     p = roundtrip_suite(1, seed=1)[0]["profile"]
     a, b = p.interval
     u = np.linspace(0.0, 1.0, 3001)
@@ -374,7 +374,8 @@ def test_nonuniform_sampled_roundtrip(consts):
 
 def test_verify_grid_reports_non_finite_curve_points(consts):
     """G = 0 on the row the curve's angle is anchored to: the curve angle
-    is NaN, and distance_pairs reports the refused point, not a crash."""
+    is NaN, and geodesic_residual fails at its first NaN point with a
+    one-line detail, not a crash."""
     p = spherical_profile(0.5, 0.0125, (-0.0387, 0.0387), n=3001)
     grid = constant_curvature_grid(0.5, 0.05, n_r=400, n_theta=64)
     G = grid.G.copy()
@@ -384,9 +385,48 @@ def test_verify_grid_reports_non_finite_curve_points(consts):
     with np.errstate(all="ignore"):
         rep = verify_grid(zero, p, consts)
     assert not rep.verdict
-    rec = rep.record("distance_pairs")
-    assert not rec.passed
-    assert "must be finite" in rec.detail
+    rec = rep.record("geodesic_residual")
+    assert not rec.passed and np.isnan(rec.margin)
+    assert rec.detail == f"curve angle not finite at t = {rec.witness[0]:.6g}"
+
+
+def test_verify_grid_reports_grid_records(consts):
+    """verify_grid reports the four records that read the grid, and
+    verify_synthesis adds the correction field's Hölder budget."""
+    p = spherical_profile(0.5, 0.0125, (-0.0387, 0.0387), n=3001)
+    grid = constant_curvature_grid(0.5, 0.05, n_r=400, n_theta=64)
+    names = ["radius_ratio_envelope", "curvature_sup", "curvature_holder",
+             "geodesic_residual"]
+    assert [r.name for r in verify_grid(grid, p, consts).records] == names
+    res = synthesize(p, consts)
+    assert ([r.name for r in verify_synthesis(res, p, consts).records]
+            == names + ["f_holder_budget"])
+
+
+@pytest.mark.parametrize("Kg,Kp,passes", [
+    (0.3, 0.3, True), (0.0, 0.0, True), (0.3, 0.0, False),
+    (0.3, -0.3, False), (0.0, 0.01, False)])
+def test_verify_grid_refuses_wrong_curvature(consts, Kg, Kp, passes):
+    """The profile of a geodesic on curvature Kp against a grid of
+    curvature Kg: the curve is a geodesic of the grid only when the two
+    agree, and geodesic_residual reads the difference (500, 1000 and
+    16.7 on the three mismatches)."""
+    grid = constant_curvature_grid(Kg, 0.6, n_r=1200, n_theta=256, H=1)
+    p = constant_curvature_profile(Kp, 0.05, (-0.4, 0.4))
+    rec = verify_grid(grid, p, consts).record("geodesic_residual")
+    assert rec.passed == passes, rec.margin
+
+
+def test_fine_bump_checks_synthesizes_and_verifies(consts):
+    """The beta = 1 bump at eps = 1e-3, whose curvature's Hölder seminorm
+    vanishes with eps: it passes check at budget 240, and the disc
+    synthesized for it verifies."""
+    p = perturbed_cone_profile(1e-3, 1.0)
+    configs = twelve_point_configurations(p.interval, 240, seed=0)
+    assert finiteness_check(p, consts, configs).verdict
+    rep = verify_synthesis(synthesize(p, consts), p, consts)
+    assert rep.verdict, [(r.name, r.margin) for r in rep.records
+                         if not r.passed]
 
 
 def _dense_cumulative_radial(field, r_nodes, thetas, chunk=256):
