@@ -148,114 +148,71 @@ def analyze(p, H=1.0, alpha=0.5):
 # -- 12-point configurations --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
-    """Up to four 3-point clusters spanning three scales inside a window."""
-
-    clusters: tuple
-
-    @property
-    def points(self):
-        return np.sort(np.concatenate(self.clusters))
-
-
 N_SCALE_LEVELS = 12
 ETA_CYCLE = (3e-3, 1e-3, 1e-4, 3e-5)
-
-
-def _cluster_centers(c, w, sep_mid, layout):
-    """Cluster centers of a configuration window.
-
-    'sym': two pairs straddling the center symmetrically (coarse
-    separation w/2).  'offset': one pair on the center, one at half a
-    window to the side, so paired quantities are compared between the
-    center of the window and a dyadically displaced location.
-    """
-    if layout == "sym":
-        return np.array([c - w / 4.0, c - w / 4.0 + sep_mid,
-                         c + w / 4.0 - sep_mid, c + w / 4.0])
-    return np.array([c, c + sep_mid, c + w / 2.0 - sep_mid, c + w / 2.0])
 
 
 def twelve_point_configurations(interval, budget, seed=0):
     """Deterministic seeded family of 12-point subsets covering the interval.
 
-    Each subset is four 3-point clusters: cluster width (fine scale),
-    paired clusters separated by sqrt(fine * w) (middle scale), the two
-    pairs separated by w/2 (coarse scale), inside a window of width w.
-    Window widths sweep dyadic levels, cluster widths a fixed relative
-    cycle, and two layouts alternate, so every (location, width)
-    combination down to the floor has a deterministic representative.
-    The leading configurations are centered in the interval (the first
+    Returns a float array of shape (budget, 4, 3): each configuration is
+    four 3-point clusters, ordered by centre, each cluster ascending.
+    Cluster width (fine scale) is a fraction eta of the window width w,
+    paired clusters are separated by sqrt(fine * w) (middle scale) and
+    the two pairs by w/2 (coarse scale).  Window widths sweep dyadic
+    levels, eta a fixed relative cycle, and two layouts alternate, so
+    every (location, width) combination down to the floor has a
+    deterministic representative:
+
+    - 'sym': two pairs straddling the window centre symmetrically;
+    - 'offset': one pair on the centre, one half a window to the side
+      (on either side), so paired quantities are compared between the
+      centre of the window and a dyadically displaced location.
+
+    The leading configurations are centred in the interval (the first
     one symmetric about the midpoint), so profiles with a central
-    minimum are probed arbitrarily close to it.
+    minimum are probed arbitrarily close to it; from configuration
+    2 * 4 * N_SCALE_LEVELS on, centre, eta, layout and side are drawn
+    from the seeded generator.  A configuration that pokes out of the
+    interval is shifted back inside.
     """
     a, b = float(interval[0]), float(interval[1])
     D = b - a
     if D <= 0 or budget < 1:
         raise ValueError("need a nonempty interval and budget >= 1")
-    min_width = 3e-8 * D
-    rng = np.random.default_rng(seed)
-    configs = []
     n_eta = len(ETA_CYCLE)
     n_block = n_eta * N_SCALE_LEVELS
-    mid = 0.5 * (a + b)
-    for j in range(budget):
-        level = (j // n_eta) % N_SCALE_LEVELS
-        w = D * 2.0 ** (-level)
-        if j < n_block:          # centered, symmetric layout
-            c, eta, layout, mirror = mid, ETA_CYCLE[j % n_eta], "sym", 1.0
-        elif j < 2 * n_block:    # centered, offset layout (both sides)
-            c, eta, layout = mid, ETA_CYCLE[j % n_eta], "offset"
-            mirror = 1.0 if (j // n_eta) % 2 == 0 else -1.0
-        else:
-            c = float(rng.uniform(a + w / 2, b - w / 2)) if w < D else mid
-            eta = float(np.exp(rng.uniform(np.log(ETA_CYCLE[-1]),
-                                           np.log(ETA_CYCLE[0]))))
-            layout = "sym" if rng.integers(2) == 0 else "offset"
-            mirror = 1.0 if rng.integers(2) == 0 else -1.0
-        fine = max(w * eta, min_width)
-        fine = min(fine, w / 64.0)
-        sep_mid = np.sqrt(fine * w)
-        centers = _cluster_centers(0.0, w, sep_mid, layout) * mirror + c
-        clusters = tuple(np.array([x - fine, x, x + fine])
-                         for x in np.sort(centers))
-        pts = np.concatenate(clusters)
-        lo, hi = pts.min(), pts.max()
-        shift = 0.0
-        margin = 1e-9 * D
-        if lo < a + margin:
-            shift = a + margin - lo
-        elif hi > b - margin:
-            shift = b - margin - hi
-        clusters = tuple(cl + shift for cl in clusters)
-        configs.append(PointConfiguration(clusters=clusters))
-    return configs
+    j = np.arange(budget)
+    w = D / 2 ** ((j // n_eta) % N_SCALE_LEVELS)
+    c = np.full(budget, 0.5 * (a + b))
+    eta = np.take(ETA_CYCLE, j % n_eta)
+    sym = j < n_block
+    mirror = np.where(sym | ((j // n_eta) % 2 == 0), 1.0, -1.0)
+    rng = np.random.default_rng(seed)
+    log_eta = np.log(ETA_CYCLE[-1]), np.log(ETA_CYCLE[0])
+    for k in range(2 * n_block, budget):
+        if w[k] < D:
+            c[k] = rng.uniform(a + w[k] / 2, b - w[k] / 2)
+        eta[k] = np.exp(rng.uniform(*log_eta))
+        sym[k] = rng.integers(2) == 0
+        mirror[k] = 1.0 if rng.integers(2) == 0 else -1.0
+    fine = np.minimum(np.maximum(w * eta, 3e-8 * D), w / 64.0)
+    sep = np.sqrt(fine * w)
+    offsets = np.where(
+        sym[:, None],
+        np.stack([-w / 4.0, -w / 4.0 + sep, w / 4.0 - sep, w / 4.0], axis=1),
+        np.stack([np.zeros(budget), sep, w / 2.0 - sep, w / 2.0], axis=1))
+    x = np.sort(offsets * mirror[:, None] + c[:, None], axis=1)
+    fine = fine[:, None]
+    configs = np.stack([x - fine, x, x + fine], axis=2)
+    lo, hi = configs[:, 0, 0], configs[:, 3, 2]
+    margin = 1e-9 * D
+    shift = np.where(lo < a + margin, a + margin - lo,
+                     np.where(hi > b - margin, b - margin - hi, 0.0))
+    return configs + shift[:, None, None]
 
 
 # -- the finiteness checker -----------------------------------------------------
-
-
-def _cluster_table(p, configs):
-    """Divided-difference quantities per cluster, vectorized.
-
-    Derivatives are replaced by symmetric divided differences over the
-    cluster's own points; nothing is smoothed globally.
-    """
-    tri = np.stack([np.stack(cfg.clusters) for cfg in configs])  # (n_cfg,4,3)
-    flat = tri.reshape(-1, 3)
-    vals = np.asarray(p.value(flat.ravel()), dtype=float).reshape(-1, 3)
-    ta, tb, tc = flat[:, 0], flat[:, 1], flat[:, 2]
-    ra, rb, rc = vals[:, 0], vals[:, 1], vals[:, 2]
-    dd1 = (rc - ra) / (tc - ta)
-    dd2 = 2.0 * ((rc - rb) / (tc - tb) - (rb - ra) / (tb - ta)) / (tc - ta)
-    return {
-        "t": tb.reshape(len(configs), 4),
-        "rho": rb.reshape(len(configs), 4),
-        "dd1": dd1.reshape(len(configs), 4),
-        "dd2": dd2.reshape(len(configs), 4),
-        "width": (tc - ta).reshape(len(configs), 4),
-    }
 
 
 def _gated_record(name, margin, res, allowed, valid, witness, detail=""):
@@ -285,10 +242,18 @@ def finiteness_check(p, consts, configs):
     (sample rounding plus 3-point truncation) and only the excess beyond
     resolution counts as a violation, so neither very tight nor very
     wide clusters can flag a realizable profile spuriously.
+
+    ``configs`` is an (n, 4, 3) array of n >= 1 configurations, four
+    ascending 3-point clusters each, as `twelve_point_configurations`
+    makes them; any subset of its rows is a family of its own.
     """
+    configs = np.asarray(configs, dtype=float)
+    if configs.ndim != 3 or configs.shape[1:] != (4, 3) \
+            or len(configs) < 1:
+        raise ValueError(f"configurations must be an (n >= 1, 4, 3) array, "
+                         f"got shape {configs.shape}")
     a, b = p.interval
-    config_pts = np.concatenate([cfg.points for cfg in configs])
-    if config_pts.min() < a - 1e-12 or config_pts.max() > b + 1e-12:
+    if configs.min() < a - 1e-12 or configs.max() > b + 1e-12:
         raise ValueError("configuration points outside the profile interval")
 
     alpha = consts.alpha
@@ -297,7 +262,7 @@ def finiteness_check(p, consts, configs):
     # 1-Lipschitz and two-sided triangle bound on sampled pairs; kappa is
     # undefined where the first fails, so the report then holds this alone
     idx = np.unique(np.linspace(0, len(p) - 1, 400).astype(int))
-    ts = np.concatenate([p.t_nodes[idx], config_pts])
+    ts = np.concatenate([p.t_nodes[idx], configs.ravel()])
     rs = np.asarray(p.value(ts), dtype=float)
     lip, tri = (q / consts.c_lipschitz for q in
                 metric_condition_quotients(ts, rs, 1e-12 * (b - a)))
@@ -313,9 +278,14 @@ def finiteness_check(p, consts, configs):
     K0 = summary.K0
     K0_used, _ = _clamped_K0(K0, float(np.max(p.rho)))
 
-    tab = _cluster_table(p, configs)
-    tb, rho, dd1, dd2 = tab["t"], tab["rho"], tab["dd1"], tab["dd2"]
-    width = tab["width"]
+    # divided differences over each cluster's own points; nothing is
+    # smoothed globally
+    ta, tb, tc = np.moveaxis(configs, 2, 0)
+    ra, rho, rc = np.moveaxis(np.asarray(
+        p.value(configs.ravel()), dtype=float).reshape(configs.shape), 2, 0)
+    dd1 = (rc - ra) / (tc - ta)
+    dd2 = 2.0 * ((rc - rho) / (tc - tb) - (rho - ra) / (tb - ta)) / (tc - ta)
+    width = tc - ta
     one_minus = 1.0 - dd1 ** 2
     good = one_minus > 1e-12
     om_safe = np.where(good, one_minus, 1.0)

@@ -97,12 +97,11 @@ def test_large_negative_K0_is_not_clamped():
 
 def test_configurations_deterministic_and_symmetric():
     cfgs = twelve_point_configurations((-1.0, 1.0), 1, seed=0)
-    assert len(cfgs) == 1
-    pts = cfgs[0].points
-    assert pts.size == 12
-    assert np.allclose(np.sort(pts), np.sort(-pts), atol=1e-15)
+    assert cfgs.shape == (1, 4, 3)
+    pts = cfgs[0].ravel()
+    assert np.allclose(pts, -pts[::-1], atol=1e-15)
     again = twelve_point_configurations((-1.0, 1.0), 1, seed=0)
-    assert np.array_equal(again[0].points, pts)
+    assert np.array_equal(again, cfgs)
 
 
 @pytest.mark.parametrize("budget", [1, 7, 96, 200])
@@ -113,11 +112,37 @@ def test_configuration_count(budget):
 
 def test_configuration_points_property(rng):
     for seed in range(100):
-        cfgs = twelve_point_configurations((-0.3, 0.5), 5, seed=seed)
-        for cfg in cfgs:
-            pts = cfg.points
-            assert pts[0] >= -0.3 and pts[-1] <= 0.5
-            assert np.min(np.diff(pts)) >= 1e-9 * 0.8
+        for budget in (5, 97):
+            cfgs = twelve_point_configurations((-0.3, 0.5), budget,
+                                               seed=seed)
+            assert cfgs.dtype == float and cfgs.shape == (budget, 4, 3)
+            # centres ascending, each cluster ascending, the clusters
+            # disjoint: each row read flat is strictly ascending
+            assert np.all(np.diff(cfgs[:, :, 1], axis=1) > 0)
+            assert np.all(np.diff(cfgs, axis=2) > 0)
+            pts = cfgs.reshape(budget, 12)
+            assert np.min(np.diff(pts, axis=1)) >= 1e-9 * 0.8
+            assert pts.min() >= -0.3 and pts.max() <= 0.5
+
+
+# sha256 of the configurations as little-endian doubles, recorded from
+# the family built one configuration at a time
+CONFIG_DIGESTS = {
+    ((-0.2, 0.2), 240, 0):
+        "21d086033aec0bff23f5123ca3d036feb568288913a79227c0749fca618409aa",
+    ((-0.2, 0.2), 960, 0):
+        "7be531205cd9cb7845a80b3b7f7dc94c4061514518dea51e877fdcc6712a7322",
+    ((-1.0, 1.0), 97, 3):
+        "92447b4d851052babadd514d9edb1b8de8fcb567c5486fd19c5ad31e3a45bcc5",
+}
+
+
+@pytest.mark.parametrize("interval,budget,seed", sorted(CONFIG_DIGESTS))
+def test_configuration_bytes_are_pinned(interval, budget, seed):
+    cfgs = twelve_point_configurations(interval, budget, seed=seed)
+    data = np.ascontiguousarray(cfgs, dtype="<f8").tobytes()
+    assert (hashlib.sha256(data).hexdigest()
+            == CONFIG_DIGESTS[interval, budget, seed])
 
 
 def test_checker_passes_flat(consts):
@@ -155,6 +180,14 @@ def test_checker_rejects_points_outside_interval(consts):
     cfgs = twelve_point_configurations((-0.2, 0.2), 4)
     with pytest.raises(ValueError):
         finiteness_check(p, consts, cfgs)
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 3), (4, 12), (4, 4, 2),
+                                   (2, 3, 3), (4, 3)])
+def test_checker_rejects_malformed_configurations(consts, shape):
+    p = flat_profile(0.01, (-0.1, 0.1))
+    with pytest.raises(ValueError, match="configurations must be"):
+        finiteness_check(p, consts, np.zeros(shape))
 
 
 def test_checker_necessity_smoke(consts):
@@ -212,7 +245,7 @@ def checker_points(p, budget, seed=0):
     """The point set of the checker's lipschitz_triangle record."""
     idx = np.unique(np.linspace(0, len(p) - 1, 400).astype(int))
     configs = twelve_point_configurations(p.interval, budget, seed=seed)
-    return np.concatenate([p.t_nodes[idx]] + [c.points for c in configs])
+    return np.concatenate([p.t_nodes[idx], configs.ravel()])
 
 
 @functools.cache
@@ -438,6 +471,31 @@ def test_checker_memory_is_linear(consts):
     finally:
         tracemalloc.stop()
     assert peak <= 50 * 2 ** 20, peak
+
+
+CLUSTER_RECORDS = ("ddot_sandwich", "curvature_bound",
+                   "kappa_holder") + F0_RECORDS
+
+
+@pytest.mark.parametrize("profile", [
+    lambda: offset_hyperbola_profile(0.99),
+    lambda: perturbed_cone_profile(1e-2, 0.25),
+    lambda: perturbed_cone_profile(1e-3, 0.25)])
+def test_witness_replays_from_configuration_rows(consts, profile):
+    """The rows holding every witness centre of a cluster record are a
+    family of their own, and give that record's margin and witness."""
+    p = profile()
+    configs = twelve_point_configurations(p.interval, 240, seed=0)
+    full = finiteness_check(p, consts, configs)
+    centres = configs[:, :, 1]
+    for name in CLUSTER_RECORDS:
+        rec = full.record(name)
+        rows = np.all([np.any(centres == w, axis=1) for w in rec.witness],
+                      axis=0)
+        assert 1 <= rows.sum() < len(configs), name
+        again = finiteness_check(p, consts, configs[rows]).record(name)
+        assert again.margin == rec.margin, name
+        assert again.witness == rec.witness, name
 
 
 def test_checker_stops_at_lipschitz_failure(consts):
