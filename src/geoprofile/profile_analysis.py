@@ -215,6 +215,14 @@ def twelve_point_configurations(interval, budget, seed=0):
 # -- the finiteness checker -----------------------------------------------------
 
 
+def _window_ratios(x, windows):
+    """max/min of x over each window [windows[2k], windows[2k + 1]); the
+    appended last value makes an end of len(x) a valid reduceat index."""
+    x = np.append(x, x[-1])
+    return np.maximum.reduceat(x, windows)[::2] \
+        / np.minimum.reduceat(x, windows)[::2]
+
+
 def _gated_record(name, margin, res, allowed, valid, witness, detail=""):
     """The record of one inequality over clusters or cluster pairs.
 
@@ -415,12 +423,10 @@ def finiteness_check(p, consts, configs):
         "f0_cross_scale", np.maximum(lhs - res4, 0.0) / allowed, res4,
         allowed, pairs_same, [tb[:, 0]]))
 
-    # angle-rate ratio over dyadic windows (dense curves)
-    phi0p = summary.phi0_prime
-    rho_dense = p.rho
-    marg_ratio = 0.0
-    witness_ratio = [float(p.t_nodes[0])]
+    # angle-rate ratio over dyadic windows (dense curves); the pow stays
+    # per window: numpy's array pow differs from the scalar one in the last bit
     n = len(p)
+    windows = []
     for level in range(0, 7):
         n_win = 2 ** level
         edges = np.linspace(0, n, n_win + 1).astype(int)
@@ -430,17 +436,17 @@ def finiteness_check(p, consts, configs):
             starts += list(np.asarray(edges[:-1][:-1]) + width // 2)
         for ss in starts:
             ee = min(ss + (n // n_win), n)
-            if ee - ss < 8:
-                continue
-            seg_p = phi0p[ss:ee]
-            seg_r = rho_dense[ss:ee]
-            ratio_p = np.max(seg_p) / np.min(seg_p)
-            ratio_r = np.max(seg_r) / np.min(seg_r)
-            marg = ratio_p / (consts.c_phi0vary_C
-                              * ratio_r ** consts.c_phi0vary_Cprime)
-            if marg > marg_ratio:
-                marg_ratio = marg
-                witness_ratio = [float(p.t_nodes[ss])]
+            if ee - ss >= 8:
+                windows += [ss, ee]
+    ratio_p = _window_ratios(summary.phi0_prime, windows)
+    ratio_r = _window_ratios(p.rho, windows)
+    marg_ratio = 0.0
+    witness_ratio = [float(p.t_nodes[0])]
+    for ss, rp, rr in zip(windows[::2], ratio_p, ratio_r):
+        marg = rp / (consts.c_phi0vary_C * rr ** consts.c_phi0vary_Cprime)
+        if marg > marg_ratio:
+            marg_ratio = marg
+            witness_ratio = [float(p.t_nodes[ss])]
     records.append(CheckerRecord.from_margin(
         "angle_ratio", marg_ratio, witness=witness_ratio))
 

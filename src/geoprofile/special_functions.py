@@ -10,6 +10,8 @@ and both are strictly decreasing, analytic functions on (-inf, pi**2).
 All functions accept scalars or numpy arrays and are pure.
 """
 
+import math
+
 import numpy as np
 
 PI_SQUARED = np.pi ** 2
@@ -159,12 +161,50 @@ PHI_INVERSE_Y_MIN = phi(_PHI_INVERSE_X_MAX)
 PHI_INVERSE_Y_MAX = phi(_PHI_INVERSE_X_MIN)
 
 
+def _phi_float(x):
+    """phi on a Python float, operation for operation as on an array:
+    math.sqrt rounds as np.sqrt does, and numpy's cos, sin and tanh agree
+    on scalars and arrays (math.tanh does not)."""
+    if abs(x) < _SERIES_CUTOFF:
+        acc, xp = 0.0, 1.0
+        for b in _PHI_COEFFS:
+            xp = xp * x
+            acc += b * xp
+        return 1.0 - acc
+    if x > 0:
+        s = math.sqrt(x)
+        return s * float(np.cos(s)) / float(np.sin(s))
+    s = math.sqrt(-x)
+    return s / float(np.tanh(s))
+
+
+def _phi_inverse_float(y):
+    """phi_inverse's bisection and Newton steps (phi_prime's formulas) on
+    one Python float, bit for bit; returns x and the final bracket."""
+    lo, hi = _PHI_INVERSE_X_MIN, _PHI_INVERSE_X_MAX
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _phi_float(mid) > y else (lo, mid)
+    x = 0.5 * (lo + hi)
+    for _ in range(PHI_INVERSE_NEWTON_STEPS):
+        p = _phi_float(x)
+        slope = (p - p * p - x) / (2.0 * x) if abs(x) >= _SERIES_CUTOFF \
+            else -(1.0 / 3.0) - (2.0 / 45.0) * x - (6.0 / 945.0) * x * x
+        x_new = min(max(x - (p - y) / slope, lo), hi)
+        if x_new == x:  # a fixed point: later steps return it too
+            break
+        x = x_new
+    return x, lo, hi
+
+
 def phi_inverse(y):
     """Solve phi(x) = y for x < pi**2.
 
     Bracketed bisection (phi is strictly decreasing, so this is
     unconditionally safe) refined by Newton steps.  The residual
-    |phi(x) - y| is driven below ``PHI_INVERSE_TOL * max(1, |y|)``.
+    |phi(x) - y| is driven below ``PHI_INVERSE_TOL * max(1, |y|)``, or
+    (y below about -3e4) the bracket to 2 ulp of x.  A float is solved on
+    Python floats, bit-equal to the array path.
     phi_inverse(1.0) is exactly 0.
     """
     a, scalar = _as_array(y)
@@ -173,22 +213,26 @@ def phi_inverse(y):
             f"phi_inverse argument outside ({PHI_INVERSE_Y_MIN:.3e}, "
             f"{PHI_INVERSE_Y_MAX:.3e})"
         )
-    lo = np.full_like(a, _PHI_INVERSE_X_MIN)
-    hi = np.full_like(a, _PHI_INVERSE_X_MAX)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        too_low = phi(mid) > a  # phi decreasing: value above target -> x right of mid
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-    x = 0.5 * (lo + hi)
-    for _ in range(PHI_INVERSE_NEWTON_STEPS):
-        resid = phi(x) - a
-        step = resid / phi_prime(x)
-        x = np.clip(x - step, lo, hi)
+    if scalar:
+        x, lo, hi = map(np.asarray, _phi_inverse_float(float(a)))
+    else:
+        lo = np.full_like(a, _PHI_INVERSE_X_MIN)
+        hi = np.full_like(a, _PHI_INVERSE_X_MAX)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            too_low = phi(mid) > a  # phi decreasing: x right of mid
+            lo = np.where(too_low, mid, lo)
+            hi = np.where(too_low, hi, mid)
+        x = 0.5 * (lo + hi)
+        for _ in range(PHI_INVERSE_NEWTON_STEPS):
+            resid = phi(x) - a
+            step = resid / phi_prime(x)
+            x = np.clip(x - step, lo, hi)
     resid = np.abs(phi(x) - a)
-    bad = resid > PHI_INVERSE_TOL * np.maximum(1.0, np.abs(a))
+    bad = (resid > PHI_INVERSE_TOL * np.maximum(1.0, np.abs(a))) \
+        & (hi - lo > 2.0 * np.spacing(np.abs(x)))
     if np.any(bad):
-        worst = int(np.argmax(resid))
+        worst = int(np.argmax(np.where(bad, resid, -1.0)))
         raise ArithmeticError(
             "phi_inverse did not converge: residual "
             f"{resid.flat[worst]:.3e} at y={a.flat[worst]!r}, "

@@ -275,6 +275,28 @@ def test_analyze_sharp_minimum_has_infinite_kappa(sharp_minimum_csv,
     assert json.loads(out.read_text())["max_abs_kappa"] == "inf"
 
 
+@pytest.mark.parametrize("m", [0.05, 0.2])
+def test_endpoint_minimum_near_pole_is_a_failed_check(tmp_path, capsys, m):
+    """The minimum sits at the left end, where rho' is within 1e-10 of 1
+    and v = rho rho''/(1 - rho'^2) is about -5e4 (m = 0.05) or -1.9e5
+    (m = 0.2): inside the range of phi_inverse, but beyond the reach of
+    its residual tolerance.  K0 is finite and clamped, check fails,
+    analyze succeeds, and neither writes to stderr."""
+    t = np.linspace(0.0, 0.1, 2001)
+    csv = write_csv(tmp_path / "endpoint.csv", t,
+                    m + (np.sin(10 * (t + 1e-6)) - np.sin(1e-5)) / 10)
+    out = tmp_path / "report.json"
+    assert main(["check", "--input", csv, "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["meta"]["K0_clamped"] is True
+    failed = {rec["name"] for rec in payload["records"] if not rec["pass"]}
+    assert "curvature_bound" in failed
+    out = tmp_path / "analysis.json"
+    assert main(["analyze", "--input", csv, "--out", str(out)]) == 0
+    assert np.isfinite(json.loads(out.read_text())["max_abs_kappa"])
+    assert capsys.readouterr().err == ""
+
+
 def _corrupt_grid(text):
     """Three kinds of damage to a grid file: cut short, a key gone,
     theta_nodes one short of the rows of G."""

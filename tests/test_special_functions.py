@@ -95,3 +95,32 @@ def test_phi_inverse_reports_residual_state():
     # forward values far in the tail still invert
     y = phi(-9.9e5)
     assert abs(phi_inverse(y) + 9.9e5) < 1e-6 * 9.9e5
+
+
+def test_phi_inverse_scalar_path_equals_array_path():
+    """A float is solved on Python floats; the array path is the
+    reference, bit for bit, on both branches, at the series cutoff and
+    in the tail where the residual tolerance is out of reach."""
+    cutoff = phi(np.array([1e-4, -1e-4]))
+    ys = np.concatenate([
+        [1.0, 1.0 + 1e-16, 1.0 - 1e-16, np.nextafter(1.0, 2.0),
+         np.nextafter(1.0, 0.0)],
+        cutoff, np.nextafter(cutoff, 2.0), np.nextafter(cutoff, 0.0),
+        np.linspace(-20.0, 0.999, 150),              # x in (0, pi^2)
+        np.geomspace(1.001, 999.0, 150),             # x < 0
+        [899.9, -1e4],
+        -np.geomspace(3e4, 1e9, 60),                 # conditioning-limited
+    ])
+    for y in ys:
+        scalar = phi_inverse(float(y))
+        array = phi_inverse(np.array([y]))[0]
+        assert np.float64(scalar).tobytes() == array.tobytes(), y
+
+
+def test_phi_inverse_conditioning_limited_tail():
+    """Near the pole no double reaches the relative residual 1e-12;
+    phi_inverse returns x from the closed bracket instead of raising, so
+    the root lies within one ulp of x."""
+    ys = -np.geomspace(3e4, 1e9, 60)
+    for x, y in zip(phi_inverse(ys), ys):
+        assert phi(np.nextafter(x, 0.0)) > y >= phi(np.nextafter(x, PI2))
