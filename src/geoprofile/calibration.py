@@ -1,15 +1,18 @@
-"""Named constants for every inequality the checkers evaluate.
+"""The calibrated factors of the inequalities the checkers evaluate.
 
 The comparison lemmas bound quantities only up to unspecified positive
 factors; to make them operational each factor is calibrated: the
 generator suite of known-good surfaces is run, the worst observed ratio
 per inequality is recorded, and the stored constant is twice that.  The
 packaged file ``data/default_calibration.json`` carries the provenance.
+Constants the theory fixes (|kappa| <= H, |phi0| <= 3pi/4, 1-Lipschitz)
+carry a fixed slack beside the records that read them, in
+`profile_analysis` and `profiles`, and are not in the file.
 """
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from importlib import resources
 
 from .report import dumps_deterministic
@@ -19,48 +22,43 @@ DEFAULT_RESOURCE = "default_calibration.json"
 
 @dataclass
 class CheckerConstants:
-    """Calibrated multipliers, keyed by the inequality they scale."""
+    """Calibrated multipliers, keyed by the inequality they scale: every
+    field is what `calibrate_constants` writes, and none has a default."""
 
-    alpha: float = 0.5
-    H: float = 1.0
-    version: str = "uncalibrated"
+    alpha: float
+    H: float
+    version: str
     # distance-profile finiteness checker
-    c_rhoest1_lo: float = 2.0
-    c_rhoest1_hi: float = 2.0
-    c_kappa: float = 1.1
-    c_kappa_alpha: float = 2.0
-    c_phi0vary_C: float = 2.0
-    c_phi0vary_Cprime: float = 2.2
-    c_phi0_bound: float = 1.0
-    c_lipschitz: float = 1.0 + 1e-6
-    c_f0est1: float = 2.0
-    c_f0est2: float = 2.0
-    c_f0est3: float = 2.0
-    c_f0est4: float = 2.0
+    c_kappa_alpha: float
+    c_phi0vary_C: float
+    c_f0est1: float
+    c_f0est2: float
+    c_f0est3: float
+    c_f0est4: float
     # Riccati stability conclusions (a)-(d)
-    c_riccati_a: float = 2.0
-    c_riccati_b: float = 8.0
-    c_riccati_c: float = 8.0
-    c_riccati_d: float = 8.0
+    c_riccati_a: float
+    c_riccati_b: float
+    c_riccati_c: float
+    c_riccati_d: float
     # curve-to-angle comparison surrogates
-    c_phi_ratio: float = 2.0
-    c_rhoddot: float = 3.0
+    c_phi_ratio: float
+    c_rhoddot: float
     # synthesis verification thresholds
-    c_k_sup: float = 2.0
-    c_k_holder: float = 4.0
-    c_f_holder_budget: float = 4.0
+    c_k_sup: float
+    c_k_holder: float
+    c_f_holder_budget: float
     # measured Whitney implementation constant
-    c_whitney: float = 10.0
-    extras: dict = field(default_factory=dict)
+    c_whitney: float
+    extras: dict
 
     def to_dict(self):
-        d = asdict(self)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
         """Constants from a decoded JSON object; ValueError unless its
-        ``c_*`` and ``H`` are finite numbers > 0 and ``alpha`` is in (0, 1].
+        ``c_*`` and ``H`` are finite numbers > 0, ``alpha`` is in (0, 1]
+        and its keys are exactly the fields, each named in the message.
         Values are kept as given, so they write back the same bytes."""
         if not isinstance(d, dict):
             raise ValueError(f"not a JSON object: {type(d).__name__}")
@@ -71,12 +69,12 @@ class CheckerConstants:
                     and math.isfinite(value))):
                 raise ValueError(f"{key} must be a finite number in "
                                  f"(0, {top}], got {value!r}")
-        known = {f for f in cls.__dataclass_fields__}
-        kwargs = {k: v for k, v in d.items() if k in known}
-        extras = {k: v for k, v in d.items() if k not in known}
-        obj = cls(**kwargs)
-        obj.extras.update(extras)
-        return obj
+        fields = cls.__dataclass_fields__
+        unknown = [k for k in d if k not in fields]
+        missing = [k for k in fields if k not in d]
+        if unknown or missing:
+            raise ValueError(f"unknown keys {unknown}, missing keys {missing}")
+        return cls(**d)
 
 
 def save_constants(consts, path):
@@ -97,21 +95,6 @@ def default_constants():
 
 
 # -- calibration ---------------------------------------------------------------
-#
-# The comparison lemmas fix some constants exactly (the envelope bounds,
-# |kappa| <= H, |phi0| <= 3pi/4, 1-Lipschitz) - those get only a small
-# numerical slack and are never widened by data.  The genuinely
-# existential factors are set to twice the worst ratio observed on the
-# generator suite of known-realizable profiles, floored.
-
-_FIXED = {
-    "c_rhoest1_lo": 1.05,
-    "c_rhoest1_hi": 1.05,
-    "c_kappa": 1.05,
-    "c_phi0_bound": 1.0,
-    "c_lipschitz": 1.0 + 1e-6,
-    "c_phi0vary_Cprime": 2.05,
-}
 
 # record -> (constant, floor): the record is measured with its constant
 # at 1, and the constant is set to max(2 * worst margin, floor)
@@ -199,7 +182,7 @@ def calibrate_constants(alpha=0.5, H=1.0, seed=1729, n_grid=16,
 
     rng = np.random.default_rng(seed)
     unit = CheckerConstants(
-        alpha=alpha, H=H, version="unit", **_FIXED,
+        alpha=alpha, H=H, version="unit", c_whitney=1.0, extras={},
         **{const: 1.0 for const, _ in _CALIBRATED.values()})
 
     # synthesis records go to their own provenance entry, 0 until measured
@@ -259,12 +242,7 @@ def calibrate_constants(alpha=0.5, H=1.0, seed=1729, n_grid=16,
              log_ratio / hr2 ** (1 + alpha / 2) if hr2 > 0 else 0.0)
 
     measured = {**worst, **synth_worst}
-    consts = CheckerConstants(
-        alpha=alpha, H=H, version=version or f"cal-{seed}",
-        c_whitney=c_whitney, **_FIXED,
-        **{const: max(2.0 * measured.get(name, 0.0), floor)
-           for name, (const, floor) in _CALIBRATED.items()})
-    consts.extras["provenance"] = {
+    provenance = {
         "seed": seed, "n_grid_profiles": n_grid,
         "n_closed_form": len(profiles) - n_grid,
         "n_riccati_pairs": n_riccati, "n_whitney": n_whitney,
@@ -272,4 +250,8 @@ def calibrate_constants(alpha=0.5, H=1.0, seed=1729, n_grid=16,
         "raw_worst": {k: float(v) for k, v in sorted(worst.items())},
         "synthesis_worst": {k: float(v) for k, v in sorted(synth_worst.items())},
     }
-    return consts
+    return CheckerConstants(
+        alpha=alpha, H=H, version=version or f"cal-{seed}",
+        c_whitney=c_whitney, extras={"provenance": provenance},
+        **{const: max(2.0 * measured.get(name, 0.0), floor)
+           for name, (const, floor) in _CALIBRATED.items()})

@@ -215,7 +215,7 @@ def solve_riccati(k, step):
     return RadialSolution(r_nodes=rs, G=G, h=h)
 
 
-def riccati_stability_check(k1, k2, r_min, consts, step=None, T=None):
+def riccati_stability_check(k1, k2, r_min, consts, step=None):
     """Check the four stability conclusions for f = h1 - h2 on [r_min, R].
 
     With T = sup|K1 - K2|, L = max Hölder bound and R the common radius:
@@ -246,8 +246,7 @@ def riccati_stability_check(k1, k2, r_min, consts, step=None, T=None):
     h1, h2 = s1.h[sel], s2.h[sel]
     kv1 = k1.values(r)
     kv2 = k2.values(r)
-    if T is None:
-        T = float(np.max(np.abs(kv1 - kv2)))
+    T = float(np.max(np.abs(kv1 - kv2)))
     L = max(k1.L, k2.L)
     alpha = k1.alpha
     f = h1 - h2

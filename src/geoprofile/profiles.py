@@ -11,6 +11,10 @@ spline interpolates.
 import numpy as np
 from scipy.interpolate import BPoly, CubicSpline, make_interp_spline
 
+# largest |rho(t) - rho(t')| / |t - t'| and |t - t'| / (rho(t) + rho(t'))
+# a profile may show: 1 by the triangle inequality, plus rounding slack
+C_LIPSCHITZ = 1.0 + 1e-6
+
 
 class ProfileError(ValueError):
     pass
@@ -49,12 +53,12 @@ class DistanceProfile:
         if validate:
             self._validate_metric_conditions()
 
-    def _validate_metric_conditions(self, slack=1e-6):
+    def _validate_metric_conditions(self):
         """1-Lipschitz and two-sided triangle bounds on all node pairs."""
         lip, tri = metric_condition_quotients(self.t_nodes, self.rho, 0.0)
-        if lip > 1 + slack:
+        if lip > C_LIPSCHITZ:
             raise ProfileError("profile is not 1-Lipschitz on node pairs")
-        if tri > 1 + slack:
+        if tri > C_LIPSCHITZ:
             raise ProfileError(
                 "profile violates |t - t'| <= rho(t) + rho(t')")
 

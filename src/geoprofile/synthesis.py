@@ -25,6 +25,7 @@ LN2 = np.log(2.0)
 R_NODES_PER_OCTAVE = 64     # geometric radial grid nodes per dyadic band
 MIN_SECTOR_GAP = 0.35       # angular separation asserted between split pieces
 FADE_WIDTH = 0.45           # angular width of the theta cutoff beyond the sweep
+R_PAD = 1.05                # disc radius over the profile's largest rho
 
 
 class SynthesisError(RuntimeError):
@@ -472,7 +473,7 @@ def _dyadic_r_nodes(r_min, r_max):
     return r
 
 
-def assemble_metric(p, s, decomp, correction, r_pad=1.05):
+def assemble_metric(p, s, decomp, correction):
     """Build the metric grid, the deformed curve, and the angle map.
 
     G(r, theta) = sin_k(K0, r) * exp of the radial integral of the glued
@@ -480,14 +481,10 @@ def assemble_metric(p, s, decomp, correction, r_pad=1.05):
     defining relations (no numerical differentiation).
     """
     K0 = s.K0
-    if abs(K0) > s.H * 1.5:
-        raise SynthesisError(
-            f"|K0| = {abs(K0):.4g} far above H = {s.H}: checker should "
-            "have rejected this profile")
     t = p.t_nodes
     rho = p.rho
     rho_max = float(np.max(rho))
-    R = rho_max * r_pad
+    R = rho_max * R_PAD
     r_min = 1e-4 * R
 
     # reference coefficient along the curve: radial integrals at phi0
@@ -562,7 +559,7 @@ def assemble_metric(p, s, decomp, correction, r_pad=1.05):
 def synthesize(p, consts):
     """Full pipeline: analyze, decompose, extend, glue, assemble."""
     s = analyze(p, H=consts.H, alpha=consts.alpha)
-    if abs(s.K0) > consts.c_kappa * consts.H * 1.5:
+    if abs(s.K0) > consts.H * 1.5:
         raise SynthesisError(
             f"|K0| = {abs(s.K0):.4g} above the admissible bound; "
             "run the checker first")

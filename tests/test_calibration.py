@@ -13,9 +13,9 @@ CALIBRATE_SIZES = dict(n_grid=1, n_closed=3, n_riccati=8, n_whitney=12,
 
 # sha256 of the constants JSON of calibrate_constants(seed=1000, ...)
 CALIBRATION_DIGESTS = {
-    0: "cd7c520d6f76727d1836f5790df4700ac5682b28405e1eda471a8603d9d2332f",
+    0: "5a92eab64f4f163e336a97118954c8ef300126e5f3de91fe5646a21d69d9e946",
     # one round trip: the synthesis records are measured too
-    1: "d76eca65391f94caa0483f0184a09f1503ae428890d54208f0d9d1d9c1371062",
+    1: "94dee3971f46c4b458cbb0dd75237330d3245e6d82683e206e14744041b34051",
 }
 
 

@@ -209,6 +209,33 @@ def test_malformed_constants_exit_code(sphere_csv, tmp_path, capsys, text):
     assert err.startswith("malformed input: ")
 
 
+@pytest.mark.parametrize("edit,keys", [
+    (lambda d: d.pop("c_k_sup"), ["c_k_sup"]),
+    (lambda d: d.update(c_kapa_alpha=d.pop("c_kappa_alpha")),
+     ["c_kapa_alpha", "c_kappa_alpha"]),
+    (lambda d: d.update(c_rhoest1_lo=1.05), ["c_rhoest1_lo"]),
+    (dict.clear, ["alpha", "c_k_sup", "extras"])],
+    ids=["missing", "misspelled", "retired", "empty"])
+def test_constants_file_needs_exactly_its_keys(sphere_csv, tmp_path, capsys,
+                                               edit, keys):
+    """No default fills a constant the file lacks, and a key no record
+    reads is not set aside: the shipped file less one constant, with one
+    misspelled or with one that is no longer calibrated is malformed
+    input, as is an empty object, and the message names the keys."""
+    d = json.loads(resources.files("geoprofile").joinpath(
+        "data", DEFAULT_RESOURCE).read_text())
+    edit(d)
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--input", sphere_csv, "--constants", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("malformed input: ")
+    assert all(key in err for key in keys), err
+
+
 def test_shipped_constants_keep_their_bytes():
     """Loading the shipped constants converts no value: they write back
     the same bytes."""

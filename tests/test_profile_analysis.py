@@ -8,6 +8,7 @@ import pytest
 from geoprofile import (kappa, curve_angle, f0_curve, analyze, phi_inverse,
                         sin_k, twelve_point_configurations,
                         finiteness_check)
+from geoprofile.profile_analysis import C_KAPPA
 from geoprofile.profiles import (DistanceProfile, ProfileError,
                                  metric_condition_quotients,
                                  read_profile_csv, write_profile_csv)
@@ -413,21 +414,21 @@ def test_profile_validation_sees_every_node_pair():
 # recorded with the all-pairs pass of metric_condition_quotients
 CHECK_DIGESTS = {
     ("roundtrip", 240):
-        "dc643ccd66c864bb165f8eb24f96ed4d684a93920033c3539c4564ca478a4acb",
+        "b2b4ef7a373ed8e77d2b0c5befea1df3c8490c529a32284f7092e8503830c583",
     ("roundtrip", 960):
-        "21f0451c25d7434758df6d8b4da7f3f3d1d1abb1fa83de79abad677360b6d90f",
+        "033415a7e97db38ca1ad4d5bab2cd0cddf4def8d04f1b366d1570157306dce7b",
     ("bump", 240):
-        "ae3389081e22f0a0a3d9aa11ca387929f60a36ce24d26c86b712d3028840ac81",
+        "6ccbcd757abb13b7a3a10376a68a194ca96ac77cc8ad48b4c3297e3a69717267",
     ("bump", 960):
-        "4e7a0e0e72c8b48f9893787b734628bd054689d2555e67e89204a8aa01286b58",
+        "5a9067091326d23c9038a0df54651cf7f911a229d47c08821b2dd593f4ed53f5",
     ("roundtrip_csv", 240):
-        "88c564a64ae90e13315db879f684ae3736a92de669a8f16b2a370420b8c7ca05",
+        "45630c3460ea8d9438f7e3e005435788b493a7799b75078047d29435bccaea8d",
     ("offset", 240):
-        "1e0866cd701dc0886b103dc7485ce841625d68f879119146c5b7c75dd5511fbf",
+        "d8c996eb842fbf86d815b87b575d5dd31dc4d02c06e634071d50ad23da7b0728",
     ("wave", 240):
-        "686aafb4695b97b2a8e92354145243ec33052819a6212dfc0ab36e00eea72709",
+        "9d2f35e21326f23e23b5a420a095ca8451adb59fe225b85a295157bf18dd1871",
     ("bump_beta_alpha", 240):
-        "dfc6196ad32486df33395e23e12e5964d8525a803530bfd8ad457fd3f2df54c3",
+        "71a72a5f6f3bd1ee4bbf98babd1f8caa477c62d699dc8a5875dddd3aab37e6b8",
 }
 
 # the last three admit and shut out clusters at the gate of every
@@ -473,8 +474,7 @@ def test_checker_memory_is_linear(consts):
     assert peak <= 50 * 2 ** 20, peak
 
 
-CLUSTER_RECORDS = ("ddot_sandwich", "curvature_bound",
-                   "kappa_holder") + F0_RECORDS
+CLUSTER_RECORDS = ("curvature_bound", "kappa_holder") + F0_RECORDS
 
 
 @pytest.mark.parametrize("profile", [
@@ -496,6 +496,21 @@ def test_witness_replays_from_configuration_rows(consts, profile):
         again = finiteness_check(p, consts, configs[rows]).record(name)
         assert again.margin == rec.margin, name
         assert again.witness == rec.witness, name
+
+
+@pytest.mark.parametrize("m,h", [(0.2, 0.9), (0.3, 1.2)])
+def test_curvature_slack_is_uniform_in_radius(consts, m, h):
+    """|kappa| <= H carries one 5% slack at every radius: spheres reaching
+    H rho^2 = 0.84 and 1.48 pass at K = 1.04 H, where curvature_bound
+    reads 1.04 / 1.05, and fail it at K = 1.06 H."""
+    for K in (1.04, 1.06):
+        p = spherical_profile(K, m, (-h, h), n=3001)
+        rep = finiteness_check(
+            p, consts, twelve_point_configurations(p.interval, 240, seed=0))
+        rec = rep.record("curvature_bound")
+        assert abs(rec.margin - K / (C_KAPPA * consts.H)) < 1e-5, rec.margin
+        assert rec.passed == (K < C_KAPPA)
+        assert rep.verdict == (K < C_KAPPA)
 
 
 def test_checker_stops_at_lipschitz_failure(consts):

@@ -119,6 +119,17 @@ def test_flat_metric_is_euclidean(flat_result):
     assert np.max(np.abs(res.K_grid)) < 1e-9
 
 
+def test_synthesis_refuses_K0_above_one_and_a_half_H(consts):
+    """One gate, before any construction: |K0| = 1.55 H is refused with
+    the checker's hint, and 1.45 H is synthesized."""
+    p = spherical_profile(1.55, 0.0125, (-0.0387, 0.0387), n=3001)
+    with pytest.raises(SynthesisError,
+                       match="above the admissible bound; run the checker"):
+        synthesize(p, consts)
+    p = spherical_profile(1.45, 0.0125, (-0.0387, 0.0387), n=3001)
+    assert abs(synthesize(p, consts).summary.K0 - 1.45) < 1e-6
+
+
 @pytest.mark.parametrize("K", [0.5, -0.5])
 def test_constant_curvature_metric_recovered(consts, K):
     p = (spherical_profile if K > 0 else hyperbolic_profile)(
