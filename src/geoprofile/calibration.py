@@ -57,12 +57,17 @@ class CheckerConstants:
     @classmethod
     def from_dict(cls, d):
         """Constants from a decoded JSON object; ValueError unless its
-        ``c_*`` and ``H`` are finite numbers > 0, ``alpha`` is in (0, 1]
-        and its keys are exactly the fields, each named in the message.
-        Values are kept as given, so they write back the same bytes."""
+        ``c_*`` and ``H`` are finite numbers > 0, ``alpha`` is in (0, 1],
+        ``version`` is a string, ``extras`` an object, and its keys are
+        exactly the fields, each named in the message.  Values are kept
+        as given, so they write back the same bytes."""
         if not isinstance(d, dict):
             raise ValueError(f"not a JSON object: {type(d).__name__}")
         for key, value in d.items():
+            if key == "version" and not isinstance(value, str):
+                raise ValueError(f"version must be a string, got {value!r}")
+            if key == "extras" and not isinstance(value, dict):
+                raise ValueError(f"extras must be an object, got {value!r}")
             top = 1 if key == "alpha" else math.inf
             if ((key in ("H", "alpha") or key.startswith("c_")) and not (
                     type(value) in (int, float) and 0 < value <= top

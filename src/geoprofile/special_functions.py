@@ -10,8 +10,6 @@ and both are strictly decreasing, analytic functions on (-inf, pi**2).
 All functions accept scalars or numpy arrays and are pure.
 """
 
-import math
-
 import numpy as np
 
 PI_SQUARED = np.pi ** 2
@@ -134,77 +132,42 @@ def cot_k(K, r):
     return float(out) if scalar else out
 
 
-def phi_prime(x):
-    """Derivative of phi; negative on the whole domain."""
-    a, scalar = _as_array(x)
-    out = np.empty_like(a)
-    small = np.abs(a) < _SERIES_CUTOFF
-    if np.any(small):
-        xs = a[small]
-        out[small] = -(1.0 / 3.0) - (2.0 / 45.0) * xs - (6.0 / 945.0) * xs * xs
-    big = ~small
-    if np.any(big):
-        xb = a[big]
-        p = phi(xb)
-        out[big] = (p - p * p - xb) / (2.0 * xb)
-    return float(out) if scalar else out
+def _phi_prime(x, p):
+    """Derivative of phi at x, given p = phi(x); negative on the whole
+    domain.  A Taylor series near 0, else the closed form (the 1.0 keeps
+    x = 0 from dividing)."""
+    small = np.abs(x) < _SERIES_CUTOFF
+    series = -(1.0 / 3.0) - (2.0 / 45.0) * x - (6.0 / 945.0) * x * x
+    return np.where(small, series,
+                    (p - p * p - x) / (2.0 * np.where(small, 1.0, x)))
 
 
-# phi_inverse: Newton steps after the bisection, and the relative residual
-# it must reach.
-PHI_INVERSE_NEWTON_STEPS = 6
+# phi_inverse: the Newton steps after the table start, and the relative
+# residual it must reach.
+PHI_INVERSE_NEWTON_STEPS = 4
 PHI_INVERSE_TOL = 1e-12
 # phi_inverse solves on [-1e6, pi^2 - 1e-9]; its arguments must lie
 # strictly inside the image (PHI_INVERSE_Y_MIN, PHI_INVERSE_Y_MAX).
 _PHI_INVERSE_X_MIN, _PHI_INVERSE_X_MAX = -1e6, PI_SQUARED - 1e-9
 PHI_INVERSE_Y_MIN = phi(_PHI_INVERSE_X_MAX)
 PHI_INVERSE_Y_MAX = phi(_PHI_INVERSE_X_MIN)
-
-
-def _phi_float(x):
-    """phi on a Python float, operation for operation as on an array:
-    math.sqrt rounds as np.sqrt does, and numpy's cos, sin and tanh agree
-    on scalars and arrays (math.tanh does not)."""
-    if abs(x) < _SERIES_CUTOFF:
-        acc, xp = 0.0, 1.0
-        for b in _PHI_COEFFS:
-            xp = xp * x
-            acc += b * xp
-        return 1.0 - acc
-    if x > 0:
-        s = math.sqrt(x)
-        return s * float(np.cos(s)) / float(np.sin(s))
-    s = math.sqrt(-x)
-    return s / float(np.tanh(s))
-
-
-def _phi_inverse_float(y):
-    """phi_inverse's bisection and Newton steps (phi_prime's formulas) on
-    one Python float, bit for bit; returns x and the final bracket."""
-    lo, hi = _PHI_INVERSE_X_MIN, _PHI_INVERSE_X_MAX
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _phi_float(mid) > y else (lo, mid)
-    x = 0.5 * (lo + hi)
-    for _ in range(PHI_INVERSE_NEWTON_STEPS):
-        p = _phi_float(x)
-        slope = (p - p * p - x) / (2.0 * x) if abs(x) >= _SERIES_CUTOFF \
-            else -(1.0 / 3.0) - (2.0 / 45.0) * x - (6.0 / 945.0) * x * x
-        x_new = min(max(x - (p - y) / slope, lo), hi)
-        if x_new == x:  # a fixed point: later steps return it too
-            break
-        x = x_new
-    return x, lo, hi
+# The start table: x geometric in its distance from the pole, hence dense
+# toward both ends of the domain, in ascending phi(x) for np.interp.
+_PHI_TABLE_X = PI_SQUARED - np.geomspace(
+    PI_SQUARED - _PHI_INVERSE_X_MAX, PI_SQUARED - _PHI_INVERSE_X_MIN, 1201)
+_PHI_TABLE_Y = phi(_PHI_TABLE_X)
 
 
 def phi_inverse(y):
     """Solve phi(x) = y for x < pi**2.
 
-    Bracketed bisection (phi is strictly decreasing, so this is
-    unconditionally safe) refined by Newton steps.  The residual
-    |phi(x) - y| is driven below ``PHI_INVERSE_TOL * max(1, |y|)``, or
-    (y below about -3e4) the bracket to 2 ulp of x.  A float is solved on
-    Python floats, bit-equal to the array path.
+    Starts from linear interpolation in a fixed table of (phi(x), x) and
+    takes ``PHI_INVERSE_NEWTON_STEPS`` Newton steps, clipped to the domain.
+    phi is strictly decreasing and concave, so after the first step they
+    approach the root from the right.  A last step moves x one ulp toward
+    the root.  The residual |phi(x) - y| is then below
+    ``PHI_INVERSE_TOL * max(1, |y|)``, or (y below about -3e4, where no
+    double reaches it) the root lies within one ulp of x.
     phi_inverse(1.0) is exactly 0.
     """
     a, scalar = _as_array(y)
@@ -213,30 +176,24 @@ def phi_inverse(y):
             f"phi_inverse argument outside ({PHI_INVERSE_Y_MIN:.3e}, "
             f"{PHI_INVERSE_Y_MAX:.3e})"
         )
-    if scalar:
-        x, lo, hi = map(np.asarray, _phi_inverse_float(float(a)))
-    else:
-        lo = np.full_like(a, _PHI_INVERSE_X_MIN)
-        hi = np.full_like(a, _PHI_INVERSE_X_MAX)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            too_low = phi(mid) > a  # phi decreasing: x right of mid
-            lo = np.where(too_low, mid, lo)
-            hi = np.where(too_low, hi, mid)
-        x = 0.5 * (lo + hi)
-        for _ in range(PHI_INVERSE_NEWTON_STEPS):
-            resid = phi(x) - a
-            step = resid / phi_prime(x)
-            x = np.clip(x - step, lo, hi)
+    x = np.interp(a, _PHI_TABLE_Y, _PHI_TABLE_X)
+    for _ in range(PHI_INVERSE_NEWTON_STEPS):
+        p = phi(x)
+        x = np.clip(x - (p - a) / _phi_prime(x, p),
+                    _PHI_INVERSE_X_MIN, _PHI_INVERSE_X_MAX)
+    # one ulp toward the root: phi(x) > y puts it right of x
+    x = np.nextafter(x, x + np.sign(phi(x) - a))
     resid = np.abs(phi(x) - a)
-    bad = (resid > PHI_INVERSE_TOL * np.maximum(1.0, np.abs(a))) \
-        & (hi - lo > 2.0 * np.spacing(np.abs(x)))
+    bad = resid > PHI_INVERSE_TOL * np.maximum(1.0, np.abs(a))
+    if np.any(bad):  # a residual out of reach: is the root within one ulp?
+        bad &= (phi(np.nextafter(x, -np.inf)) < a) \
+            | (a < phi(np.nextafter(x, np.inf)))
     if np.any(bad):
         worst = int(np.argmax(np.where(bad, resid, -1.0)))
         raise ArithmeticError(
             "phi_inverse did not converge: residual "
             f"{resid.flat[worst]:.3e} at y={a.flat[worst]!r}, "
-            f"bracket=({lo.flat[worst]!r}, {hi.flat[worst]!r})"
+            f"x={x.flat[worst]!r}"
         )
     x = np.where(a == 1.0, 0.0, x)
     return float(x) if scalar else x

@@ -67,9 +67,9 @@ def test_check_deterministic_bytes(sphere_csv, tmp_path):
 # sha256 of the analyze outputs on sphere_csv
 ANALYZE_DIGESTS = {
     "summary.json":
-        "f8468828cb35787c5e4f273df01abcc7768168d351a50a3703388dbdcc8d6de6",
+        "32e542d2f08a81f3796209f113de6210a1b4aea45ff5b34a3adc6ee747a1bc79",
     "plot.csv":
-        "25bc3141d0e5b7bedf394d2fbdb391345049c034cd54673b4df100e5ccd9625d",
+        "9d3be75a59bf35e9f4a0b4b6af97298f2437b37dc724698adc6d39ba0a3831aa",
 }
 
 
@@ -214,14 +214,17 @@ def test_malformed_constants_exit_code(sphere_csv, tmp_path, capsys, text):
     (lambda d: d.update(c_kapa_alpha=d.pop("c_kappa_alpha")),
      ["c_kapa_alpha", "c_kappa_alpha"]),
     (lambda d: d.update(c_rhoest1_lo=1.05), ["c_rhoest1_lo"]),
-    (dict.clear, ["alpha", "c_k_sup", "extras"])],
-    ids=["missing", "misspelled", "retired", "empty"])
+    (dict.clear, ["alpha", "c_k_sup", "extras"]),
+    (lambda d: d.update(version=3), ["version"]),
+    (lambda d: d.update(extras=5), ["extras"])],
+    ids=["missing", "misspelled", "retired", "empty", "version", "extras"])
 def test_constants_file_needs_exactly_its_keys(sphere_csv, tmp_path, capsys,
                                                edit, keys):
     """No default fills a constant the file lacks, and a key no record
     reads is not set aside: the shipped file less one constant, with one
     misspelled or with one that is no longer calibrated is malformed
-    input, as is an empty object, and the message names the keys."""
+    input, as is an empty object, a version that is not a string and
+    extras that are not an object, and the message names the keys."""
     d = json.loads(resources.files("geoprofile").joinpath(
         "data", DEFAULT_RESOURCE).read_text())
     edit(d)

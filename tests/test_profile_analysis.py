@@ -414,21 +414,21 @@ def test_profile_validation_sees_every_node_pair():
 # recorded with the all-pairs pass of metric_condition_quotients
 CHECK_DIGESTS = {
     ("roundtrip", 240):
-        "b2b4ef7a373ed8e77d2b0c5befea1df3c8490c529a32284f7092e8503830c583",
+        "9d05aac447a2607e542429d1875394b53587467eb21ecd0f1ba679b95cb45a4d",
     ("roundtrip", 960):
-        "033415a7e97db38ca1ad4d5bab2cd0cddf4def8d04f1b366d1570157306dce7b",
+        "f9aba5cbd6be04b04e13d91357ad2f1d939f283a053538114f3d941618d0ba67",
     ("bump", 240):
-        "6ccbcd757abb13b7a3a10376a68a194ca96ac77cc8ad48b4c3297e3a69717267",
+        "3fc074ea5b11a781c7ac58b8962d8845bb2db0c1dd5e7ffa4e68ccf39bc6141e",
     ("bump", 960):
-        "5a9067091326d23c9038a0df54651cf7f911a229d47c08821b2dd593f4ed53f5",
+        "7a63c992174420d7dbe3bd6a0d81a3c34b3317208470d704d8e8375522cb8a28",
     ("roundtrip_csv", 240):
-        "45630c3460ea8d9438f7e3e005435788b493a7799b75078047d29435bccaea8d",
+        "4c302251901ea7e1dd5dd78e96f9ba5e39c57e6bbab0e6fd937844f1bfcd9305",
     ("offset", 240):
-        "d8c996eb842fbf86d815b87b575d5dd31dc4d02c06e634071d50ad23da7b0728",
+        "5cc80af0b63ef513fd7215cecb8ec2f78ca5d5962fc2a3313949c4b7dfd93002",
     ("wave", 240):
-        "9d2f35e21326f23e23b5a420a095ca8451adb59fe225b85a295157bf18dd1871",
+        "aace55c47ac6059f8a92750eeab4c71cbe32befd31cefe173186767a4088f806",
     ("bump_beta_alpha", 240):
-        "71a72a5f6f3bd1ee4bbf98babd1f8caa477c62d699dc8a5875dddd3aab37e6b8",
+        "82500658ace7f011b842f524966c698b5d49c1f226e9a1306a71586397a341c4",
 }
 
 # the last three admit and shut out clusters at the gate of every

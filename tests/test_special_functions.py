@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from geoprofile import phi, psi, sin_k, cot_k, phi_inverse, DomainError
+from geoprofile.special_functions import (PHI_INVERSE_TOL, PHI_INVERSE_Y_MIN,
+                                          PHI_INVERSE_Y_MAX)
 
 PI2 = np.pi ** 2
 COTH_1 = np.cosh(1.0) / np.sinh(1.0)   # 1.3130352854993312
@@ -98,9 +100,9 @@ def test_phi_inverse_reports_residual_state():
 
 
 def test_phi_inverse_scalar_path_equals_array_path():
-    """A float is solved on Python floats; the array path is the
-    reference, bit for bit, on both branches, at the series cutoff and
-    in the tail where the residual tolerance is out of reach."""
+    """A float and a one-element array take one path and return the same
+    bits, on both branches, at the series cutoff and in the tail where
+    the residual tolerance is out of reach."""
     cutoff = phi(np.array([1e-4, -1e-4]))
     ys = np.concatenate([
         [1.0, 1.0 + 1e-16, 1.0 - 1e-16, np.nextafter(1.0, 2.0),
@@ -124,3 +126,22 @@ def test_phi_inverse_conditioning_limited_tail():
     ys = -np.geomspace(3e4, 1e9, 60)
     for x, y in zip(phi_inverse(ys), ys):
         assert phi(np.nextafter(x, 0.0)) > y >= phi(np.nextafter(x, PI2))
+
+
+def test_phi_inverse_contract_over_whole_domain():
+    """No call raises, and every result meets the residual tolerance or
+    has its root within one ulp of x: 2e5 arguments, phi of x spread
+    log-uniformly toward both ends of the domain [-1e6, pi^2 - 1e-9],
+    and y spread log-uniformly toward both ends of the image."""
+    ys = np.concatenate([
+        phi(-np.geomspace(1e-12, 1e6, 50000, endpoint=False)),
+        phi(PI2 - np.geomspace(PI2, 1e-9, 50000, endpoint=False)),
+        -np.geomspace(1e-12, -PHI_INVERSE_Y_MIN, 50000, endpoint=False),
+        np.geomspace(1e-12, PHI_INVERSE_Y_MAX, 50000, endpoint=False),
+    ])
+    x = phi_inverse(ys)
+    within_tol = np.abs(phi(x) - ys) <= PHI_INVERSE_TOL * np.maximum(
+        1.0, np.abs(ys))
+    within_ulp = (phi(np.nextafter(x, -np.inf)) >= ys) \
+        & (ys >= phi(np.nextafter(x, np.inf)))
+    assert np.all(within_tol | within_ulp)

@@ -428,6 +428,25 @@ def test_verify_grid_refuses_wrong_curvature(consts, Kg, Kp, passes):
     assert rec.passed == passes, rec.margin
 
 
+@pytest.mark.parametrize("c", [1.0, 0.99, 1.01, 0.95, 1.05])
+def test_only_radius_ratio_envelope_sees_a_cone_apex(consts, c):
+    """G = c r on every ray is a flat cone, which realizes the flat
+    profile exactly: curvature_sup and curvature_holder read 0 and
+    geodesic_residual reads below 1e-6, and only radius_ratio_envelope
+    sees G'(0) = c, at max(c, 1/c) / (1 + 1e-6).  So no other record
+    checks that each ray starts at unit speed."""
+    g = constant_curvature_grid(0.0, 0.065, H=1.0)
+    cone = MetricGrid(g.r_nodes, g.theta_nodes, c * g.G, H=1, validate=False)
+    rep = verify_grid(cone, flat_profile(0.01, (-0.04, 0.04), n=3001), consts)
+    assert [r.name for r in rep.records if not r.passed] \
+        == ([] if c == 1.0 else ["radius_ratio_envelope"])
+    assert rep.record("radius_ratio_envelope").margin \
+        == pytest.approx(max(c, 1 / c) / (1 + 1e-6), rel=1e-8)
+    assert rep.record("curvature_sup").margin == 0
+    assert rep.record("curvature_holder").margin == 0
+    assert rep.record("geodesic_residual").margin < 1e-6
+
+
 def test_fine_bump_checks_synthesizes_and_verifies(consts):
     """The beta = 1 bump at eps = 1e-3, whose curvature's Hölder seminorm
     vanishes with eps: it passes check at budget 240, and the disc
