@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -695,3 +696,65 @@ def test_case_iv_piece_reproduces_end_values(consts):
             assert np.max(np.abs(s.f0[ends])) > 1e-3
             checked += 1
     assert checked == 2
+
+
+# sha256 of the synthesized arrays (little-endian float64 bytes) and of
+# verify_synthesis(..., seed=1).to_json(), per profile and artifact
+SYNTH_DIGESTS = {
+    ("roundtrip0", "G"):
+        "5cd9e9b29d015261d20e14370e3ddcc5fc007c5f81396137bd9dbdb840f36349",
+    ("roundtrip0", "K_grid"):
+        "717b6a0cabab5aa58b44696dd4e84fe9516c300a38364da2f38f1c08ae71e792",
+    ("roundtrip0", "phi"):
+        "7577188943fd750906142ee97dded45ac4f6c1f4c6d7547fa28671293f07d6a2",
+    ("roundtrip0", "nodes_to"):
+        "1ad046329fd4c5809ec82af371db76782ecf509a8aa5aaf4e441b926159af9ab",
+    ("roundtrip0", "verify"):
+        "54644efdd489cb302f94f3d967197336bdb31fc30145ffd16ef1bf562c3de723",
+    ("roundtrip1", "G"):
+        "5cb0d432ba7fe557f4534033e8a0dd6cc4cf3dd796bbdda412283881f2cf2434",
+    ("roundtrip1", "K_grid"):
+        "4d08d2bee3b5c4be72255d4b98e7e184cab3abbb2266ba6a741b9c6c165b500b",
+    ("roundtrip1", "phi"):
+        "6bb31e02b0747d30b1f80736d71ab16c00bb7ca1fd04264ec01e2a9b05226b3a",
+    ("roundtrip1", "nodes_to"):
+        "c970d86f5d132c8c9168b5db0a8898697fd5b5edb7a3fbd5df00824918fd60bf",
+    ("roundtrip1", "verify"):
+        "8f7905fa331e026d602bf22a1267d32e8116948d32b29f3026af71f2b22932e4",
+    ("bump", "G"):
+        "993fdd7d139a59bc6174b8daca422a4c42859f001797ae4afb7db7a75e69b840",
+    ("bump", "K_grid"):
+        "bdbb04e3006c1e2102e69ec218de2deed3ed0f9984a08425bd943a7ce80fcad9",
+    ("bump", "phi"):
+        "5f6e644c6a53b488d0332728642c2e9c099e12cfdcce065f13d05cb336f8c304",
+    ("bump", "nodes_to"):
+        "97d9302cc13734d5aac35f9ca3d318e3e6f3f74350410461d54e9add44da323f",
+    ("bump", "verify"):
+        "5ea9ccc22bf57a03b7d08c3dd0d67bfd580525fdb0b3b17d093f8a03a98eea94",
+}
+
+
+def _synth_profiles():
+    suite = roundtrip_suite(2, seed=1)
+    return {"roundtrip0": suite[0]["profile"],
+            "roundtrip1": suite[1]["profile"],
+            "bump": perturbed_cone_profile(3e-2, 1.0)}
+
+
+def _synth_artifact_digests(p, consts):
+    res = synthesize(p, consts)
+    arrays = {"G": res.metric.G, "K_grid": res.K_grid,
+              "phi": res.gamma.phi, "nodes_to": res.theta_map.nodes_to}
+    out = {name: hashlib.sha256(np.ascontiguousarray(
+        a, dtype="<f8").tobytes()).hexdigest() for name, a in arrays.items()}
+    out["verify"] = hashlib.sha256(verify_synthesis(
+        res, p, consts, seed=1).to_json().encode()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("which", ["roundtrip0", "roundtrip1", "bump"])
+def test_synthesis_bytes_are_pinned(consts, which):
+    """The synthesized grid, its curvature, the curve's angle, the angle
+    map and the verify report, bit for bit."""
+    got = _synth_artifact_digests(_synth_profiles()[which], consts)
+    assert got == {name: SYNTH_DIGESTS[which, name] for name in got}
