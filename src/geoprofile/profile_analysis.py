@@ -57,36 +57,42 @@ def kappa(p, t):
     return float(out) if np.isscalar(t) else out
 
 
-def curve_angle(p, coefficient, theta):
+def curve_samples(p):
+    """What ``curve_angle`` reads of the profile: rho and
+    sqrt(1 - rho'^2) at the 5 Gauss-Legendre points of each interval
+    followed by the nodes, and rho' at the nodes."""
+    t = p.t_nodes
+    s = ((0.5 * (t[1:] + t[:-1]))[:, None]
+         + (0.5 * np.diff(t))[:, None] * _GL_X[None, :]).ravel()
+    rd_s, rd = (np.asarray(p.deriv(u), dtype=float) for u in (s, t))
+    rd_all = np.concatenate([rd_s, rd])
+    speed = np.sqrt(np.clip(1.0 - rd_all * rd_all, 0.0, None))
+    return np.concatenate([p.value(s), p.value(t)]), speed, rd
+
+
+def curve_angle(p, coefficient, theta, samples=None):
     """Unit-speed angle of the curve in the polar form dr^2 + G^2 dtheta^2:
     phi' = sqrt(1 - rho'^2) / G, integrated from the profile minimum.
 
-    G on the curve is ``coefficient(rho, theta)``, read at the nodes and
-    at the 5 Gauss-Legendre points of each interval, where theta is
-    interpolated linearly between the node angles ``theta``.  One sweep
+    G on the curve is one call of ``coefficient(rho, theta)`` at the 5
+    Gauss-Legendre points of each interval and at the nodes, where theta
+    is interpolated linearly between the node angles ``theta``.  One sweep
     integrates per interval and anchors the angle to vanish at
     ``p.argmin_node()``; feeding the result back as ``theta`` solves for
-    a coefficient read at the angle itself.  Returns phi, the integrand
-    phi' and rho' at the nodes.
+    a coefficient read at the angle itself.  ``samples`` are
+    ``curve_samples(p)``, computed here when not given.  Returns phi,
+    the integrand phi' and rho' at the nodes.
     """
-    t = p.t_nodes
-    mid = 0.5 * (t[1:] + t[:-1])
-    half = 0.5 * np.diff(t)
-    s = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    rho, speed, rd = samples or curve_samples(p)
+    half = 0.5 * np.diff(p.t_nodes)
     th_s = (0.5 * (theta[1:] + theta[:-1]))[:, None] \
         + (0.5 * np.diff(theta))[:, None] * _GL_X[None, :]
-
-    def integrand(u, th):
-        rd = np.asarray(p.deriv(u), dtype=float)
-        speed = np.sqrt(np.clip(1.0 - rd * rd, 0.0, None))
-        return speed / coefficient(p.value(u), th), rd
-
-    samples, _ = integrand(s, th_s.ravel())
-    pieces = half * (samples.reshape(-1, _GL_X.size) * _GL_W[None, :]).sum(
-        axis=1)
+    phi_dot = speed / coefficient(rho, np.concatenate([th_s.ravel(), theta]))
+    pieces = half * (phi_dot[:th_s.size].reshape(-1, _GL_X.size)
+                     * _GL_W[None, :]).sum(axis=1)
     cum = np.concatenate(([0.0], np.cumsum(pieces)))
-    phi_dot, rd = integrand(t, theta)
-    return cum - cum[p.argmin_node()], phi_dot, rd
+    # a copy, so that phi' holds no Gauss-Legendre samples alive
+    return cum - cum[p.argmin_node()], phi_dot[th_s.size:].copy(), rd
 
 
 def f0_curve(p, K0):
@@ -113,6 +119,7 @@ class AnalysisSummary:
     alpha: float
     H: float
     K0_clamped: bool = False
+    samples: tuple = None  # curve_samples(p), shared with assemble_metric
 
 
 def _clamped_K0(K0, max_rho):
@@ -140,12 +147,13 @@ def analyze(p, H=1.0, alpha=0.5):
     K0 = kappa(p, t0)
     K0_used, clamped = _clamped_K0(K0, float(np.max(p.rho)))
     t = p.t_nodes
+    samples = curve_samples(p)
     phi0, phi0p, _ = curve_angle(p, lambda r, theta: sin_k(K0_used, r),
-                                 np.zeros_like(t))
+                                 np.zeros_like(t), samples)
     f0 = f0_curve(p, K0_used)
-    return AnalysisSummary(t0=t0, m=m, K0=K0, t_nodes=t,
-                           phi0=phi0, phi0_prime=phi0p, f0=f0,
-                           alpha=alpha, H=H, K0_clamped=clamped)
+    return AnalysisSummary(t0=t0, m=m, K0=K0, t_nodes=t, phi0=phi0,
+                           phi0_prime=phi0p, f0=f0, alpha=alpha, H=H,
+                           K0_clamped=clamped, samples=samples)
 
 
 # -- 12-point configurations --------------------------------------------------

@@ -11,13 +11,14 @@ the curve.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .special_functions import sin_k, cot_k, psi
 from .whitney import (SampledFunction, whitney_extend, extension_bounds,
                       holder_seminorm_pairs, HypothesisViolation)
-from .profile_analysis import analyze, curve_angle
+from .profile_analysis import analyze, curve_angle, curve_samples
 from .geodesy import MetricGrid, GeodesicPath
 from .report import CheckerRecord, CheckerReport
 
@@ -36,9 +37,18 @@ class SynthesisError(RuntimeError):
 
 
 def _smoothstep(x):
-    """C^2 quintic ramp: 0 below 0, 1 above 1."""
-    x = np.clip(x, 0.0, 1.0)
-    return x ** 3 * (10.0 - 15.0 * x + 6.0 * x * x)
+    """C^2 quintic ramp: 0 below 0, 1 above 1.  On an array the quintic is
+    formed on [0, 1) and at NaN only, so a bump weight pays for it on its
+    support and a fade on its ramps."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:  # scalar pow: numpy's array pow differs in the last bit
+        x = np.clip(x, 0.0, 1.0)
+        return x ** 3 * (10.0 - 15.0 * x + 6.0 * x * x)
+    out = (x >= 1.0).astype(float)
+    ramp = ~((x < 0.0) | (x >= 1.0))
+    xr = x[ramp]
+    out[ramp] = xr ** 3 * (10.0 - 15.0 * xr + 6.0 * xr * xr)
+    return out
 
 
 def _smoothstep_prime(x):
@@ -240,14 +250,18 @@ class _PieceField:
         down = 1.0 - _smoothstep((theta - t_hi) / self.fade_hi)
         return up * down
 
-    def term(self, theta, a, b):
-        """fade(theta) * (a + g(theta) * b) for radial factors a and b;
-        ``a`` is None for a piece without a radial part.  One expression
-        per case, so numpy reuses its temporaries on large grids."""
+    def terms(self, theta, pairs):
+        """fade(theta) * (a + g(theta) * b) for each pair (a, b) of radial
+        factors, the theta factors formed once; ``a`` is None for a piece
+        without a radial part.  One expression per case, so numpy reuses
+        its temporaries on large grids."""
         g = np.interp(theta, self.theta_nodes, self.g_nodes)
-        if a is None:
-            return self.fade(theta) * (g * b)
-        return self.fade(theta) * (a + g * b)
+        fade = self.fade(theta)
+        for a, b in pairs:
+            yield fade * (g * b) if a is None else fade * (a + g * b)
+
+    def term(self, theta, a, b):
+        return next(self.terms(theta, [(a, b)]))
 
 
 @dataclass
@@ -317,10 +331,10 @@ class RadialCorrectionField:
     a sum of separable terms fade_p(theta) * (A(r) + g_p(theta) * B(r))
     with B = chi w_k and A = B y_p.  This is the one route by which f is
     evaluated: ``value`` sums the terms with (A, B), the radial
-    derivative with (A', B'), and ``cumulative_radial`` with the 1-D
-    cumulative trapezoids of A and B.  y_p is read only where w_k > 0,
-    and ``value`` forms each term only over the bounding box of that
-    radial support, so a large tensor grid never meets every piece.
+    derivative with (A', B'), and the linear radial trapezoid with the
+    1-D cumulative trapezoids of A and B; y_p is read only where w_k > 0.
+    ``along_curve`` and ``on_grid`` each form in one pass of the terms
+    what ``assemble_metric`` reads on the curve and on the grid.
     """
 
     def __init__(self, fields_by_k, m):
@@ -368,25 +382,14 @@ class RadialCorrectionField:
                 yield piece, on, [(a, b), (a_p, b_p)] if deriv else [(a, b)]
 
     def _sums(self, r, theta, deriv):
-        """The term sums at the broadcast (r, theta), each term over the
-        bounding box of its ``on`` only: f, and with ``deriv`` df/dr."""
+        """f, and with ``deriv`` df/dr, at the broadcast (r, theta)."""
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(r.shape, theta.shape)
-        nd = max(len(shape), 1)
-        r = r.reshape((1,) * (nd - r.ndim) + r.shape)
-        theta = theta.reshape((1,) * (nd - theta.ndim) + theta.shape)
-        sums = [np.zeros(np.broadcast_shapes(r.shape, theta.shape))
-                for _ in range(1 + deriv)]
-        for piece, on, pairs in self._terms(r, deriv):
-            box = tuple(slice(i.min(), i.max() + 1) if n > 1 else slice(None)
-                        for i, n in zip(np.nonzero(on), on.shape))
-            th = theta[tuple(sl if n > 1 else slice(None)
-                             for sl, n in zip(box, theta.shape))]
-            for total, (a, b) in zip(sums, pairs):
-                total[box] += piece.term(th, None if a is None else a[box],
-                                         b[box])
-        return [total.reshape(shape) for total in sums]
+        sums = np.zeros((1 + deriv,) + np.broadcast(r, theta).shape)
+        for piece, _, pairs in self._terms(r, deriv):
+            for total, term in zip(sums, piece.terms(theta, pairs)):
+                total += term
+        return sums
 
     def value(self, r, theta):
         return self._sums(r, theta, deriv=False)[0]
@@ -397,25 +400,50 @@ class RadialCorrectionField:
     def cumulative_radial(self, r_nodes, thetas, cells=None):
         """Cumulative trapezoid of f along the rays at ``thetas`` over the
         increasing ``r_nodes``: the (len(thetas), len(r_nodes)) table, or
-        with ``cells`` only its entry [i, cells[i]] for each row i.
+        with ``cells`` only its entry [i, cells[i]] for each row i."""
+        if cells is None:
+            return self.on_grid(r_nodes, thetas)[2]
+        return self.along_curve(r_nodes, cells, r_nodes[cells], thetas)[0]
 
-        The trapezoid is linear, so it is the sum of the terms with the
-        1-D cumulative trapezoids of A and B as radial factors.
-        """
-        r = np.asarray(r_nodes, dtype=float)
-        thetas = np.asarray(thetas, dtype=float)
-        th = thetas[:, None] if cells is None else thetas
-        dr = np.diff(r)
+    def along_curve(self, r_cells, cells, r, theta):
+        """At the paired (r, theta), whose cells in the increasing
+        ``r_cells`` start at r_cells[cells]: the cumulative trapezoid of f
+        to the cell start, f at the cell start and f at r.  The cell
+        starts' radial factors are gathered from those of r_cells."""
+        n, dr = r_cells.size, np.diff(r_cells)
 
-        def cumulative(v):
-            cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * dr)))
-            return cum if cells is None else cum[cells]
+        def parts(v):
+            return (None,) * 3 if v is None else (
+                _cumulative(v[:n], dr)[cells], v[:n][cells], v[n:])
 
-        out = np.zeros((thetas.size, r.size) if cells is None else thetas.shape)
-        for piece, _, [(a, b)] in self._terms(r):
-            out += piece.term(th, None if a is None else cumulative(a),
-                              cumulative(b))
+        out = np.zeros((3,) + theta.shape)
+        for piece, _, [(a, b)] in self._terms(np.concatenate([r_cells, r])):
+            for total, term in zip(out, piece.terms(
+                    theta, zip(parts(a), parts(b)))):
+                total += term
         return out
+
+    def on_grid(self, r_nodes, thetas):
+        """f, df/dr and the cumulative radial trapezoid of f on the
+        (thetas, r_nodes) tensor grid, f and df/dr formed over the radial
+        span of each term's support only."""
+        dr = np.diff(r_nodes)
+        out = np.zeros((3, thetas.size, r_nodes.size))
+        for piece, on, pairs in self._terms(r_nodes, deriv=True):
+            idx = np.flatnonzero(on)
+            cuts = [slice(idx[0], idx[-1] + 1)] * 2 + [slice(None)]
+            pairs.append([None if v is None else _cumulative(v, dr)
+                          for v in pairs[0]])
+            for total, sl, term in zip(out, cuts, piece.terms(
+                    thetas[:, None], [(None if a is None else a[sl], b[sl])
+                                      for sl, (a, b) in zip(cuts, pairs)])):
+                total[:, sl] += term
+        return out
+
+
+def _cumulative(v, dr):
+    """Cumulative trapezoid of the samples v over the spacings dr."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * dr)))
 
 
 def glue_f(fields_by_k, decomp):
@@ -459,15 +487,19 @@ class SynthesisResult:
     decomposition: AnnulusDecomposition
 
 
+@lru_cache(maxsize=64)
+def _octave(k):
+    """The geometric radial nodes of [2^k, 2^(k+1)), read-only."""
+    band = np.geomspace(2.0 ** k, 2.0 ** (k + 1), R_NODES_PER_OCTAVE,
+                        endpoint=False)
+    band.flags.writeable = False
+    return band
+
+
 def _dyadic_r_nodes(r_min, r_max):
     k_bot = int(np.floor(np.log2(r_min)))
     k_top = int(np.ceil(np.log2(r_max)))
-    nodes = []
-    for k in range(k_bot, k_top + 1):
-        band = np.geomspace(2.0 ** k, 2.0 ** (k + 1), R_NODES_PER_OCTAVE,
-                            endpoint=False)
-        nodes.append(band)
-    r = np.concatenate(nodes)
+    r = np.concatenate([_octave(k) for k in range(k_bot, k_top + 1)])
     r = r[(r >= r_min) & (r <= r_max)]
     r = np.unique(np.concatenate([[r_min], r, [r_max]]))
     return r
@@ -488,18 +520,18 @@ def assemble_metric(p, s, decomp, correction):
     r_min = 1e-4 * R
 
     # reference coefficient along the curve: radial integrals at phi0
-    r_sub = _dyadic_r_nodes(r_min, rho_max)
+    r_nodes = _dyadic_r_nodes(r_min, R)
+    r_sub = np.append(r_nodes[r_nodes < rho_max], rho_max)
 
     def reference_coefficient(r, theta):
         idx = np.clip(np.searchsorted(r_sub, r, side="right") - 1,
                       0, len(r_sub) - 2)
-        base = correction.cumulative_radial(r_sub, theta, cells=idx)
-        f_lo = correction.value(r_sub[idx], theta)
-        f_at = correction.value(r, theta)
+        base, f_lo, f_at = correction.along_curve(r_sub, idx, r, theta)
         integral = base + 0.5 * (f_lo + f_at) * (r - r_sub[idx])
         return sin_k(K0, r) * np.exp(integral)
 
-    phi, phi_dot, rd = curve_angle(p, reference_coefficient, s.phi0)
+    phi, phi_dot, rd = curve_angle(p, reference_coefficient, s.phi0,
+                                   s.samples)
 
     if np.any(np.diff(phi) <= 0):
         bad = int(np.argmax(np.diff(phi) <= 0))
@@ -534,10 +566,7 @@ def assemble_metric(p, s, decomp, correction):
     theta_nodes = -np.pi + 2 * np.pi * np.arange(n_theta) / n_theta
     theta_back = tmap.inverse(theta_nodes)
 
-    r_nodes = _dyadic_r_nodes(r_min, R)
-    F_grid, dF_grid = correction.value_and_deriv(r_nodes[None, :],
-                                                 theta_back[:, None])
-    cum_grid = correction.cumulative_radial(r_nodes, theta_back)
+    F_grid, dF_grid, cum_grid = correction.on_grid(r_nodes, theta_back)
     sinr = sin_k(K0, r_nodes)[None, :]
     cotr = cot_k(K0, r_nodes)[None, :]
     G = sinr * np.exp(cum_grid)
@@ -674,11 +703,13 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, seed=0):
     """
     t = p.t_nodes
     phi = np.zeros_like(t)
+    samples = curve_samples(p)
     for _ in range(5):
         prev = phi
-        phi, _, rd = curve_angle(p, grid.value, phi)
+        phi, _, rd = curve_angle(p, grid.value, phi, samples)
         if np.array_equal(phi, prev):
             break
+    del samples  # freed before the grid records, where verify peaks
     rng = np.random.default_rng(seed)
     alpha = consts.alpha
     H = consts.H

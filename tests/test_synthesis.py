@@ -758,3 +758,129 @@ def test_synthesis_bytes_are_pinned(consts, which):
     map and the verify report, bit for bit."""
     got = _synth_artifact_digests(_synth_profiles()[which], consts)
     assert got == {name: SYNTH_DIGESTS[which, name] for name in got}
+
+
+def test_synthesis_leaves_no_state_between_profiles(consts):
+    """A, then B, then A again: A's bytes are the same both times, so
+    nothing one synthesis leaves behind (the radial band table) moves the
+    next.  Neither synthesize nor verify_synthesis writes into the
+    profile."""
+    profiles = _synth_profiles()
+    a, b = profiles["roundtrip0"], profiles["bump"]
+    before = dict(a.__dict__)
+    first = _synth_artifact_digests(a, consts)
+    _synth_artifact_digests(b, consts)
+    assert _synth_artifact_digests(a, consts) == first
+    assert a.__dict__.keys() == before.keys()
+    assert all(a.__dict__[key] is value for key, value in before.items())
+
+
+def _full_smoothstep(x):
+    x = np.clip(x, 0.0, 1.0)
+    return x ** 3 * (10.0 - 15.0 * x + 6.0 * x * x)
+
+
+def _same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_support_restricted_bump_and_ramp_fade_equal_full_formulas():
+    """bump_weight forms its quintics only on its support and fade only on
+    its ramps; both equal the formulas on the clipped argument bit for
+    bit, on arrays and floats, at the ramp ends, at +-pi, at +-0 and at
+    NaN."""
+    ends = np.array([-1.0, -0.0, 0.0, 1.0])
+    x = np.concatenate([np.linspace(-2.5, 2.5, 1001), ends,
+                        np.nextafter(ends, -np.inf),
+                        np.nextafter(ends, np.inf), [np.nan, -np.inf, np.inf]])
+    _same_bits(bump_weight(x), _full_smoothstep(x + 1.0) - _full_smoothstep(x))
+    for xi in x:
+        _same_bits(bump_weight(float(xi)),
+                   _full_smoothstep(float(xi) + 1.0)
+                   - _full_smoothstep(float(xi)))
+    for pc in (_PieceField(np.linspace(-0.4, 0.9, 30), np.ones(30)),
+               _PieceField(np.linspace(-3.1, 3.05, 30), np.ones(30)),
+               _PieceField(np.array([0.2, 0.2 + 1e-12]), np.ones(2))):
+        t_lo, t_hi = pc.theta_nodes[0], pc.theta_nodes[-1]
+        ramp_ends = np.array([t_lo - pc.fade_lo, t_lo, t_hi,
+                              t_hi + pc.fade_hi, -np.pi, np.pi])
+        theta = np.concatenate([
+            np.linspace(-np.pi, np.pi, 2001), ramp_ends,
+            np.nextafter(ramp_ends, -np.inf), np.nextafter(ramp_ends, np.inf),
+            [np.nan]])
+
+        def full_fade(th):
+            return _full_smoothstep((th - (t_lo - pc.fade_lo)) / pc.fade_lo) \
+                * (1.0 - _full_smoothstep((th - t_hi) / pc.fade_hi))
+
+        _same_bits(pc.fade(theta), full_fade(theta))
+        _same_bits(pc.fade(theta[:, None]), full_fade(theta[:, None]))
+        for th in theta:
+            _same_bits(pc.fade(float(th)), full_fade(float(th)))
+
+
+def _curve_fields(consts):
+    """(field, r_cells, r, theta) with curve-like paired points: the hand
+    built field (three pieces per annulus, two with a Whitney radial part,
+    capped fades) and the deep flat profile's glued field (case I, III and
+    IV pieces, split annuli) read on its own curve."""
+    rng = np.random.default_rng(7)
+    field = _hand_built_field()
+    r = np.exp(rng.uniform(np.log(field.m), np.log(0.55), 3000))
+    yield (field, _dyadic_r_nodes(1e-4, 0.55), r,
+           rng.uniform(-np.pi, np.pi, 3000))
+    p = flat_profile(0.002, (-0.0399, 0.0399), n=4001)
+    s = analyze(p, H=consts.H, alpha=consts.alpha)
+    d = decompose_annuli(p, s)
+    assert any(len(plist) == 2 for plist in d.pieces.values())
+    assert any(pc.net for pc in d.all_pieces())
+    field = glue_f({k: extend_fk(k, d, p, s) for k in d.pieces}, d)
+    yield field, _dyadic_r_nodes(4.2e-6, float(np.max(p.rho))), p.rho, s.phi0
+
+
+def test_along_curve_pass_equals_separate_evaluations(consts):
+    """One along_curve pass gives the cell integral, the value at the cell
+    start and the value at r that cumulative_radial with cells and value
+    at the cell starts and at r give separately, bit for bit; the cell
+    integral is also the entry of on_grid's table."""
+    for field, r_cells, r, theta in _curve_fields(consts):
+        cells = np.clip(np.searchsorted(r_cells, r, side="right") - 1,
+                        0, r_cells.size - 2)
+        base, f_lo, f_at = field.along_curve(r_cells, cells, r, theta)
+        assert np.max(np.abs(f_at)) > 0.0
+        assert np.array_equal(base, field.cumulative_radial(r_cells, theta,
+                                                            cells=cells))
+        assert np.array_equal(f_lo, field.value(r_cells[cells], theta))
+        assert np.array_equal(f_at, field.value(r, theta))
+        table = field.on_grid(r_cells, theta[:400])[2]
+        assert np.array_equal(base[:400], table[np.arange(400), cells[:400]])
+
+
+@pytest.mark.parametrize("which", ["hand_built", "flat_glued"])
+def test_grid_pass_equals_separate_evaluations(consts, which):
+    """One on_grid pass gives the value and radial derivative that
+    value_and_deriv gives on the tensor grid and the table that the
+    cumulative trapezoid of each term gives, bit for bit."""
+    if which == "hand_built":
+        field = _hand_built_field()
+        r_nodes = _dyadic_r_nodes(1e-4, 0.6)
+    else:
+        field, _ = _flat_glued_field(consts)
+        r_nodes = _dyadic_r_nodes(4.2e-6, 0.042)
+    thetas = -np.pi + 2 * np.pi * np.arange(128) / 128
+    F, dF, cum = field.on_grid(r_nodes, thetas)
+    value, deriv = field.value_and_deriv(r_nodes[None, :], thetas[:, None])
+    assert np.max(np.abs(dF)) > 0.0
+    assert np.array_equal(F, value) and np.array_equal(dF, deriv)
+    dr = np.diff(r_nodes)
+    ref = np.zeros_like(cum)
+    for piece, _, [(a, b)] in field._terms(r_nodes):
+        ref += piece.term(
+            thetas[:, None],
+            None if a is None else np.concatenate(
+                ([0.0], np.cumsum(0.5 * (a[1:] + a[:-1]) * dr))),
+            np.concatenate(([0.0], np.cumsum(0.5 * (b[1:] + b[:-1]) * dr))))
+    assert np.array_equal(cum, ref)
+    assert np.array_equal(cum, field.cumulative_radial(r_nodes, thetas))
