@@ -119,7 +119,7 @@ class AnalysisSummary:
     alpha: float
     H: float
     K0_clamped: bool = False
-    samples: tuple = None  # curve_samples(p), shared with assemble_metric
+    samples: tuple = None  # curve_samples(p), for assemble_metric only
 
 
 def _clamped_K0(K0, max_rho):

@@ -10,8 +10,7 @@ curvature bounds by finite differences and the geodesic equation along
 the curve.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -260,9 +259,6 @@ class _PieceField:
         for a, b in pairs:
             yield fade * (g * b) if a is None else fade * (a + g * b)
 
-    def term(self, theta, a, b):
-        return next(self.terms(theta, [(a, b)]))
-
 
 @dataclass
 class AnnulusField:
@@ -397,14 +393,6 @@ class RadialCorrectionField:
     def value_and_deriv(self, r, theta):
         return tuple(self._sums(r, theta, deriv=True))
 
-    def cumulative_radial(self, r_nodes, thetas, cells=None):
-        """Cumulative trapezoid of f along the rays at ``thetas`` over the
-        increasing ``r_nodes``: the (len(thetas), len(r_nodes)) table, or
-        with ``cells`` only its entry [i, cells[i]] for each row i."""
-        if cells is None:
-            return self.on_grid(r_nodes, thetas)[2]
-        return self.along_curve(r_nodes, cells, r_nodes[cells], thetas)[0]
-
     def along_curve(self, r_cells, cells, r, theta):
         """At the paired (r, theta), whose cells in the increasing
         ``r_cells`` start at r_cells[cells]: the cumulative trapezoid of f
@@ -487,19 +475,12 @@ class SynthesisResult:
     decomposition: AnnulusDecomposition
 
 
-@lru_cache(maxsize=64)
-def _octave(k):
-    """The geometric radial nodes of [2^k, 2^(k+1)), read-only."""
-    band = np.geomspace(2.0 ** k, 2.0 ** (k + 1), R_NODES_PER_OCTAVE,
-                        endpoint=False)
-    band.flags.writeable = False
-    return band
-
-
 def _dyadic_r_nodes(r_min, r_max):
     k_bot = int(np.floor(np.log2(r_min)))
     k_top = int(np.ceil(np.log2(r_max)))
-    r = np.concatenate([_octave(k) for k in range(k_bot, k_top + 1)])
+    r = np.concatenate([np.geomspace(2.0 ** k, 2.0 ** (k + 1),
+                                     R_NODES_PER_OCTAVE, endpoint=False)
+                        for k in range(k_bot, k_top + 1)])
     r = r[(r >= r_min) & (r <= r_max)]
     r = np.unique(np.concatenate([[r_min], r, [r_max]]))
     return r
@@ -580,8 +561,10 @@ def assemble_metric(p, s, decomp, correction):
     gamma = GeodesicPath(t_nodes=t, rho=rho, phi=phi, rho_dot=rd,
                          phi_dot=phi_dot, rho_ddot=rdd,
                          unit_speed_residual=0.0)
+    # the curve samples are spent: the result does not keep them alive
     return SynthesisResult(metric=metric, gamma=gamma, theta_map=tmap,
-                           K_grid=K_grid, correction=correction, summary=s,
+                           K_grid=K_grid, correction=correction,
+                           summary=replace(s, samples=None),
                            decomposition=decomp)
 
 

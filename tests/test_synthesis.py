@@ -302,9 +302,10 @@ def test_piece_seminorm_budgets(consts):
         th = np.linspace(-np.pi * 0.98, np.pi * 0.98, 48)
         R, TH = np.meshgrid(r, th, indexing="ij")
         # f_k = sum_p fade_p (g_p + y_p) and its r-derivative
-        V = sum(pc.term(TH, None if pc.radial is None else pc.radial(R),
-                        np.ones_like(R)) for pc in fld.pieces).ravel()
-        D = sum((pc.term(TH, pc.radial.deriv(R), np.zeros_like(R))
+        V = sum(next(pc.terms(TH, [(None if pc.radial is None
+                                    else pc.radial(R), np.ones_like(R))]))
+                for pc in fld.pieces).ravel()
+        D = sum((next(pc.terms(TH, [(pc.radial.deriv(R), np.zeros_like(R))]))
                  for pc in fld.pieces if pc.radial is not None),
                 np.zeros_like(R)).ravel()
         pts = np.column_stack([(R * np.cos(TH)).ravel(),
@@ -560,7 +561,7 @@ def test_separable_radial_integral_matches_dense(consts, which):
     thetas = np.concatenate(
         [curve_thetas, -np.pi + 2 * np.pi * np.arange(64) / 64])
     dense = _dense_cumulative_radial(field, r_nodes, thetas)
-    table = field.cumulative_radial(r_nodes, thetas)
+    table = field.on_grid(r_nodes, thetas)[2]
     assert table.shape == dense.shape
     assert np.all(np.isfinite(table))
     scale = np.max(np.abs(dense))
@@ -568,7 +569,7 @@ def test_separable_radial_integral_matches_dense(consts, which):
     assert np.max(np.abs(table - dense)) <= 1e-12 * scale
     cells = np.random.default_rng(4).integers(0, r_nodes.size, thetas.size)
     cells[:3] = [0, r_nodes.size - 1, r_nodes.size - 2]
-    gathered = field.cumulative_radial(r_nodes, thetas, cells=cells)
+    gathered = field.along_curve(r_nodes, cells, r_nodes[cells], thetas)[0]
     assert np.all(gathered == table[np.arange(thetas.size), cells])
 
 
@@ -691,7 +692,7 @@ def test_case_iv_piece_reproduces_end_values(consts):
             ends = list(piece.node_slice)
             assert sorted(piece.net) == ends and pc.radial is not None
             rho, theta = p.rho[ends], s.phi0[ends]
-            got = pc.term(theta, pc.radial(rho), np.ones(2))
+            got = next(pc.terms(theta, [(pc.radial(rho), np.ones(2))]))
             assert np.max(np.abs(got - s.f0[ends])) <= 1e-12
             assert np.max(np.abs(s.f0[ends])) > 1e-3
             checked += 1
@@ -762,9 +763,9 @@ def test_synthesis_bytes_are_pinned(consts, which):
 
 def test_synthesis_leaves_no_state_between_profiles(consts):
     """A, then B, then A again: A's bytes are the same both times, so
-    nothing one synthesis leaves behind (the radial band table) moves the
-    next.  Neither synthesize nor verify_synthesis writes into the
-    profile."""
+    nothing one synthesis leaves behind moves the next.  Neither
+    synthesize nor verify_synthesis writes into the profile, and the
+    result keeps no curve samples."""
     profiles = _synth_profiles()
     a, b = profiles["roundtrip0"], profiles["bump"]
     before = dict(a.__dict__)
@@ -773,6 +774,7 @@ def test_synthesis_leaves_no_state_between_profiles(consts):
     assert _synth_artifact_digests(a, consts) == first
     assert a.__dict__.keys() == before.keys()
     assert all(a.__dict__[key] is value for key, value in before.items())
+    assert synthesize(a, consts).summary.samples is None
 
 
 def _full_smoothstep(x):
@@ -841,21 +843,20 @@ def _curve_fields(consts):
 
 
 def test_along_curve_pass_equals_separate_evaluations(consts):
-    """One along_curve pass gives the cell integral, the value at the cell
-    start and the value at r that cumulative_radial with cells and value
-    at the cell starts and at r give separately, bit for bit; the cell
-    integral is also the entry of on_grid's table."""
+    """One along_curve pass gives the value at the cell start and the
+    value at r that value gives separately, and the cell integral that
+    on_grid's table holds at the cell, bit for bit."""
     for field, r_cells, r, theta in _curve_fields(consts):
         cells = np.clip(np.searchsorted(r_cells, r, side="right") - 1,
                         0, r_cells.size - 2)
         base, f_lo, f_at = field.along_curve(r_cells, cells, r, theta)
         assert np.max(np.abs(f_at)) > 0.0
-        assert np.array_equal(base, field.cumulative_radial(r_cells, theta,
-                                                            cells=cells))
         assert np.array_equal(f_lo, field.value(r_cells[cells], theta))
         assert np.array_equal(f_at, field.value(r, theta))
-        table = field.on_grid(r_cells, theta[:400])[2]
-        assert np.array_equal(base[:400], table[np.arange(400), cells[:400]])
+        for lo in range(0, theta.size, 500):
+            rows = np.arange(lo, min(lo + 500, theta.size))
+            table = field.on_grid(r_cells, theta[rows])[2]
+            assert np.array_equal(base[rows], table[rows - lo, cells[rows]])
 
 
 @pytest.mark.parametrize("which", ["hand_built", "flat_glued"])
@@ -877,10 +878,8 @@ def test_grid_pass_equals_separate_evaluations(consts, which):
     dr = np.diff(r_nodes)
     ref = np.zeros_like(cum)
     for piece, _, [(a, b)] in field._terms(r_nodes):
-        ref += piece.term(
-            thetas[:, None],
+        ref += next(piece.terms(thetas[:, None], [(
             None if a is None else np.concatenate(
                 ([0.0], np.cumsum(0.5 * (a[1:] + a[:-1]) * dr))),
-            np.concatenate(([0.0], np.cumsum(0.5 * (b[1:] + b[:-1]) * dr))))
+            np.concatenate(([0.0], np.cumsum(0.5 * (b[1:] + b[:-1]) * dr))))]))
     assert np.array_equal(cum, ref)
-    assert np.array_equal(cum, field.cumulative_radial(r_nodes, thetas))
