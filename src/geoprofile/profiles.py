@@ -42,6 +42,10 @@ class DistanceProfile:
         if self._carried:
             rho_dot = np.asarray(rho_dot, dtype=float)
             rho_ddot = np.asarray(rho_ddot, dtype=float)
+            for name, d in (("rho'", rho_dot), ("rho''", rho_ddot)):
+                if d.shape != t.shape or not np.all(np.isfinite(d)):
+                    raise ProfileError(f"carried {name} must be finite "
+                                       "and shaped like t_nodes")
         self.t_nodes = t
         self.rho = r
         self._rho_fn = rho_fn
@@ -90,9 +94,8 @@ class DistanceProfile:
         """
         if self._spline is None:
             if self._carried:
-                self._spline = BPoly.from_derivatives(
-                    self.t_nodes, np.column_stack(
-                        [self.rho, self._rho_dot, self._rho_ddot]))
+                self._spline = _quintic_hermite(
+                    self.t_nodes, self.rho, self._rho_dot, self._rho_ddot)
             else:
                 self._spline = make_interp_spline(self.t_nodes, self.rho,
                                                   k=5)
@@ -160,6 +163,24 @@ class DistanceProfile:
 
     def __len__(self):
         return self.t_nodes.size
+
+
+def _quintic_hermite(t, rho, rho_dot, rho_ddot):
+    """The quintic Hermite interpolant of rho, rho' and rho'' at the nodes
+    t, in the Bernstein basis: the coefficients of
+    ``BPoly.from_derivatives(t, column_stack([rho, rho_dot, rho_ddot]))``
+    bit for bit, by the same float operations in the same order, on all
+    intervals at once.  scipy squares each width by the scalar libm pow,
+    and so does float_power; the array square (h ** 2 or h * h) differs
+    from it in the last bit on about one width in 1200."""
+    h = np.diff(t)
+    h2 = np.float_power(h, 2)
+    c0, c5 = rho[:-1], rho[1:]
+    c1 = rho_dot[:-1] / 5.0 * h + c0
+    c2 = rho_ddot[:-1] / 20.0 * h2 - c0 + 2.0 * c1
+    c4 = -(rho_dot[1:] / 5.0) * h + c5
+    c3 = rho_ddot[1:] / 20.0 * h2 + 2.0 * c4 - c5
+    return BPoly(np.array([c0, c1, c2, c3, c4, c5]), t)
 
 
 def metric_condition_quotients(t, rho, min_dt):

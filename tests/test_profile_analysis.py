@@ -1,15 +1,18 @@
 import functools
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.interpolate import BPoly
 
 from geoprofile import (kappa, curve_angle, f0_curve, analyze, phi_inverse,
                         sin_k, twelve_point_configurations,
                         finiteness_check)
 from geoprofile.profile_analysis import C_KAPPA
 from geoprofile.profiles import (DistanceProfile, ProfileError,
+                                 _quintic_hermite,
                                  metric_condition_quotients,
                                  read_profile_csv, write_profile_csv)
 from geoprofile.surfaces import (flat_profile, spherical_profile,
@@ -460,6 +463,20 @@ def test_check_report_bytes_are_pinned(consts, which, budget, tmp_path):
             == CHECK_DIGESTS[which, budget])
 
 
+def test_carried_spline_has_one_construction_route(consts, monkeypatch):
+    """The carried profile's spline is built without
+    BPoly.from_derivatives and still gives the pinned report bytes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("BPoly.from_derivatives was called")
+
+    monkeypatch.setattr(BPoly, "from_derivatives", refuse)
+    p = PINNED_PROFILES["wave"]()
+    configs = twelve_point_configurations(p.interval, 240, seed=0)
+    text = finiteness_check(p, consts, configs).to_json()
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == CHECK_DIGESTS["wave", 240])
+
+
 def test_checker_memory_is_linear(consts):
     """Budget 240 on a 3001-node profile: 3280 points, whose dense pair
     matrices peaked at about 420 MB."""
@@ -547,3 +564,68 @@ def test_carried_derivatives_come_in_pairs():
         DistanceProfile(t, rho, rho_dot=t / rho)
     with pytest.raises(ProfileError, match="both rho' and rho''"):
         DistanceProfile(t, rho, rho_ddot=0.01 ** 2 / rho ** 3)
+
+
+@pytest.mark.parametrize("which", ["rho_dot", "rho_ddot"])
+@pytest.mark.parametrize("bad", ["short", "long", "two", "0-d", "nan", "inf"])
+def test_malformed_carried_arrays_are_refused(which, bad):
+    """A carried array shaped unlike t_nodes, or holding a non-finite
+    value, is refused at construction, not at the first evaluation."""
+    t = np.linspace(-0.1, 0.1, 51)
+    rho = np.sqrt(0.01 ** 2 + t ** 2)
+    arrays = {"rho_dot": t / rho, "rho_ddot": 0.01 ** 2 / rho ** 3}
+    d = arrays[which]
+    arrays[which] = {"short": d[:-1], "long": np.append(d, d[-1]),
+                     "two": d[:2], "0-d": np.asarray(d[0]),
+                     "nan": np.where(t == t[7], np.nan, d),
+                     "inf": np.where(t == t[7], np.inf, d)}[bad]
+    with pytest.raises(ProfileError, match="finite and shaped like t_nodes"):
+        DistanceProfile(t, rho, **arrays)
+
+
+def assert_same_hermite(t, rho, rho_dot, rho_ddot):
+    """_quintic_hermite equals BPoly.from_derivatives in coefficients,
+    breakpoints, extrapolation, and in value, rho' and rho'' at 15,001
+    points reaching past both ends."""
+    got = _quintic_hermite(t, rho, rho_dot, rho_ddot)
+    want = BPoly.from_derivatives(
+        t, np.column_stack([rho, rho_dot, rho_ddot]))
+    assert np.array_equal(got.c, want.c)
+    assert np.array_equal(got.x, want.x)
+    assert got.extrapolate == want.extrapolate
+    pad = 0.05 * (t[-1] - t[0])
+    ts = np.linspace(t[0] - pad, t[-1] + pad, 15001)
+    for nu in range(3):
+        assert np.array_equal(got(ts, nu), want(ts, nu)), nu
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_quintic_hermite_is_from_derivatives_on_checker_profiles(k):
+    """The 12 grid-generated profiles of the checker benchmark."""
+    p = checker_bench_profiles()[k]
+    assert_same_hermite(p.t_nodes, p.rho, p._rho_dot, p._rho_ddot)
+
+
+def test_quintic_hermite_is_from_derivatives_on_variable_curvature(
+        variable_curvature_profile):
+    p = variable_curvature_profile
+    assert_same_hermite(p.t_nodes, p.rho, p._rho_dot, p._rho_ddot)
+
+
+def test_quintic_hermite_is_from_derivatives_on_random_nodes():
+    """200 node sets with widths over 1e-8 ... 1e2 and magnitudes over
+    1e-5 ... 1e5; among the widths are some whose square h * h differs
+    from libm's pow(h, 2), where scipy's scalar power takes the latter."""
+    rng = np.random.default_rng(20261019)
+    squares_differ = 0
+    for _ in range(200):
+        n = int(rng.integers(6, 80))
+        t = rng.uniform(-1.0, 1.0) + np.concatenate(
+            [[0.0], np.cumsum(10.0 ** rng.uniform(-8.0, 2.0, n - 1))])
+        h = np.diff(t)
+        squares_differ += sum(x * x != math.pow(x, 2) for x in h)
+        rho, rho_dot, rho_ddot = (
+            rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+            for _ in range(3))
+        assert_same_hermite(t, np.abs(rho), rho_dot, rho_ddot)
+    assert squares_differ > 0
