@@ -87,7 +87,9 @@ class MetricGrid:
     ``G`` has one row per theta node (theta in [-pi, pi), periodic) and
     one column per r node.  Its arrays are all the grid holds: dG_dr
     comes from the per-ray cubic splines of G, so a grid read back from
-    its JSON interpolates exactly as the grid that was saved.
+    its JSON interpolates exactly as the grid that was saved.  A grid
+    with fewer than 2 nodes on either axis, or whose ``H`` is not a
+    finite number > 0, is refused with ``ValueError``, validated or not.
     """
 
     def __init__(self, r_nodes, theta_nodes, G, H=1.0, alpha=0.5,
@@ -100,6 +102,11 @@ class MetricGrid:
         n_t, n_r = self.G.shape
         if self.r_nodes.shape != (n_r,) or self.theta_nodes.shape != (n_t,):
             raise ValueError("grid shapes inconsistent")
+        if n_r < 2 or n_t < 2:
+            raise ValueError("a grid needs at least 2 r nodes and 2 theta "
+                             f"nodes, got {n_r} and {n_t}")
+        if not (math.isfinite(self.H) and self.H > 0):
+            raise ValueError(f"H must be a finite number > 0, got {self.H}")
         if np.any(np.diff(self.r_nodes) <= 0) or self.r_nodes[0] <= 0:
             raise ValueError("r_nodes must be positive and increasing")
         dth = np.diff(self.theta_nodes)

@@ -34,12 +34,13 @@ def _as_array(x):
 def phi(x):
     """sqrt(x)*cot(sqrt(x)), continued analytically through x = 0.
 
-    Defined for x < pi**2; phi(0) = 1, strictly decreasing.
+    Defined for x < pi**2; phi(0) = 1, strictly decreasing.  NaN maps
+    to NaN.
     """
     a, scalar = _as_array(x)
     if np.any(a >= PI_SQUARED):
         raise DomainError(f"phi requires x < pi^2, got max {a.max()}")
-    out = np.empty_like(a)
+    out = np.full_like(a, np.nan)
     small = np.abs(a) < _SERIES_CUTOFF
     if np.any(small):
         xs = a[small]
@@ -65,11 +66,12 @@ def psi(x):
     """sin(sqrt(x))/sqrt(x), continued analytically through x = 0.
 
     Defined for x < pi**2; psi(0) = 1, strictly decreasing and positive.
+    NaN maps to NaN.
     """
     a, scalar = _as_array(x)
     if np.any(a >= PI_SQUARED):
         raise DomainError(f"psi requires x < pi^2, got max {a.max()}")
-    out = np.empty_like(a)
+    out = np.full_like(a, np.nan)
     small = np.abs(a) < _SERIES_CUTOFF
     if np.any(small):
         xs = a[small]

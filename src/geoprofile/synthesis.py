@@ -260,12 +260,6 @@ class _PieceField:
             yield fade * (g * b) if a is None else fade * (a + g * b)
 
 
-@dataclass
-class AnnulusField:
-    k: int
-    pieces: list           # _PieceField
-
-
 def extend_fk(k, decomp, p, s):
     """Extension of f0 to the annulus at scale k, honoring the case tag.
 
@@ -275,6 +269,7 @@ def extend_fk(k, decomp, p, s):
     T1 and T2 come from ``extension_bounds``, the same pairs and triples
     ``whitney_extend`` checks, so only non-finite net data is refused.
     On the two-node net of case IV the extension is the secant line.
+    Returns f_k as its list of ``_PieceField``, one per piece.
     """
     plist = decomp.pieces.get(k)
     if not plist:
@@ -309,7 +304,7 @@ def extend_fk(k, decomp, p, s):
             g_nodes = g_nodes - radial(rho_nodes)
         pieces.append(_PieceField(th_nodes, g_nodes, radial,
                                   fade_lo=cap_lo, fade_hi=cap_hi))
-    return AnnulusField(k=k, pieces=pieces)
+    return pieces
 
 
 # -- gluing ---------------------------------------------------------------------
@@ -325,12 +320,12 @@ class RadialCorrectionField:
 
     Each piece p of f_k is fade_p(theta) * (g_p(theta) + y_p(r)), so f is
     a sum of separable terms fade_p(theta) * (A(r) + g_p(theta) * B(r))
-    with B = chi w_k and A = B y_p.  This is the one route by which f is
-    evaluated: ``value`` sums the terms with (A, B), the radial
-    derivative with (A', B'), and the linear radial trapezoid with the
-    1-D cumulative trapezoids of A and B; y_p is read only where w_k > 0.
-    ``along_curve`` and ``on_grid`` each form in one pass of the terms
-    what ``assemble_metric`` reads on the curve and on the grid.
+    with B = chi w_k and A = B y_p, y_p read only where w_k > 0.  f is
+    read through two passes of these terms alone: ``along_curve`` at
+    paired (r, theta) points and ``on_grid`` on a (theta, r) tensor grid.
+    Each sums the terms with (A, B) for f, ``on_grid`` with (A', B') for
+    df/dr, and both with the 1-D cumulative trapezoids of A and B for the
+    linear radial trapezoid of f.  ``fields`` maps k to the pieces of f_k.
     """
 
     def __init__(self, fields_by_k, m):
@@ -365,7 +360,7 @@ class RadialCorrectionField:
                 w_p = np.zeros(r.shape)
                 w_p[on] = bump_weight_prime(x[on] - k) / (r[on] * LN2)
                 b_p = np.where(on, chi_p * w + chi * w_p, 0.0)
-            for piece in self.fields[k].pieces:
+            for piece in self.fields[k]:
                 a = a_p = None
                 if piece.radial is not None:
                     y = np.zeros(r.shape)
@@ -376,22 +371,6 @@ class RadialCorrectionField:
                         y_p[on] = piece.radial.deriv(r[on])
                         a_p = b_p * y + b * y_p
                 yield piece, on, [(a, b), (a_p, b_p)] if deriv else [(a, b)]
-
-    def _sums(self, r, theta, deriv):
-        """f, and with ``deriv`` df/dr, at the broadcast (r, theta)."""
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        sums = np.zeros((1 + deriv,) + np.broadcast(r, theta).shape)
-        for piece, _, pairs in self._terms(r, deriv):
-            for total, term in zip(sums, piece.terms(theta, pairs)):
-                total += term
-        return sums
-
-    def value(self, r, theta):
-        return self._sums(r, theta, deriv=False)[0]
-
-    def value_and_deriv(self, r, theta):
-        return tuple(self._sums(r, theta, deriv=True))
 
     def along_curve(self, r_cells, cells, r, theta):
         """At the paired (r, theta), whose cells in the increasing
@@ -653,8 +632,8 @@ def verify_synthesis(res, p, consts, tol_geo=1e-5, seed=0):
                       res.metric.r_nodes[-1] * 0.999, 40)
     ths = np.linspace(-np.pi * 0.95, np.pi * 0.95, 40)
     RS, THS = np.meshgrid(rs, ths, indexing="ij")
-    fv, dfv = res.correction.value_and_deriv(RS, THS)
-    gam_term = fv ** 2 + 2 * fv * cot_k(s.K0, RS) + dfv
+    fv, dfv, _ = res.correction.on_grid(rs, ths)
+    gam_term = fv.T ** 2 + 2 * fv.T * cot_k(s.K0, RS) + dfv.T
     pts = np.column_stack([(RS * np.cos(THS)).ravel(),
                            (RS * np.sin(THS)).ravel()])
     hol_gamma = holder_seminorm_pairs(gam_term.ravel()[::2], pts[::2],
@@ -676,13 +655,14 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, seed=0):
     from zero; a sweep that returns its input bit for bit ends them, as
     every later sweep would repeat it.  Then every record reads only the
     grid and that curve: curvature bounds by finite differences on G,
-    and the geodesic equation along the curve.  Distances need no record
-    of their own: under K <= H and H R^2 <= pi^2/4 the disc is a convex
-    CAT(H) ball, whose geodesics shorter than pi/sqrt(H) are unique and
-    minimizing, so the curve's length is its distance once the curvature
-    and geodesic records pass.  Nor does unit speed: the angle above is
-    integrated through G itself, so the curve is unit-speed in the grid
-    by construction.
+    and the geodesic equation along the curve, which fails at once if the
+    curve leaves [r_nodes[0], R], where G is only extrapolated.
+    Distances need no record of their own: under K <= H and
+    H R^2 <= pi^2/4 the disc is a convex CAT(H) ball, whose geodesics
+    shorter than pi/sqrt(H) are unique and minimizing, so the curve's
+    length is its distance once the curvature and geodesic records pass.
+    Nor does unit speed: the angle above is integrated through G itself,
+    so the curve is unit-speed in the grid by construction.
     """
     t = p.t_nodes
     phi = np.zeros_like(t)
@@ -727,12 +707,18 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, seed=0):
     rho_ddot = np.asarray(p.second_deriv(t), dtype=float)
     resid_geo = np.abs(rho_ddot - h_on * (1.0 - rd ** 2))
     worst_i = int(np.argmax(resid_geo))
+    margin_geo = float(np.max(resid_geo)) / tol_geo
     bad_phi = np.flatnonzero(~np.isfinite(phi))
+    detail = (f"curve angle not finite at t = {t[bad_phi[0]]:.6g}"
+              if bad_phi.size else "")
+    # off [r_nodes[0], R] G is extrapolated, so no residual there counts
+    outside = np.flatnonzero((p.rho < r_nodes[0]) | (p.rho > grid.R))
+    if outside.size:
+        worst_i, margin_geo = int(outside[0]), np.inf
+        detail = f"curve leaves the grid at t = {t[worst_i]:.6g}"
     records.append(CheckerRecord.from_margin(
-        "geodesic_residual", float(np.max(resid_geo)) / tol_geo,
-        witness=[t[worst_i]],
-        detail=(f"curve angle not finite at t = {t[bad_phi[0]]:.6g}"
-                if bad_phi.size else "")))
+        "geodesic_residual", margin_geo, witness=[t[worst_i]],
+        detail=detail))
 
     return CheckerReport(
         records=records, constants_version=consts.version,

@@ -328,20 +328,26 @@ def test_endpoint_minimum_near_pole_is_a_failed_check(tmp_path, capsys, m):
 
 
 def _corrupt_grid(text):
-    """Three kinds of damage to a grid file: cut short, a key gone,
-    theta_nodes one short of the rows of G."""
+    """Seven kinds of damage to a grid file: cut short, a key gone,
+    theta_nodes one short of the rows of G, one theta node, no r nodes,
+    and an H that is NaN or zero."""
+    d = json.loads(text)
     return {
         "truncated": text[:len(text) // 2],
-        "missing_key": json.dumps(
-            {k: v for k, v in json.loads(text).items() if k != "G"}),
+        "missing_key": json.dumps({k: v for k, v in d.items() if k != "G"}),
         "inconsistent": json.dumps(
-            {**json.loads(text),
-             "theta_nodes": json.loads(text)["theta_nodes"][:-1]}),
+            {**d, "theta_nodes": d["theta_nodes"][:-1]}),
+        "one_theta": json.dumps(
+            {**d, "theta_nodes": d["theta_nodes"][:1], "G": d["G"][:1]}),
+        "no_r": json.dumps({**d, "r_nodes": [], "G": [[] for _ in d["G"]]}),
+        "nan_H": json.dumps({**d, "H": float("nan")}),
+        "zero_H": json.dumps({**d, "H": 0.0}),
     }
 
 
 @pytest.mark.parametrize("damage", ["truncated", "missing_key",
-                                    "inconsistent", "directory"])
+                                    "inconsistent", "one_theta", "no_r",
+                                    "nan_H", "zero_H", "directory"])
 def test_verify_malformed_grid_exit_code(sphere_csv, tmp_path, capsys,
                                          damage):
     bad = tmp_path / "bad.json"

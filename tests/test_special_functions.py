@@ -78,6 +78,18 @@ def test_continuity_at_zero_curvature():
         assert np.max(np.abs(sin_k(K, r) - r) / r) <= 1e-8
 
 
+@pytest.mark.parametrize("f", [phi, psi])
+def test_nan_maps_to_nan(f):
+    """NaN in, NaN out, for scalars and arrays alike; the finite entries
+    of an array with NaN get the bits they get without it."""
+    assert np.isnan(f(np.nan)) and isinstance(f(np.nan), float)
+    x = np.array([[np.nan, 1.0, np.nan], [-4.0, 5e-5, np.nan]])
+    got = f(x)
+    assert np.array_equal(np.isnan(got), np.isnan(x))
+    finite = ~np.isnan(x)
+    assert np.array_equal(got[finite], f(x[finite]))
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         phi(PI2)

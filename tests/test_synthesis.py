@@ -13,7 +13,7 @@ from geoprofile import whitney
 from geoprofile.profiles import DistanceProfile
 from geoprofile.synthesis import (bump_weight, bump_weight_prime, LN2,
                                   assemble_metric, _sample_holder,
-                                  _PieceField, AnnulusField,
+                                  _PieceField,
                                   RadialCorrectionField, _dyadic_r_nodes)
 from geoprofile.surfaces import (flat_profile, spherical_profile,
                                  hyperbolic_profile, offset_hyperbola_profile,
@@ -92,7 +92,7 @@ def test_extension_interpolates_curve_values(consts):
     d = decompose_annuli(p, s)
     fields = {k: extend_fk(k, d, p, s) for k in d.pieces}
     correction = glue_f(fields, d)
-    on_curve = correction.value(p.rho, s.phi0)
+    on_curve = _pointwise_reference(correction, p.rho, s.phi0)[0]
     assert np.max(np.abs(on_curve - s.f0)) <= 1e-8
 
 
@@ -107,11 +107,15 @@ def test_glue_requires_coverage(consts):
 
 
 def test_support_floor(consts, flat_result):
+    """Below m/2 the grid pass gives f, df/dr and the radial trapezoid
+    as exact zeros, and so does the pointwise reference."""
     p, res = flat_result
     r = np.linspace(1e-5, 0.45 * res.summary.m, 50)
     th = np.linspace(-np.pi, np.pi, 21)
+    assert np.all(res.correction.on_grid(r, th) == 0.0)
     R, TH = np.meshgrid(r, th)
-    assert np.max(np.abs(res.correction.value(R, TH))) == 0.0
+    for part in _pointwise_reference(res.correction, R.ravel(), TH.ravel()):
+        assert np.all(part == 0.0)
 
 
 def test_flat_metric_is_euclidean(flat_result):
@@ -152,7 +156,8 @@ def test_flat_roundtrip_residuals(consts, flat_result):
     assert rep.record("geodesic_residual").margin * 1e-5 <= 1e-8
     # the glued correction reproduces f0 on the reference curve
     s = res.summary
-    assert np.max(np.abs(res.correction.value(p.rho, s.phi0) - s.f0)) <= 1e-12
+    on_curve = _pointwise_reference(res.correction, p.rho, s.phi0)[0]
+    assert np.max(np.abs(on_curve - s.f0)) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -304,9 +309,9 @@ def test_piece_seminorm_budgets(consts):
         # f_k = sum_p fade_p (g_p + y_p) and its r-derivative
         V = sum(next(pc.terms(TH, [(None if pc.radial is None
                                     else pc.radial(R), np.ones_like(R))]))
-                for pc in fld.pieces).ravel()
+                for pc in fld).ravel()
         D = sum((next(pc.terms(TH, [(pc.radial.deriv(R), np.zeros_like(R))]))
-                 for pc in fld.pieces if pc.radial is not None),
+                 for pc in fld if pc.radial is not None),
                 np.zeros_like(R)).ravel()
         pts = np.column_stack([(R * np.cos(TH)).ravel(),
                                (R * np.sin(TH)).ravel()])
@@ -403,6 +408,28 @@ def test_verify_grid_reports_non_finite_curve_points(consts):
     assert rec.detail == f"curve angle not finite at t = {rec.witness[0]:.6g}"
 
 
+@pytest.mark.parametrize("cut", ["R_below_m", "floor_above_m"])
+def test_verify_grid_refuses_curve_outside_grid(consts, synthesized, cut):
+    """The synthesized grid of roundtrip_suite(1, seed=1)[0] cut to
+    r <= 0.3 max rho, whose R lies below the profile's minimum m, or to
+    r >= 1.1 m: G is only extrapolated at the curve nodes off
+    [r_nodes[0], R], so geodesic_residual fails at the first of them."""
+    p, res = synthesized["roundtrip0"]
+    g = res.metric
+    keep = (g.r_nodes <= 0.3 * np.max(p.rho) if cut == "R_below_m"
+            else g.r_nodes >= 1.1 * p.m)
+    grid = MetricGrid(g.r_nodes[keep], g.theta_nodes, g.G[:, keep], H=g.H,
+                      alpha=g.alpha, validate=False)
+    off = (p.rho < grid.r_nodes[0]) | (p.rho > grid.R)
+    assert np.all(off) == (cut == "R_below_m") and np.any(off)
+    rep = verify_grid(grid, p, consts)
+    rec = rep.record("geodesic_residual")
+    assert not rep.verdict and not rec.passed and rec.margin == np.inf
+    first = p.t_nodes[np.argmax(off)]
+    assert rec.witness == [first]
+    assert rec.detail == f"curve leaves the grid at t = {first:.6g}"
+
+
 def test_verify_grid_reports_grid_records(consts):
     """verify_grid reports the four records that read the grid, and
     verify_synthesis adds the correction field's Hölder budget."""
@@ -462,17 +489,16 @@ def test_fine_bump_checks_synthesizes_and_verifies(consts):
 
 
 def _dense_cumulative_radial(field, r_nodes, thetas, chunk=256):
-    """Reference: the field sampled on the full (theta, r) grid in row
-    chunks, then the cumulative trapezoid along each ray."""
+    """Reference: the field's values on the full (theta, r) grid in row
+    chunks, then the cumulative trapezoid of those values along each
+    ray."""
     thetas = np.asarray(thetas, dtype=float)
     n_th, n_r = thetas.size, r_nodes.size
     dr = np.diff(r_nodes)
     cum = np.empty((n_th, n_r))
     for a in range(0, n_th, chunk):
         b = min(a + chunk, n_th)
-        R = np.tile(r_nodes, (b - a, 1))
-        TH = np.tile(thetas[a:b, None], (1, n_r))
-        Fc = field.value(R, TH)
+        Fc = field.on_grid(r_nodes, thetas[a:b])[0]
         inc = 0.5 * (Fc[:, 1:] + Fc[:, :-1]) * dr[None, :]
         cum[a:b, 0] = 0.0
         cum[a:b, 1:] = np.cumsum(inc, axis=1)
@@ -530,7 +556,7 @@ def _hand_built_field():
             _PieceField(th_c, 0.15 * np.sin(5.0 * th_c) - 0.05, wave,
                         fade_lo=cap),
         ]
-        fields[k] = AnnulusField(k=k, pieces=pieces)
+        fields[k] = pieces
     return RadialCorrectionField(fields, m=1.5 * 2.0 ** -7)
 
 
@@ -574,16 +600,16 @@ def test_separable_radial_integral_matches_dense(consts, which):
 
 
 def test_correction_radial_derivative_matches_differences():
-    """value_and_deriv's radial derivative, which feeds the dF term of
-    K_grid, agrees with central differences of value."""
+    """on_grid's radial derivative, which feeds the dF term of K_grid,
+    agrees with central differences of its value."""
     field = _hand_built_field()
     rng = np.random.default_rng(5)
-    r = np.exp(rng.uniform(np.log(0.5 * field.m), np.log(0.6), 400))
-    theta = rng.uniform(-np.pi, np.pi, 400)
-    value, deriv = field.value_and_deriv(r, theta)
-    assert np.all(value == field.value(r, theta))
+    r = np.sort(np.exp(rng.uniform(np.log(0.5 * field.m), np.log(0.6), 400)))
+    theta = rng.uniform(-np.pi, np.pi, 20)
+    deriv = field.on_grid(r, theta)[1]
     h = 1e-7 * r
-    fd = (field.value(r + h, theta) - field.value(r - h, theta)) / (2.0 * h)
+    fd = (field.on_grid(r + h, theta)[0]
+          - field.on_grid(r - h, theta)[0]) / (2.0 * h)
     assert np.max(np.abs(deriv)) > 0.0
     assert np.max(np.abs(fd - deriv)) <= 1e-6 * np.max(np.abs(deriv))
 
@@ -615,7 +641,7 @@ def _pointwise_reference(field, r, theta):
                 continue
             w_p = float(bump_weight_prime(x)) / (ri * LN2)
             f_k = df_k = 0.0
-            for pc in fld.pieces:
+            for pc in fld:
                 fade = float(pc.fade(ti))
                 g = float(np.interp(ti, pc.theta_nodes, pc.g_nodes))
                 y = y_p = 0.0
@@ -632,39 +658,29 @@ def _pointwise_reference(field, r, theta):
 
 
 def test_correction_matches_pointwise_reference():
-    """The separable-term sums equal the glued field written out point by
-    point, value and radial derivative alike."""
+    """The separable-term sums of both passes equal the glued field
+    written out point by point: on_grid's value and radial derivative,
+    and along_curve's value at the cell start and at r."""
     field = _hand_built_field()
     rng = np.random.default_rng(6)
+    r_nodes = np.sort(np.exp(rng.uniform(np.log(0.4 * field.m),
+                                         np.log(0.6), 40)))
+    thetas = rng.uniform(-np.pi, np.pi, 10)
+    R, TH = np.meshgrid(r_nodes, thetas)
+    pairs = list(zip(field.on_grid(r_nodes, thetas)[:2],
+                     _pointwise_reference(field, R.ravel(), TH.ravel())))
     r = np.exp(rng.uniform(np.log(0.4 * field.m), np.log(0.6), 400))
     theta = rng.uniform(-np.pi, np.pi, 400)
-    ref_value, ref_deriv = _pointwise_reference(field, r, theta)
-    value, deriv = field.value_and_deriv(r, theta)
-    assert np.all(value == field.value(r, theta))
-    for got, ref in ((value, ref_value), (deriv, ref_deriv)):
+    r_cells = _dyadic_r_nodes(0.4 * field.m, 0.6)
+    cells = np.clip(np.searchsorted(r_cells, r, side="right") - 1,
+                    0, r_cells.size - 2)
+    _, f_lo, f_at = field.along_curve(r_cells, cells, r, theta)
+    pairs += [(f_lo, _pointwise_reference(field, r_cells[cells], theta)[0]),
+              (f_at, _pointwise_reference(field, r, theta)[0])]
+    for got, ref in pairs:
         scale = np.max(np.abs(ref))
         assert scale > 0.0
-        assert np.max(np.abs(got - ref)) <= 1e-14 * scale
-
-
-@pytest.mark.parametrize("which", ["hand_built", "flat_glued"])
-def test_tensor_and_paired_evaluation_agree(consts, which):
-    """A (theta, r) tensor grid and the same points passed as pairs give
-    the same bits, value and radial derivative."""
-    if which == "hand_built":
-        field = _hand_built_field()
-        r_nodes = _dyadic_r_nodes(1e-4, 0.6)
-    else:
-        field, _ = _flat_glued_field(consts)
-        r_nodes = _dyadic_r_nodes(4.2e-6, 0.042)
-    thetas = -np.pi + 2 * np.pi * np.arange(96) / 96
-    tensor = field.value_and_deriv(r_nodes[None, :], thetas[:, None])
-    R, TH = np.meshgrid(r_nodes, thetas)
-    paired = field.value_and_deriv(R.ravel(), TH.ravel())
-    assert np.max(np.abs(tensor[1])) > 0.0
-    for t_part, p_part in zip(tensor, paired):
-        assert np.array_equal(t_part.ravel(), p_part)
-    assert np.array_equal(field.value(R, TH), tensor[0])
+        assert np.max(np.abs(got.ravel() - ref)) <= 1e-14 * scale
 
 
 def test_extend_fk_leaves_decomposition_unchanged(consts):
@@ -686,7 +702,7 @@ def test_case_iv_piece_reproduces_end_values(consts):
     checked = 0
     for k, plist in d.pieces.items():
         fld = extend_fk(k, d, p, s)
-        for piece, pc in zip(plist, fld.pieces):
+        for piece, pc in zip(plist, fld):
             if piece.case != "IV":
                 continue
             ends = list(piece.node_slice)
@@ -844,26 +860,30 @@ def _curve_fields(consts):
 
 def test_along_curve_pass_equals_separate_evaluations(consts):
     """One along_curve pass gives the value at the cell start and the
-    value at r that value gives separately, and the cell integral that
-    on_grid's table holds at the cell, bit for bit."""
+    cell integral that on_grid's tables hold at the cell, bit for bit,
+    and the value at r that the pointwise reference gives."""
     for field, r_cells, r, theta in _curve_fields(consts):
         cells = np.clip(np.searchsorted(r_cells, r, side="right") - 1,
                         0, r_cells.size - 2)
         base, f_lo, f_at = field.along_curve(r_cells, cells, r, theta)
         assert np.max(np.abs(f_at)) > 0.0
-        assert np.array_equal(f_lo, field.value(r_cells[cells], theta))
-        assert np.array_equal(f_at, field.value(r, theta))
         for lo in range(0, theta.size, 500):
             rows = np.arange(lo, min(lo + 500, theta.size))
-            table = field.on_grid(r_cells, theta[rows])[2]
-            assert np.array_equal(base[rows], table[rows - lo, cells[rows]])
+            grid = field.on_grid(r_cells, theta[rows])
+            at = (rows - lo, cells[rows])
+            assert np.array_equal(f_lo[rows], grid[0][at])
+            assert np.array_equal(base[rows], grid[2][at])
+        sub = slice(0, None, 10)
+        ref = _pointwise_reference(field, r[sub], theta[sub])[0]
+        assert np.max(np.abs(f_at[sub] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("which", ["hand_built", "flat_glued"])
 def test_grid_pass_equals_separate_evaluations(consts, which):
-    """One on_grid pass gives the value and radial derivative that
-    value_and_deriv gives on the tensor grid and the table that the
-    cumulative trapezoid of each term gives, bit for bit."""
+    """One on_grid pass, which forms f and df/dr over each term's radial
+    support only, gives the sums of the terms over the full grid, and the
+    table that the cumulative trapezoid of each term gives, bit for
+    bit."""
     if which == "hand_built":
         field = _hand_built_field()
         r_nodes = _dyadic_r_nodes(1e-4, 0.6)
@@ -872,7 +892,11 @@ def test_grid_pass_equals_separate_evaluations(consts, which):
         r_nodes = _dyadic_r_nodes(4.2e-6, 0.042)
     thetas = -np.pi + 2 * np.pi * np.arange(128) / 128
     F, dF, cum = field.on_grid(r_nodes, thetas)
-    value, deriv = field.value_and_deriv(r_nodes[None, :], thetas[:, None])
+    value, deriv = np.zeros_like(F), np.zeros_like(dF)
+    for piece, _, pairs in field._terms(r_nodes, deriv=True):
+        for total, term in zip((value, deriv),
+                               piece.terms(thetas[:, None], pairs)):
+            total += term
     assert np.max(np.abs(dF)) > 0.0
     assert np.array_equal(F, value) and np.array_equal(dF, deriv)
     dr = np.diff(r_nodes)
