@@ -84,7 +84,7 @@ def _constants(args):
 
 def _load_profile(path):
     try:
-        return read_profile_csv(path, validate=False)
+        return read_profile_csv(path)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read profile {path!r}: {exc}", file=sys.stderr)
         raise SystemExit(2)
@@ -92,7 +92,7 @@ def _load_profile(path):
 
 def _load_grid(path):
     try:
-        return load_metric_json(path, validate=False)
+        return load_metric_json(path)
     except (ValueError, KeyError, TypeError) as exc:
         # undecodable JSON, a missing key, or arrays MetricGrid rejects
         print(f"malformed input: cannot read grid {path!r}: "

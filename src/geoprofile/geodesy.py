@@ -19,7 +19,6 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .special_functions import psi, PI_SQUARED
 from .profiles import DistanceProfile
 from .ode_core import rk4_step
 from .report import dumps_deterministic
@@ -87,18 +86,18 @@ class MetricGrid:
     ``G`` has one row per theta node (theta in [-pi, pi), periodic) and
     one column per r node.  Its arrays are all the grid holds: dG_dr
     comes from the per-ray cubic splines of G, so a grid read back from
-    its JSON interpolates exactly as the grid that was saved.  A grid
-    with fewer than 2 nodes on either axis, or whose ``H`` is not a
-    finite number > 0, is refused with ``ValueError``, validated or not.
+    its JSON interpolates exactly as the grid that was saved.  It refuses
+    (``ValueError``) only arrays it cannot interpolate: fewer than 2 nodes
+    on an axis, nodes out of order, or an ``H`` that is not a finite
+    number > 0.  ``synthesis.verify_grid`` judges whether it is a disc in
+    the class: G > 0, the comparison envelope and c_k_sup H R^2 <= pi^2/4.
     """
 
-    def __init__(self, r_nodes, theta_nodes, G, H=1.0, alpha=0.5,
-                 validate=True):
+    def __init__(self, r_nodes, theta_nodes, G, H=1.0):
         self.r_nodes = np.asarray(r_nodes, dtype=float)
         self.theta_nodes = np.asarray(theta_nodes, dtype=float)
         self.G = np.asarray(G, dtype=float)
         self.H = float(H)
-        self.alpha = float(alpha)
         n_t, n_r = self.G.shape
         if self.r_nodes.shape != (n_r,) or self.theta_nodes.shape != (n_t,):
             raise ValueError("grid shapes inconsistent")
@@ -130,13 +129,10 @@ class MetricGrid:
         self._cd_view = memoryview(self._cd)
         self._r_list = self.r_nodes.tolist()
         self._theta0 = float(self.theta_nodes[0])
-        if validate:
-            self._validate()
 
     def __reduce__(self):
         # memoryviews do not pickle: rebuild from the defining arrays
-        return (MetricGrid, (self.r_nodes, self.theta_nodes, self.G,
-                             self.H, self.alpha, False))
+        return (MetricGrid, (self.r_nodes, self.theta_nodes, self.G, self.H))
 
     @property
     def R(self):
@@ -145,18 +141,6 @@ class MetricGrid:
     @property
     def r_floor(self):
         return R_FLOOR_FACTOR * self.R
-
-    def _validate(self, rel=1e-6):
-        if self.H * self.R ** 2 > PI_SQUARED / 4 * (1 + 1e-12):
-            raise ValueError("H*R^2 exceeds pi^2/4 (strong convexity)")
-        if np.any(self.G <= 0):
-            raise ValueError("G must be positive")
-        ratio = self.G / self.r_nodes[None, :]
-        lo = psi(self.H * self.r_nodes ** 2)
-        hi = psi(-self.H * self.r_nodes ** 2)
-        if np.any(ratio < lo[None, :] * (1 - rel)) or \
-           np.any(ratio > hi[None, :] * (1 + rel)):
-            raise ValueError("G/r violates the constant-curvature envelope")
 
     # -- interpolation ----------------------------------------------------
 
@@ -589,9 +573,7 @@ def distance_profile(grid, path):
 
 def save_metric_json(grid, path):
     payload = {
-        "R": grid.R,
         "H": grid.H,
-        "alpha": grid.alpha,
         "r_nodes": [float(v) for v in grid.r_nodes],
         "theta_nodes": [float(v) for v in grid.theta_nodes],
         "G": [[float(v) for v in row] for row in grid.G],
@@ -600,11 +582,11 @@ def save_metric_json(grid, path):
         fh.write(dumps_deterministic(payload))
 
 
-def load_metric_json(path, validate=True):
+def load_metric_json(path):
     with open(path) as fh:
         d = json.load(fh)
     return MetricGrid(
         r_nodes=np.asarray(d["r_nodes"], dtype=float),
         theta_nodes=np.asarray(d["theta_nodes"], dtype=float),
         G=np.asarray(d["G"], dtype=float),
-        H=float(d["H"]), alpha=float(d["alpha"]), validate=validate)
+        H=float(d["H"]))

@@ -278,11 +278,11 @@ def finiteness_check(p, consts, configs):
     alpha = consts.alpha
     H = consts.H
 
-    # 1-Lipschitz and two-sided triangle bound on sampled pairs; kappa is
-    # undefined where the first fails, so the report then holds this alone
-    idx = np.unique(np.linspace(0, len(p) - 1, 400).astype(int))
-    ts = np.concatenate([p.t_nodes[idx], configs.ravel()])
-    rs = np.asarray(p.value(ts), dtype=float)
+    # 1-Lipschitz and two-sided triangle bound on every sample node and
+    # configuration point; kappa is undefined where the first fails, so
+    # the report then holds this alone
+    ts = np.concatenate([p.t_nodes, configs.ravel()])
+    rs = np.concatenate([p.rho, p.value(configs.ravel())])
     lip, tri = (q / C_LIPSCHITZ for q in
                 metric_condition_quotients(ts, rs, 1e-12 * (b - a)))
     lip_record = CheckerRecord.from_margin("lipschitz_triangle",

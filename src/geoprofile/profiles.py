@@ -21,8 +21,11 @@ class ProfileError(ValueError):
 
 
 class DistanceProfile:
+    """Refuses only samples it cannot interpolate (``ProfileError``); the
+    checker's ``lipschitz_triangle`` judges the triangle inequalities."""
+
     def __init__(self, t_nodes, rho, rho_dot=None, rho_ddot=None,
-                 rho_fn=None, validate=True):
+                 rho_fn=None):
         t = np.asarray(t_nodes, dtype=float)
         r = np.asarray(rho, dtype=float)
         if t.ndim != 1 or t.shape != r.shape or t.size < 6:
@@ -54,26 +57,13 @@ class DistanceProfile:
         self._spline = None
         self._dot_interp = None
         self._ddot_interp = None
-        if validate:
-            self._validate_metric_conditions()
-
-    def _validate_metric_conditions(self):
-        """1-Lipschitz and two-sided triangle bounds on all node pairs."""
-        lip, tri = metric_condition_quotients(self.t_nodes, self.rho, 0.0)
-        if lip > C_LIPSCHITZ:
-            raise ProfileError("profile is not 1-Lipschitz on node pairs")
-        if tri > C_LIPSCHITZ:
-            raise ProfileError(
-                "profile violates |t - t'| <= rho(t) + rho(t')")
 
     # -- construction helpers -------------------------------------------
 
     @classmethod
-    def from_callable(cls, fn, interval, n=2001, d1=None, d2=None,
-                      validate=True):
+    def from_callable(cls, fn, interval, n=2001, d1=None, d2=None):
         t = np.linspace(interval[0], interval[1], n)
-        return cls(t, fn(t), rho_dot=d1, rho_ddot=d2, rho_fn=fn,
-                   validate=validate)
+        return cls(t, fn(t), rho_dot=d1, rho_ddot=d2, rho_fn=fn)
 
     # -- accessors -------------------------------------------------------
 
@@ -252,7 +242,7 @@ def write_profile_csv(profile, path):
             fh.write(f"{t:.17g},{r:.17g}\n")
 
 
-def read_profile_csv(path, validate=True):
+def read_profile_csv(path):
     t, r = [], []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -267,4 +257,4 @@ def read_profile_csv(path, validate=True):
                 raise ProfileError(f"malformed row at line {line_no}")
             t.append(float(parts[0]))
             r.append(float(parts[1]))
-    return DistanceProfile(np.asarray(t), np.asarray(r), validate=validate)
+    return DistanceProfile(np.asarray(t), np.asarray(r))

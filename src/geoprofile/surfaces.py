@@ -122,9 +122,7 @@ def offset_hyperbola_profile(c, interval=(-0.2, 0.2), n=2001):
         t = np.asarray(t, dtype=float)
         return (1.0 + t * t) ** -1.5
 
-    # intentionally outside the realizable class for c near 1
-    return DistanceProfile.from_callable(rho, interval, n=n, d1=d1, d2=d2,
-                                         validate=False)
+    return DistanceProfile.from_callable(rho, interval, n=n, d1=d1, d2=d2)
 
 
 def perturbed_cone_profile(eps, beta, interval=(-0.2, 0.2), n=4001):
@@ -145,14 +143,13 @@ def perturbed_cone_profile(eps, beta, interval=(-0.2, 0.2), n=4001):
         t = np.asarray(t, dtype=float)
         return eps * eps / np.sqrt(eps * eps + t * t) ** 3
 
-    return DistanceProfile.from_callable(rho, interval, n=n, d1=d1, d2=d2,
-                                         validate=False)
+    return DistanceProfile.from_callable(rho, interval, n=n, d1=d1, d2=d2)
 
 
 # -- grid builders ------------------------------------------------------------
 
 
-def constant_curvature_grid(K, R, n_r=1200, n_theta=64, H=None, alpha=0.5,
+def constant_curvature_grid(K, R, n_r=1200, n_theta=64, H=None,
                             r_min_factor=1e-4):
     """Polar grid of the curvature-K disc of radius R."""
     if H is None:
@@ -160,10 +157,10 @@ def constant_curvature_grid(K, R, n_r=1200, n_theta=64, H=None, alpha=0.5,
     r = np.linspace(r_min_factor * R, R, n_r)
     theta = -np.pi + 2 * np.pi * np.arange(n_theta) / n_theta
     G = np.tile(sin_k(K, r), (n_theta, 1))
-    return MetricGrid(r, theta, G, H=H, alpha=alpha)
+    return MetricGrid(r, theta, G, H=H)
 
 
-def variable_curvature_grid(K_fn, R, H, n_r=1200, n_theta=64, alpha=0.5,
+def variable_curvature_grid(K_fn, R, H, n_r=1200, n_theta=64,
                             r_min_factor=1e-4):
     """Grid with curvature K_fn(r, theta_array) via per-ray Jacobi solves.
 
@@ -183,7 +180,7 @@ def variable_curvature_grid(K_fn, R, H, n_r=1200, n_theta=64, alpha=0.5,
     G = ys[:, 0].T.copy()
     if np.any(G <= 0):
         raise ArithmeticError("Jacobi coefficient went nonpositive")
-    return MetricGrid(r, theta, G, H=H, alpha=alpha)
+    return MetricGrid(r, theta, G, H=H)
 
 
 # -- profile generation on grids ----------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .special_functions import sin_k, cot_k, psi
+from .special_functions import sin_k, cot_k, psi, PI_SQUARED
 from .whitney import (SampledFunction, whitney_extend, extension_bounds,
                       holder_seminorm_pairs, HypothesisViolation)
 from .profile_analysis import analyze, curve_angle, curve_samples
@@ -533,8 +533,7 @@ def assemble_metric(p, s, decomp, correction):
     K_grid = K0 - (F_grid ** 2 + 2.0 * F_grid * cotr + dF_grid)
 
     H_grid = max(float(np.max(np.abs(K_grid))) * 1.05, abs(K0) * 1.05, 1e-6)
-    metric = MetricGrid(r_nodes, theta_nodes, G, H=H_grid, alpha=s.alpha,
-                        validate=False)
+    metric = MetricGrid(r_nodes, theta_nodes, G, H=H_grid)
 
     rdd = np.asarray(p.second_deriv(t), dtype=float)
     gamma = GeodesicPath(t_nodes=t, rho=rho, phi=phi, rho_dot=rd,
@@ -661,6 +660,8 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, seed=0):
     H R^2 <= pi^2/4 the disc is a convex CAT(H) ball, whose geodesics
     shorter than pi/sqrt(H) are unique and minimizing, so the curve's
     length is its distance once the curvature and geodesic records pass.
+    ``curvature_sup`` states both halves of that premise with the H it
+    enforces, c_k_sup H, and ``radius_ratio_envelope`` fails any G <= 0.
     Nor does unit speed: the angle above is integrated through G itself,
     so the curve is unit-speed in the grid by construction.
     """
@@ -683,9 +684,16 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, seed=0):
     lo_env = psi(grid.H * r_nodes ** 2)
     hi_env = psi(-grid.H * r_nodes ** 2)
     env_margin = max(np.max(lo_env[None, :] / ratio_env),
-                     np.max(ratio_env / hi_env[None, :]))
+                     np.max(ratio_env / hi_env[None, :])) / (1 + 1e-6)
+    env_detail, bad_G = "", np.argwhere(grid.G <= 0)
+    if bad_G.size:
+        # a negative ratio never raises the max above: fail outright
+        i, j = bad_G[0]
+        env_margin, env_detail = np.inf, (
+            f"G = {grid.G[i, j]:.6g} <= 0 at r = {r_nodes[j]:.6g}, "
+            f"theta = {grid.theta_nodes[i]:.6g}")
     records.append(CheckerRecord.from_margin(
-        "radius_ratio_envelope", float(env_margin) / (1 + 1e-6)))
+        "radius_ratio_envelope", env_margin, detail=env_detail))
 
     # curvature bounds from finite differences on G; FD values carry a
     # rounding resolution that blows up at geometrically small spacings,
@@ -693,8 +701,13 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, seed=0):
     K_fd, K_res = grid.curvature_fd()
     sup_excess = np.maximum(np.abs(K_fd) - K_res, 0.0)
     sup_k = float(np.max(sup_excess))
+    sup_margin, sup_detail = sup_k / (consts.c_k_sup * H), ""
+    premise = consts.c_k_sup * H * grid.R ** 2
+    if premise > PI_SQUARED / 4:
+        sup_margin = max(sup_margin, premise / (PI_SQUARED / 4))
+        sup_detail = f"premise c_k_sup*H*R^2 = {premise:.6g} exceeds pi^2/4"
     records.append(CheckerRecord.from_margin(
-        "curvature_sup", sup_k / (consts.c_k_sup * H)))
+        "curvature_sup", sup_margin, detail=sup_detail))
     hol_k = _sample_holder(K_fd, r_nodes, grid.theta_nodes, alpha, rng,
                            resolution=K_res)
     records.append(CheckerRecord.from_margin(

@@ -222,8 +222,7 @@ def test_criterion_9_defect_detection(consts):
         ir = int(rng.integers(lo, hi))
         G2[it, ir] *= 1.0 + 1e-2
         bad_grid = MetricGrid(res.metric.r_nodes, res.metric.theta_nodes, G2,
-                              H=res.metric.H, alpha=res.metric.alpha,
-                              validate=False)
+                              H=res.metric.H)
         rep = verify_synthesis(dataclasses.replace(res, metric=bad_grid),
                                p, consts)
         flagged += int(not rep.record("curvature_holder").passed)

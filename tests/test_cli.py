@@ -98,6 +98,8 @@ def test_synthesize_and_verify(sphere_csv, tmp_path, capsys):
     assert code == 0
     grid = load_metric_json(grid_path)
     assert grid.G.shape[0] == len(grid.theta_nodes)
+    assert list(json.loads(grid_path.read_text())) \
+        == ["H", "r_nodes", "theta_nodes", "G"]
     code = main(["verify", "--input", sphere_csv, "--grid", str(grid_path),
                  "--out", str(tmp_path / "rep2.json")])
     assert code == 0
@@ -261,6 +263,37 @@ def test_check_not_lipschitz_fails(steep_csv, tmp_path):
     assert payload["verdict"] is False
     assert [rec["name"] for rec in payload["records"]] == [
         "lipschitz_triangle"]
+
+
+def test_check_step_csv_fails_at_any_budget(tmp_path, capsys):
+    """sqrt(0.01^2 + t^2) on 3001 nodes with one step of slope 1.5
+    between nodes 1500 and 1501: every node pair is read, so check fails
+    it on lipschitz_triangle alone at any budget, as a verdict."""
+    t = np.linspace(-0.1, 0.1, 3001)
+    rho = np.sqrt(0.01 ** 2 + t ** 2)
+    rho[1501:] += 1.5 * (t[1501] - t[1500]) - (rho[1501] - rho[1500])
+    csv = write_csv(tmp_path / "step.csv", t, rho)
+    out = tmp_path / "report.json"
+    for budget in ("1", "24", "240"):
+        assert main(["check", "--input", csv, "--budget", budget,
+                     "--out", str(out)]) == 1, budget
+        records = json.loads(out.read_text())["records"]
+        assert [rec["name"] for rec in records] == ["lipschitz_triangle"]
+    assert capsys.readouterr().err == ""
+
+
+def test_synthesize_past_the_premise_fails(tmp_path, capsys):
+    """The sphere profile at m = 0.3 on [-1.5, 1.5] passes check, but its
+    disc has c_k_sup H R^2 > pi^2/4: synthesize exits 1 on curvature_sup,
+    whose detail states the premise."""
+    csv = tmp_path / "sphere.csv"
+    write_profile_csv(spherical_profile(1.0, 0.3, (-1.5, 1.5)), csv)
+    out = tmp_path / "synth.json"
+    assert main(["synthesize", "--input", str(csv), "--out", str(out),
+                 "--grid-out", str(tmp_path / "grid.json")]) == 1
+    rec = {r["name"]: r for r in json.loads(out.read_text())["records"]}
+    assert not rec["curvature_sup"]["pass"]
+    assert rec["curvature_sup"]["detail"].startswith("premise")
 
 
 def test_domain_error_exit_code(steep_csv, capsys):

@@ -9,7 +9,8 @@ from geoprofile import (MetricGrid, PolarPoint, geodesic_integrate, distance,
                         phi)
 from geoprofile import geodesy, synthesis
 from geoprofile.geodesy import GeodesicDomainError
-from geoprofile.surfaces import constant_curvature_grid, roundtrip_suite
+from geoprofile.surfaces import (constant_curvature_grid, flat_profile,
+                                 roundtrip_suite)
 
 
 @pytest.fixture(scope="module")
@@ -165,20 +166,21 @@ def test_grid_json_roundtrip(tmp_path, small_sphere):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_grid_validation_rejects_bad_G():
+def test_grid_validation_rejects_bad_G(consts):
+    """The grid builds; verify judges G = 3r off the envelope."""
     r = np.linspace(1e-4, 0.05, 100)
     theta = -np.pi + 2 * np.pi * np.arange(8) / 8
     G = np.tile(r, (8, 1)) * 3.0   # badly off the envelope
-    with pytest.raises(ValueError):
-        MetricGrid(r, theta, G, H=1.0)
+    p = flat_profile(0.01, (-0.04, 0.04), n=3001)
+    rep = synthesis.verify_grid(MetricGrid(r, theta, G, H=1.0), p, consts)
+    assert not rep.record("radius_ratio_envelope").passed
 
 
 def _grid_with_zero_row(grid):
-    """``grid`` with G = 0 on the theta = -pi row, unvalidated."""
+    """``grid`` with G = 0 on the theta = -pi row."""
     G = grid.G.copy()
     G[0] = 0.0
-    return MetricGrid(grid.r_nodes, grid.theta_nodes, G, H=grid.H,
-                      validate=False)
+    return MetricGrid(grid.r_nodes, grid.theta_nodes, G, H=grid.H)
 
 
 def test_point_path_equals_array_path(sphere):
@@ -407,7 +409,7 @@ def test_distance_is_scale_covariant(request, name):
     for lam in (0.5, 2.0, 3.0):
         scaled = MetricGrid(lam * grid.r_nodes, grid.theta_nodes,
                             lam * grid.G,
-                            H=grid.H / lam ** 2, alpha=grid.alpha)
+                            H=grid.H / lam ** 2)
         for (p, q), d in zip(pairs, base):
             got = distance(scaled, PolarPoint(lam * p[0], p[1]),
                            PolarPoint(lam * q[0], q[1]))

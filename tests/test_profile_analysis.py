@@ -394,23 +394,39 @@ def test_metric_quotients_nan_gives_nan():
     assert np.isnan(lip) and np.isnan(tri)
 
 
-def test_profile_validation_rejects_metric_violations():
+def _lipschitz_triangle(p, consts, budget):
+    rep = finiteness_check(
+        p, consts, twelve_point_configurations(p.interval, budget))
+    return rep, rep.record("lipschitz_triangle")
+
+
+def test_profile_validation_rejects_metric_violations(consts):
+    """Samples that are not 1-Lipschitz, or break the triangle bound,
+    build a profile; the checker's first record fails them."""
     t = np.linspace(-0.1, 0.1, 51)
-    with pytest.raises(ProfileError, match="1-Lipschitz"):
-        DistanceProfile(t, 0.01 + 1.5 * np.abs(t))
-    with pytest.raises(ProfileError, match="rho\\(t\\) \\+ rho"):
-        DistanceProfile(t, np.full_like(t, 1e-3))
-    DistanceProfile(t, np.sqrt(0.01 ** 2 + t ** 2))
+    steep = DistanceProfile(t, 0.01 + 1.5 * np.abs(t))
+    low = DistanceProfile(t, np.full_like(t, 1e-3))
+    cone = DistanceProfile(t, np.sqrt(0.01 ** 2 + t ** 2))
+    for budget in (1, 24, 240):
+        rep, rec = _lipschitz_triangle(steep, consts, budget)
+        assert rep.records == [rec] and rec.margin > 1.4, budget
+        rep, rec = _lipschitz_triangle(low, consts, budget)
+        assert not rec.passed and rec.margin > 99.0, budget
+        assert _lipschitz_triangle(cone, consts, budget)[1].passed, budget
 
 
-def test_profile_validation_sees_every_node_pair():
+def test_profile_validation_sees_every_node_pair(consts):
     """One step of slope 1.5 between adjacent nodes 1500 and 1501 of 3001,
-    between two nodes of an evenly spaced 200-node subsample."""
+    between two nodes of an evenly spaced 400-node subsample:
+    lipschitz_triangle reads every node pair, so the step fails it at any
+    budget, and the report holds it alone."""
     t = np.linspace(-0.1, 0.1, 3001)
     rho = np.sqrt(0.01 ** 2 + t ** 2)
     rho[1501:] += 1.5 * (t[1501] - t[1500]) - (rho[1501] - rho[1500])
-    with pytest.raises(ProfileError, match="1-Lipschitz"):
-        DistanceProfile(t, rho)
+    p = DistanceProfile(t, rho)
+    for budget in (1, 24, 240):
+        rep, rec = _lipschitz_triangle(p, consts, budget)
+        assert rep.records == [rec] and rec.margin > 1.4, budget
 
 
 # sha256 of finiteness_check(...).to_json() with configurations at seed 0,
@@ -427,7 +443,7 @@ CHECK_DIGESTS = {
     ("roundtrip_csv", 240):
         "4c302251901ea7e1dd5dd78e96f9ba5e39c57e6bbab0e6fd937844f1bfcd9305",
     ("offset", 240):
-        "5cc80af0b63ef513fd7215cecb8ec2f78ca5d5962fc2a3313949c4b7dfd93002",
+        "0e39f1789e545c238dde3b504f1e517169ebda405dbece6cac5cb7a1daef8b2d",
     ("wave", 240):
         "aace55c47ac6059f8a92750eeab4c71cbe32befd31cefe173186767a4088f806",
     ("bump_beta_alpha", 240):
@@ -534,7 +550,7 @@ def test_checker_stops_at_lipschitz_failure(consts):
     """kappa is undefined on a profile steeper than 1: the report holds
     the failing lipschitz_triangle record alone."""
     t = np.linspace(-0.04, 0.04, 801)
-    p = DistanceProfile(t, 0.01 + 1.5 * np.abs(t), validate=False)
+    p = DistanceProfile(t, 0.01 + 1.5 * np.abs(t))
     rep = finiteness_check(p, consts,
                            twelve_point_configurations(p.interval, 24))
     assert not rep.verdict

@@ -185,7 +185,7 @@ def test_verify_grid_on_synthesized_grid(consts, synthesized, tmp_path):
         rep.records.pop()
         path = tmp_path / f"{case}.json"
         save_metric_json(res.metric, path)
-        grid = load_metric_json(path, validate=False)
+        grid = load_metric_json(path)
         assert rep.to_json() == verify_grid(grid, p, consts).to_json(), case
         if case == "flat" or case.startswith("roundtrip"):
             assert rep.verdict, (case, [(r.name, r.margin)
@@ -217,7 +217,7 @@ def test_f_holder_budget_is_scale_free(consts, lam):
     scaled = DistanceProfile.from_callable(
         lambda t: lam * p.value(t / lam), (lam * a, lam * b),
         n=p.t_nodes.size, d1=lambda t: p.deriv(t / lam),
-        d2=lambda t: p.second_deriv(t / lam) / lam, validate=False)
+        d2=lambda t: p.second_deriv(t / lam) / lam)
     c_lam = dataclasses.replace(consts, H=consts.H / lam ** 2)
     want = verify_synthesis(synthesize(p, consts), p, consts).record(
         "f_holder_budget").margin
@@ -359,7 +359,7 @@ def test_defect_injection_flagged(consts):
     col = int(np.searchsorted(res.metric.r_nodes, 0.02))
     G2[7, col] *= 1.01
     bad = MetricGrid(res.metric.r_nodes, res.metric.theta_nodes, G2,
-                     H=res.metric.H, alpha=res.metric.alpha, validate=False)
+                     H=res.metric.H)
     rep = verify_synthesis(dataclasses.replace(res, metric=bad), p, consts)
     assert not rep.record("curvature_holder").passed
 
@@ -398,8 +398,7 @@ def test_verify_grid_reports_non_finite_curve_points(consts):
     grid = constant_curvature_grid(0.5, 0.05, n_r=400, n_theta=64)
     G = grid.G.copy()
     G[int(np.argmin(np.abs(grid.theta_nodes)))] = 0.0
-    zero = MetricGrid(grid.r_nodes, grid.theta_nodes, G, H=grid.H,
-                      validate=False)
+    zero = MetricGrid(grid.r_nodes, grid.theta_nodes, G, H=grid.H)
     with np.errstate(all="ignore"):
         rep = verify_grid(zero, p, consts)
     assert not rep.verdict
@@ -418,8 +417,7 @@ def test_verify_grid_refuses_curve_outside_grid(consts, synthesized, cut):
     g = res.metric
     keep = (g.r_nodes <= 0.3 * np.max(p.rho) if cut == "R_below_m"
             else g.r_nodes >= 1.1 * p.m)
-    grid = MetricGrid(g.r_nodes[keep], g.theta_nodes, g.G[:, keep], H=g.H,
-                      alpha=g.alpha, validate=False)
+    grid = MetricGrid(g.r_nodes[keep], g.theta_nodes, g.G[:, keep], H=g.H)
     off = (p.rho < grid.r_nodes[0]) | (p.rho > grid.R)
     assert np.all(off) == (cut == "R_below_m") and np.any(off)
     rep = verify_grid(grid, p, consts)
@@ -428,6 +426,44 @@ def test_verify_grid_refuses_curve_outside_grid(consts, synthesized, cut):
     first = p.t_nodes[np.argmax(off)]
     assert rec.witness == [first]
     assert rec.detail == f"curve leaves the grid at t = {first:.6g}"
+
+
+def test_verify_grid_fails_a_negative_G_node(consts, synthesized):
+    """The synthesized grid of roundtrip_suite(1, seed=1)[0] with one node
+    negated: a negative ratio G/r never raises the envelope's max, so the
+    envelope record fails outright and names the node."""
+    p, res = synthesized["roundtrip0"]
+    g = res.metric
+    G = g.G.copy()
+    G[3, 400] = -G[3, 400]
+    rep = verify_grid(MetricGrid(g.r_nodes, g.theta_nodes, G, H=g.H), p,
+                      consts)
+    rec = rep.record("radius_ratio_envelope")
+    assert not rec.passed and rec.margin == np.inf
+    assert rec.detail == (f"G = {G[3, 400]:.6g} <= 0 at "
+                          f"r = {g.r_nodes[400]:.6g}, "
+                          f"theta = {g.theta_nodes[3]:.6g}")
+
+
+def test_verify_states_the_cat_premise(consts):
+    """The sphere disc synthesized for this profile has R = 1.578, so
+    c_k_sup H R^2 = 2.74 > pi^2/4: the profile passes check, and verify
+    fails curvature_sup on the premise alone, as it does the K = 1 disc
+    of R = 1.9, whose curvature is in bounds."""
+    p = spherical_profile(1.0, 0.3, (-1.5, 1.5))
+    assert finiteness_check(
+        p, consts, twelve_point_configurations(p.interval, 240)).verdict
+    res = synthesize(p, consts)
+    grid = constant_curvature_grid(1.0, 1.9, H=1.0)
+    for rep, R in ((verify_synthesis(res, p, consts), res.metric.R),
+                   (verify_grid(grid, p, consts), 1.9)):
+        premise = consts.c_k_sup * consts.H * R ** 2
+        rec = rep.record("curvature_sup")
+        assert not rec.passed and rec.margin >= premise / (np.pi ** 2 / 4)
+        assert rec.detail == (f"premise c_k_sup*H*R^2 = {premise:.6g} "
+                              "exceeds pi^2/4")
+        assert [r.name for r in rep.records if not r.passed] \
+            == ["curvature_sup"]
 
 
 def test_verify_grid_reports_grid_records(consts):
@@ -465,7 +501,7 @@ def test_only_radius_ratio_envelope_sees_a_cone_apex(consts, c):
     sees G'(0) = c, at max(c, 1/c) / (1 + 1e-6).  So no other record
     checks that each ray starts at unit speed."""
     g = constant_curvature_grid(0.0, 0.065, H=1.0)
-    cone = MetricGrid(g.r_nodes, g.theta_nodes, c * g.G, H=1, validate=False)
+    cone = MetricGrid(g.r_nodes, g.theta_nodes, c * g.G, H=1)
     rep = verify_grid(cone, flat_profile(0.01, (-0.04, 0.04), n=3001), consts)
     assert [r.name for r in rep.records if not r.passed] \
         == ([] if c == 1.0 else ["radius_ratio_envelope"])
