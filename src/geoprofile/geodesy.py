@@ -10,6 +10,7 @@ C^2 in r but only Hölder in theta, and the interpolation matches that
 anisotropy (cubic per ray in r, linear and periodic in theta).
 """
 
+import base64
 import json
 import math
 from bisect import bisect_right
@@ -572,21 +573,32 @@ def distance_profile(grid, path):
 
 
 def save_metric_json(grid, path):
+    """Write ``grid`` as JSON with the keys H, r_nodes, theta_nodes and G:
+    H and the nodes as numbers, G as base64 of its row-major, little-endian
+    float64 bytes, so that a load gives every array back bit for bit."""
     payload = {
         "H": grid.H,
         "r_nodes": [float(v) for v in grid.r_nodes],
         "theta_nodes": [float(v) for v in grid.theta_nodes],
-        "G": [[float(v) for v in row] for row in grid.G],
+        "G": base64.b64encode(np.ascontiguousarray(
+            grid.G, dtype="<f8").tobytes()).decode("ascii"),
     }
     with open(path, "w") as fh:
         fh.write(dumps_deterministic(payload))
 
 
 def load_metric_json(path):
+    """Read a ``save_metric_json`` file.  A G that is not base64 of 8 bytes
+    per node raises ``ValueError`` (``TypeError`` if not a string)."""
     with open(path) as fh:
         d = json.load(fh)
-    return MetricGrid(
-        r_nodes=np.asarray(d["r_nodes"], dtype=float),
-        theta_nodes=np.asarray(d["theta_nodes"], dtype=float),
-        G=np.asarray(d["G"], dtype=float),
-        H=float(d["H"]))
+    r_nodes = np.asarray(d["r_nodes"], dtype=float)
+    theta_nodes = np.asarray(d["theta_nodes"], dtype=float)
+    n_t, n_r = theta_nodes.size, r_nodes.size
+    raw = base64.b64decode(d["G"], validate=True)
+    if len(raw) != 8 * n_t * n_r:
+        raise ValueError(f"G holds {len(raw)} bytes, not 8 per node of a "
+                         f"{n_t} x {n_r} grid")
+    # astype copies, so MetricGrid gets a writable array in native order
+    G = np.frombuffer(raw, dtype="<f8").astype(float).reshape(n_t, n_r)
+    return MetricGrid(r_nodes, theta_nodes, G, H=float(d["H"]))

@@ -87,7 +87,7 @@ def _fmt(value, parts, level):
             parts.append("[]")
             return
         if all(isinstance(v, float) and math.isfinite(v) for v in seq):
-            # a row of grid values: one join instead of a call per float
+            # a node list or a witness: one join instead of a call per float
             parts.append("[" + ", ".join(f"{v:.17g}" for v in seq) + "]")
             return
         parts.append("[")

@@ -661,7 +661,8 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, seed=0):
     shorter than pi/sqrt(H) are unique and minimizing, so the curve's
     length is its distance once the curvature and geodesic records pass.
     ``curvature_sup`` states both halves of that premise with the H it
-    enforces, c_k_sup H, and ``radius_ratio_envelope`` fails any G <= 0.
+    enforces, c_k_sup H.  ``radius_ratio_envelope`` fails any G <= 0, and
+    a grid whose own H R^2 reaches pi^2, where psi(H r^2) has no value.
     Nor does unit speed: the angle above is integrated through G itself,
     so the curve is unit-speed in the grid by construction.
     """
@@ -680,18 +681,23 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, seed=0):
     records = []
 
     r_nodes = grid.r_nodes
-    ratio_env = grid.G / r_nodes[None, :]
-    lo_env = psi(grid.H * r_nodes ** 2)
-    hi_env = psi(-grid.H * r_nodes ** 2)
-    env_margin = max(np.max(lo_env[None, :] / ratio_env),
-                     np.max(ratio_env / hi_env[None, :])) / (1 + 1e-6)
+    h_r2 = grid.H * r_nodes ** 2
     env_detail, bad_G = "", np.argwhere(grid.G <= 0)
-    if bad_G.size:
-        # a negative ratio never raises the max above: fail outright
+    if h_r2[-1] >= PI_SQUARED:
+        # psi(H r^2) has no value there: no envelope to compare against
+        env_margin, env_detail = np.inf, (
+            f"grid H*R^2 = {h_r2[-1]:.6g} >= pi^2, outside psi's domain")
+    elif bad_G.size:
+        # a negative ratio never raises the envelope's max: fail outright
         i, j = bad_G[0]
         env_margin, env_detail = np.inf, (
             f"G = {grid.G[i, j]:.6g} <= 0 at r = {r_nodes[j]:.6g}, "
             f"theta = {grid.theta_nodes[i]:.6g}")
+    else:
+        ratio_env = grid.G / r_nodes[None, :]
+        lo_env, hi_env = psi(h_r2), psi(-h_r2)
+        env_margin = max(np.max(lo_env[None, :] / ratio_env),
+                         np.max(ratio_env / hi_env[None, :])) / (1 + 1e-6)
     records.append(CheckerRecord.from_margin(
         "radius_ratio_envelope", env_margin, detail=env_detail))
 

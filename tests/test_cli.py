@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 from importlib import resources
@@ -10,8 +11,8 @@ from geoprofile.cli import main
 from geoprofile.report import dumps_deterministic
 from geoprofile.profiles import write_profile_csv, read_profile_csv
 from geoprofile.surfaces import (spherical_profile, constant_curvature_grid,
-                                 perturbed_cone_profile)
-from geoprofile.geodesy import load_metric_json, save_metric_json
+                                 perturbed_cone_profile, roundtrip_suite)
+from geoprofile.geodesy import MetricGrid, load_metric_json, save_metric_json
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,21 @@ def test_synthesize_and_verify(sphere_csv, tmp_path, capsys):
     assert synthesized["records"].pop()["name"] == "f_holder_budget"
     assert dumps_deterministic(synthesized) \
         == (tmp_path / "rep2.json").read_text()
+
+
+# sha256 of the grid file synthesize writes for roundtrip_suite(1,
+# seed=1)[0] read from its CSV, the round trip the CI step runs
+ROUNDTRIP_GRID_DIGEST = \
+    "d49d9abd5c7daa21e48ba3e51ab3aea5c8d22daf562fb5614d86a703e180b36d"
+
+
+def test_roundtrip_grid_file_digest(tmp_path):
+    csv, grid = tmp_path / "rt.csv", tmp_path / "grid.json"
+    write_profile_csv(roundtrip_suite(1, seed=1)[0]["profile"], csv)
+    assert main(["synthesize", "--input", str(csv), "--grid-out", str(grid),
+                 "--out", str(tmp_path / "synthesize.json")]) == 0
+    assert hashlib.sha256(grid.read_bytes()).hexdigest() \
+        == ROUNDTRIP_GRID_DIGEST
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):
@@ -360,27 +376,45 @@ def test_endpoint_minimum_near_pole_is_a_failed_check(tmp_path, capsys, m):
     assert capsys.readouterr().err == ""
 
 
+def _grid_G(d):
+    """The G array of a parsed grid file."""
+    return np.frombuffer(base64.b64decode(d["G"]), dtype="<f8").reshape(
+        len(d["theta_nodes"]), len(d["r_nodes"]))
+
+
+def _encode_G(G):
+    return base64.b64encode(
+        np.ascontiguousarray(G, dtype="<f8").tobytes()).decode("ascii")
+
+
 def _corrupt_grid(text):
-    """Seven kinds of damage to a grid file: cut short, a key gone,
+    """Ten kinds of damage to a grid file: cut short, a key gone,
     theta_nodes one short of the rows of G, one theta node, no r nodes,
-    and an H that is NaN or zero."""
+    an H that is NaN or zero, and a G that is the old nested list, one
+    node short, or not base64.  one_theta and no_r cut G's array and
+    encode it again, so that MetricGrid is what refuses them."""
     d = json.loads(text)
+    G = _grid_G(d)
     return {
         "truncated": text[:len(text) // 2],
         "missing_key": json.dumps({k: v for k, v in d.items() if k != "G"}),
         "inconsistent": json.dumps(
             {**d, "theta_nodes": d["theta_nodes"][:-1]}),
-        "one_theta": json.dumps(
-            {**d, "theta_nodes": d["theta_nodes"][:1], "G": d["G"][:1]}),
-        "no_r": json.dumps({**d, "r_nodes": [], "G": [[] for _ in d["G"]]}),
+        "one_theta": json.dumps({**d, "theta_nodes": d["theta_nodes"][:1],
+                                 "G": _encode_G(G[:1])}),
+        "no_r": json.dumps({**d, "r_nodes": [], "G": _encode_G(G[:, :0])}),
         "nan_H": json.dumps({**d, "H": float("nan")}),
         "zero_H": json.dumps({**d, "H": 0.0}),
+        "nested_G": json.dumps({**d, "G": G.tolist()}),
+        "short_G": json.dumps({**d, "G": _encode_G(G.ravel()[:-1])}),
+        "not_base64": json.dumps({**d, "G": "*" + d["G"][1:]}),
     }
 
 
 @pytest.mark.parametrize("damage", ["truncated", "missing_key",
                                     "inconsistent", "one_theta", "no_r",
-                                    "nan_H", "zero_H", "directory"])
+                                    "nan_H", "zero_H", "nested_G", "short_G",
+                                    "not_base64", "directory"])
 def test_verify_malformed_grid_exit_code(sphere_csv, tmp_path, capsys,
                                          damage):
     bad = tmp_path / "bad.json"
@@ -400,6 +434,26 @@ def test_verify_malformed_grid_exit_code(sphere_csv, tmp_path, capsys,
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("malformed input: ")
+
+
+def test_verify_grid_past_psi_domain_exit_code(sphere_csv, tmp_path,
+                                               capsys):
+    """A well-formed grid whose H R^2 is at least pi^2 is a disc verify
+    fails, not malformed input: exit 1 with a report whose envelope
+    record names H R^2."""
+    grid = constant_curvature_grid(0.5, 0.05, n_r=40, n_theta=8)
+    path, out = tmp_path / "grid.json", tmp_path / "verify.json"
+    save_metric_json(MetricGrid(grid.r_nodes, grid.theta_nodes, grid.G,
+                                H=1e4), path)
+    assert main(["verify", "--input", sphere_csv, "--grid", str(path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    rec = {r["name"]: r for r in json.loads(out.read_text())["records"]}[
+        "radius_ratio_envelope"]
+    h_r2 = 1e4 * grid.R ** 2
+    assert rec["margin"] == "inf" and not rec["pass"]
+    assert rec["detail"] \
+        == f"grid H*R^2 = {h_r2:.6g} >= pi^2, outside psi's domain"
 
 
 @pytest.mark.parametrize("command,option", [

@@ -1,5 +1,8 @@
+import base64
 import itertools
+import json
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -154,16 +157,34 @@ def test_ddot_sup_bound(small_sphere, consts):
 
 
 def test_grid_json_roundtrip(tmp_path, small_sphere):
+    """A saved grid reads back bit for bit and re-saves byte for byte, and
+    G costs at most 11 bytes per node: 8 raw bytes in base64.  A NaN with
+    its payload, an inf and a -0.0 keep their bits in the file; MetricGrid
+    then refuses the values it cannot interpolate."""
     path = tmp_path / "grid.json"
     save_metric_json(small_sphere, path)
     loaded = load_metric_json(path)
-    assert np.allclose(loaded.G, small_sphere.G)
-    assert np.allclose(loaded.r_nodes, small_sphere.r_nodes)
-    assert loaded.H == small_sphere.H
-    # byte-identical re-save
+    for attr in ("G", "r_nodes", "theta_nodes"):
+        assert getattr(loaded, attr).tobytes() \
+            == getattr(small_sphere, attr).tobytes(), attr
+    assert loaded.H == small_sphere.H and loaded.G.flags.writeable
+    n_t, n_r = small_sphere.G.shape
+    assert path.stat().st_size <= 11 * n_t * n_r + 25 * (n_t + n_r)
     path2 = tmp_path / "grid2.json"
     save_metric_json(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+    G = small_sphere.G.copy()
+    G[0, 1] = np.frombuffer(b"\x01\x00\x00\x00\x00\x00\xf8\x7f", "<f8")[0]
+    G[2, 3], G[4, 5] = np.inf, -0.0
+    odd = tmp_path / "odd.json"
+    save_metric_json(SimpleNamespace(
+        H=small_sphere.H, r_nodes=small_sphere.r_nodes,
+        theta_nodes=small_sphere.theta_nodes, G=G), odd)
+    assert base64.b64decode(json.loads(odd.read_text())["G"]) \
+        == G.astype("<f8").tobytes()
+    with pytest.raises(ValueError):
+        load_metric_json(odd)
 
 
 def test_grid_validation_rejects_bad_G(consts):

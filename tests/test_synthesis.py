@@ -21,7 +21,7 @@ from geoprofile.surfaces import (flat_profile, spherical_profile,
                                  variable_curvature_grid, grid_profile,
                                  roundtrip_suite, constant_curvature_grid,
                                  constant_curvature_profile, checker_suite)
-from geoprofile.special_functions import sin_k
+from geoprofile.special_functions import sin_k, PI_SQUARED
 from geoprofile.geodesy import save_metric_json, load_metric_json
 from geoprofile.profile_analysis import curve_angle
 from geoprofile.whitney import holder_seminorm_pairs, WhitneyExtension
@@ -443,6 +443,22 @@ def test_verify_grid_fails_a_negative_G_node(consts, synthesized):
     assert rec.detail == (f"G = {G[3, 400]:.6g} <= 0 at "
                           f"r = {g.r_nodes[400]:.6g}, "
                           f"theta = {g.theta_nodes[3]:.6g}")
+
+
+def test_verify_grid_fails_a_grid_past_psis_domain(consts, synthesized):
+    """The synthesized grid of roundtrip_suite(1, seed=1)[0] with H = 1e4:
+    H R^2 = 16.7 >= pi^2, where psi(H r^2) has no value, so the envelope
+    record fails outright and names H R^2 instead of raising."""
+    p, res = synthesized["roundtrip0"]
+    g = res.metric
+    rep = verify_grid(MetricGrid(g.r_nodes, g.theta_nodes, g.G, H=1e4), p,
+                      consts)
+    h_r2 = 1e4 * g.r_nodes[-1] ** 2
+    assert h_r2 >= PI_SQUARED
+    rec = rep.record("radius_ratio_envelope")
+    assert not rec.passed and rec.margin == np.inf
+    assert rec.detail \
+        == f"grid H*R^2 = {h_r2:.6g} >= pi^2, outside psi's domain"
 
 
 def test_verify_states_the_cat_premise(consts):
