@@ -12,7 +12,7 @@ from geoprofile import (PolarPoint, geodesic_integrate, distance,
                         distance_profile)
 from geoprofile.surfaces import constant_curvature_grid
 
-flat = constant_curvature_grid(0.0, 2.0, H=0.5)
+flat = constant_curvature_grid(0.0, 2.0)
 path = geodesic_integrate(flat, PolarPoint(1.0, 0.0), 0.0, +1, 0.8,
                           step=1e-3)
 t = path.t_nodes
@@ -26,7 +26,7 @@ print(f"  unit-speed residual     = {path.unit_speed_residual:.2e}")
 d = distance(flat, PolarPoint(1, 0), PolarPoint(1, np.pi / 2))
 print(f"  d((1,0),(1,pi/2)) = {d:.12f}  (sqrt(2) = {np.sqrt(2):.12f})")
 
-sphere = constant_curvature_grid(1.0, 1.5, H=1.0)
+sphere = constant_curvature_grid(1.0, 1.5)
 m = 0.3
 path = geodesic_integrate(sphere, PolarPoint(m, 0.0), 0.0, +1, 0.5,
                           step=1e-3)

@@ -19,7 +19,7 @@ def K_fn(r, theta):
     return (0.15 + 0.3 * np.sin(5.0 * r + 0.7)) * np.ones_like(theta)
 
 
-grid = variable_curvature_grid(K_fn, 0.065, H=1.0)
+grid = variable_curvature_grid(K_fn, 0.065)
 profile, path = grid_profile(grid, 0.007, 0.038)
 print(f"generated profile: m = {profile.m:.4f}, "
       f"max rho = {np.max(profile.rho):.4f}, {len(profile)} samples")

@@ -89,24 +89,21 @@ class MetricGrid:
     comes from the per-ray cubic splines of G, so a grid read back from
     its JSON interpolates exactly as the grid that was saved.  It refuses
     (``ValueError``) only arrays it cannot interpolate: fewer than 2 nodes
-    on an axis, nodes out of order, or an ``H`` that is not a finite
-    number > 0.  ``synthesis.verify_grid`` judges whether it is a disc in
-    the class: G > 0, the comparison envelope and c_k_sup H R^2 <= pi^2/4.
+    on an axis or nodes out of order.  ``synthesis.verify_grid`` judges
+    whether it is a disc in the class: G > 0, the comparison envelope and
+    c_k_sup H R^2 <= pi^2/4, with the H of the checker constants.
     """
 
-    def __init__(self, r_nodes, theta_nodes, G, H=1.0):
+    def __init__(self, r_nodes, theta_nodes, G):
         self.r_nodes = np.asarray(r_nodes, dtype=float)
         self.theta_nodes = np.asarray(theta_nodes, dtype=float)
         self.G = np.asarray(G, dtype=float)
-        self.H = float(H)
         n_t, n_r = self.G.shape
         if self.r_nodes.shape != (n_r,) or self.theta_nodes.shape != (n_t,):
             raise ValueError("grid shapes inconsistent")
         if n_r < 2 or n_t < 2:
             raise ValueError("a grid needs at least 2 r nodes and 2 theta "
                              f"nodes, got {n_r} and {n_t}")
-        if not (math.isfinite(self.H) and self.H > 0):
-            raise ValueError(f"H must be a finite number > 0, got {self.H}")
         if np.any(np.diff(self.r_nodes) <= 0) or self.r_nodes[0] <= 0:
             raise ValueError("r_nodes must be positive and increasing")
         dth = np.diff(self.theta_nodes)
@@ -133,7 +130,7 @@ class MetricGrid:
 
     def __reduce__(self):
         # memoryviews do not pickle: rebuild from the defining arrays
-        return (MetricGrid, (self.r_nodes, self.theta_nodes, self.G, self.H))
+        return (MetricGrid, (self.r_nodes, self.theta_nodes, self.G))
 
     @property
     def R(self):
@@ -573,11 +570,10 @@ def distance_profile(grid, path):
 
 
 def save_metric_json(grid, path):
-    """Write ``grid`` as JSON with the keys H, r_nodes, theta_nodes and G:
-    H and the nodes as numbers, G as base64 of its row-major, little-endian
-    float64 bytes, so that a load gives every array back bit for bit."""
+    """Write ``grid`` as JSON with the keys r_nodes, theta_nodes and G: the
+    nodes as numbers, G as base64 of its row-major, little-endian float64
+    bytes, so that a load gives every array back bit for bit."""
     payload = {
-        "H": grid.H,
         "r_nodes": [float(v) for v in grid.r_nodes],
         "theta_nodes": [float(v) for v in grid.theta_nodes],
         "G": base64.b64encode(np.ascontiguousarray(
@@ -588,17 +584,22 @@ def save_metric_json(grid, path):
 
 
 def load_metric_json(path):
-    """Read a ``save_metric_json`` file.  A G that is not base64 of 8 bytes
-    per node raises ``ValueError`` (``TypeError`` if not a string)."""
+    """Read a ``save_metric_json`` file; other keys, such as the H that
+    older files carry, are ignored.  A G that is not base64 of 8 bytes per
+    node raises ``ValueError``."""
     with open(path) as fh:
         d = json.load(fh)
     r_nodes = np.asarray(d["r_nodes"], dtype=float)
     theta_nodes = np.asarray(d["theta_nodes"], dtype=float)
     n_t, n_r = theta_nodes.size, r_nodes.size
+    if not isinstance(d["G"], str):
+        raise ValueError("G is not a base64 string: grid files with a "
+                         "nested-list G predate the base64 format; "
+                         "synthesize rewrites them")
     raw = base64.b64decode(d["G"], validate=True)
     if len(raw) != 8 * n_t * n_r:
         raise ValueError(f"G holds {len(raw)} bytes, not 8 per node of a "
                          f"{n_t} x {n_r} grid")
     # astype copies, so MetricGrid gets a writable array in native order
     G = np.frombuffer(raw, dtype="<f8").astype(float).reshape(n_t, n_r)
-    return MetricGrid(r_nodes, theta_nodes, G, H=float(d["H"]))
+    return MetricGrid(r_nodes, theta_nodes, G)

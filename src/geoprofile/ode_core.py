@@ -9,6 +9,7 @@ to h that is independent of the Jacobi one.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -30,42 +31,27 @@ class OdeBlowupError(ArithmeticError):
 
 @dataclass(frozen=True)
 class RadialCurvature:
-    """Curvature profile K(r) on (0, R] with sup bound H and Hölder data.
-
-    ``L`` is the alpha-Hölder bound; if omitted it is measured from
-    samples (exact on the sample, a lower bound on the true seminorm).
-    """
+    """Curvature profile K(r) on (0, R] with sup bound H and Hölder
+    exponent alpha.  It holds the field and judges nothing about it:
+    ``riccati_stability_check`` refuses fields outside its premises."""
 
     K: Callable
     R: float
     H: float
     alpha: float = 1.0
-    L: float = None
-    validate: bool = True
 
     def __post_init__(self):
         if self.R <= 0 or self.H <= 0:
             raise ValueError("R and H must be positive")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
-        r = np.linspace(self.R / 256.0, self.R, 256)
-        k = self.values(r)
-        if self.validate:
-            if self.H * self.R ** 2 > PI_SQ_QUARTER * (1 + 1e-12):
-                raise ValueError(
-                    f"H*R^2 = {self.H * self.R**2:.6g} exceeds pi^2/4")
-            if np.max(np.abs(k)) > self.H * (1 + 1e-9):
-                raise ValueError(
-                    f"sampled |K| = {np.max(np.abs(k)):.6g} exceeds H = {self.H}")
-        l_meas = holder_seminorm_pairs(k, r, self.alpha)
-        if self.L is None:
-            object.__setattr__(self, "L", l_meas)
-        elif self.validate and l_meas > self.L * (1 + 1e-9) + 1e-12:
-            raise ValueError(
-                f"sampled Hölder seminorm {l_meas:.6g} exceeds L = {self.L}")
 
-    def __call__(self, r):
-        return self.K(r)
+    @cached_property
+    def L(self):
+        """The alpha-Hölder seminorm of K sampled at 256 radii up to R:
+        exact on the sample, a lower bound on the true seminorm."""
+        r = np.linspace(self.R / 256.0, self.R, 256)
+        return holder_seminorm_pairs(self.values(r), r, self.alpha)
 
     def values(self, r):
         """K at every radius of the array ``r``, as floats of r's shape:
@@ -79,6 +65,14 @@ class RadialCurvature:
         return k
 
 
+def _envelope_margin(x, lo, hi):
+    """max(lo/x, x/hi) over the broadcast arrays: <= 1 exactly where
+    lo <= x <= hi everywhere (lo, hi > 0), and inf once any x <= 0."""
+    if np.any(x <= 0):
+        return np.inf
+    return float(np.max(np.maximum(lo / x, x / hi)))
+
+
 @dataclass(frozen=True)
 class RadialSolution:
     r_nodes: np.ndarray
@@ -86,20 +80,12 @@ class RadialSolution:
     h: np.ndarray
 
     def sandwich_margins(self, H):
-        """Worst deviation ratios against the constant-curvature envelopes.
-
-        For each of G and h the deviation from the envelope midline is
-        divided by the envelope half-width; <= 1 node-wise means
-        sin_k(H,r) <= G <= sin_k(-H,r) and cot_k(H,r) <= h <= cot_k(-H,r).
-        """
+        """The envelope margins of G against sin_k(+-H, r) and of h against
+        cot_k(+-H, r); <= 1 means sin_k(H,r) <= G <= sin_k(-H,r), or
+        cot_k(H,r) <= h <= cot_k(-H,r), at every node."""
         r = self.r_nodes
-        g_lo, g_hi = sin_k(H, r), sin_k(-H, r)
-        h_lo, h_hi = cot_k(H, r), cot_k(-H, r)
-        g_margin = np.max(np.abs(self.G - 0.5 * (g_lo + g_hi))
-                          / (0.5 * (g_hi - g_lo)))
-        h_margin = np.max(np.abs(self.h - 0.5 * (h_lo + h_hi))
-                          / (0.5 * (h_hi - h_lo)))
-        return float(g_margin), float(h_margin)
+        return (_envelope_margin(self.G, sin_k(H, r), sin_k(-H, r)),
+                _envelope_margin(self.h, cot_k(H, r), cot_k(-H, r)))
 
 
 def rk4_step(f, x, y, h, k1):
@@ -145,6 +131,15 @@ def _rk4(f, y0, x0, x1, n_steps):
     return xs, ys
 
 
+def _radial_start(R, step):
+    """The first radius r0 = max(step, R*1e-4) and the number of RK4 steps
+    of a radial solve on [r0, R] at about ``step``."""
+    if step > R / 100.0:
+        raise ValueError(f"step {step} too coarse; need step <= R/100")
+    r0 = max(step, R * 1e-4)
+    return r0, max(2, int(np.ceil((R - r0) / step)))
+
+
 def _stage_curvature(k, r0, n_steps):
     """K at every radius ``_rk4`` visits from r0 to k.R in n_steps, from
     one vectorized evaluation, as a dict keyed by the float radius."""
@@ -161,10 +156,7 @@ def solve_jacobi(k, step):
     G = r0 - K(r0) r0^3/6, G' = 1 - K(r0) r0^2/2, correct to O(r0^(3+alpha)).
     """
     R = k.R
-    if step > R / 100.0:
-        raise ValueError(f"step {step} too coarse; need step <= R/100")
-    r0 = max(step, R * 1e-4)
-    n = max(2, int(np.ceil((R - r0) / step)))
+    r0, n = _radial_start(R, step)
     kv = _stage_curvature(k, r0, n)
     k0 = kv[r0]
     y0 = (r0 - k0 * r0 ** 3 / 6.0, 1.0 - k0 * r0 ** 2 / 2.0)
@@ -190,10 +182,7 @@ def solve_riccati(k, step):
     G is reconstructed as r * exp(cumulative integral of g/r^2).
     """
     R = k.R
-    if step > R / 100.0:
-        raise ValueError(f"step {step} too coarse; need step <= R/100")
-    r0 = max(step, R * 1e-4)
-    n = max(2, int(np.ceil((R - r0) / step)))
+    r0, n = _radial_start(R, step)
     kv = _stage_curvature(k, r0, n)
     g0 = -kv[r0] * r0 ** 3 / 3.0
 
@@ -227,6 +216,9 @@ def riccati_stability_check(k1, k2, r_min, consts, step=None):
 
     f' is evaluated from the Riccati equation itself (h' = -h^2 - K), not
     by numerical differentiation.  Margins are actual/allowed ratios.
+    Fields outside the premises raise ``ValueError`` before any solve:
+    H R^2 > pi^2/4 with H the larger bound, or |K| above its field's H
+    at a node of the Riccati solves.
     """
     if abs(k1.R - k2.R) > 1e-12 * max(k1.R, k2.R):
         raise ValueError("curvature fields must share the same radius")
@@ -235,17 +227,21 @@ def riccati_stability_check(k1, k2, r_min, consts, step=None):
         raise ValueError("need 0 < r_min < R")
     H = max(k1.H, k2.H)
     if H * R ** 2 > PI_SQ_QUARTER * (1 + 1e-12):
-        raise ValueError("H*R^2 exceeds pi^2/4")
+        raise ValueError(f"H*R^2 = {H * R ** 2:.6g} exceeds pi^2/4")
     if step is None:
         step = R / 2000.0
-    s1 = solve_riccati(k1, step)
-    s2 = solve_riccati(k2, step)
-    r = s1.r_nodes
-    sel = r >= r_min * (1 - 1e-12)
-    r = r[sel]
-    h1, h2 = s1.h[sel], s2.h[sel]
+    r0, n = _radial_start(R, step)
+    r = _rk4_nodes(r0, R, n)[0]   # the nodes of both Riccati solves
     kv1 = k1.values(r)
     kv2 = k2.values(r)
+    for k, kv in ((k1, kv1), (k2, kv2)):
+        if np.max(np.abs(kv)) > k.H * (1 + 1e-9):
+            raise ValueError(f"sampled |K| = {np.max(np.abs(kv)):.6g} "
+                             f"exceeds H = {k.H}")
+    sel = r >= r_min * (1 - 1e-12)
+    r, kv1, kv2 = r[sel], kv1[sel], kv2[sel]
+    h1 = solve_riccati(k1, step).h[sel]
+    h2 = solve_riccati(k2, step).h[sel]
     T = float(np.max(np.abs(kv1 - kv2)))
     L = max(k1.L, k2.L)
     alpha = k1.alpha

@@ -16,6 +16,7 @@ from .geodesy import (MetricGrid, PolarPoint, GeodesicPath, geodesic_integrate,
 from .ode_core import _rk4
 
 WORKING_RADIUS = 0.05  # default bound on max rho for synthesis-grade profiles
+_R_MIN_FACTOR = 1e-4   # innermost node of the grid builders, as a fraction of R
 
 
 # -- closed-form profile families -------------------------------------------
@@ -149,26 +150,23 @@ def perturbed_cone_profile(eps, beta, interval=(-0.2, 0.2), n=4001):
 # -- grid builders ------------------------------------------------------------
 
 
-def constant_curvature_grid(K, R, n_r=1200, n_theta=64, H=None,
-                            r_min_factor=1e-4):
+def constant_curvature_grid(K, R, n_r=1200, n_theta=64):
     """Polar grid of the curvature-K disc of radius R."""
-    if H is None:
-        H = max(abs(K), 1e-6)
-    r = np.linspace(r_min_factor * R, R, n_r)
+    r = np.linspace(_R_MIN_FACTOR * R, R, n_r)
     theta = -np.pi + 2 * np.pi * np.arange(n_theta) / n_theta
     G = np.tile(sin_k(K, r), (n_theta, 1))
-    return MetricGrid(r, theta, G, H=H)
+    return MetricGrid(r, theta, G)
 
 
-def variable_curvature_grid(K_fn, R, H, n_r=1200, n_theta=64,
-                            r_min_factor=1e-4):
+def variable_curvature_grid(K_fn, R, H=None, n_r=1200, n_theta=64):
     """Grid with curvature K_fn(r, theta_array) via per-ray Jacobi solves.
 
     All rays are integrated simultaneously (vector RK4); the series start
-    at r0 matches G ~ r to O(r0^3).
+    at r0 matches G ~ r to O(r0^3).  ``H`` is accepted and read by
+    nothing: verification takes H from its checker constants.
     """
     theta = -np.pi + 2 * np.pi * np.arange(n_theta) / n_theta
-    r0 = r_min_factor * R
+    r0 = _R_MIN_FACTOR * R
     k0 = np.asarray(K_fn(r0, theta), dtype=float) * np.ones(n_theta)
     y0 = np.stack([r0 - k0 * r0 ** 3 / 6.0, 1.0 - k0 * r0 ** 2 / 2.0])
 
@@ -180,7 +178,7 @@ def variable_curvature_grid(K_fn, R, H, n_r=1200, n_theta=64,
     G = ys[:, 0].T.copy()
     if np.any(G <= 0):
         raise ArithmeticError("Jacobi coefficient went nonpositive")
-    return MetricGrid(r, theta, G, H=H)
+    return MetricGrid(r, theta, G)
 
 
 # -- profile generation on grids ----------------------------------------------
@@ -235,15 +233,15 @@ def checker_suite(n_profiles=50, max_rho=WORKING_RADIUS, seed=0):
         m = float(rng.uniform(0.006, 0.018))
         half = np.sqrt(max(max_rho * 0.8, 2 * m) ** 2 - m * m)
         if kind == "flat":
-            grid = constant_curvature_grid(0.0, R, H=1.0)
+            grid = constant_curvature_grid(0.0, R)
             label = f"flat(m={m:.4f})"
         elif kind == "sphere":
             K = float(rng.uniform(0.1, 1.0))
-            grid = constant_curvature_grid(K, R, H=1.0)
+            grid = constant_curvature_grid(K, R)
             label = f"sphere(K={K:.3f},m={m:.4f})"
         elif kind == "hyper":
             K = float(rng.uniform(-1.0, -0.1))
-            grid = constant_curvature_grid(K, R, H=1.0)
+            grid = constant_curvature_grid(K, R)
             label = f"hyper(K={K:.3f},m={m:.4f})"
         else:
             # amplitude*frequency chosen so the sampled alpha-seminorm of
@@ -256,7 +254,7 @@ def checker_suite(n_profiles=50, max_rho=WORKING_RADIUS, seed=0):
             def K_fn(r, theta, a=a, w=w, ph=ph, k0=k0):
                 return (k0 + a * np.sin(w * r + ph)) * np.ones_like(theta)
 
-            grid = variable_curvature_grid(K_fn, R, H=1.0)
+            grid = variable_curvature_grid(K_fn, R)
             label = f"wave(k0={k0:.3f},a={a:.3f},w={w:.2f},m={m:.4f})"
         profile, path = grid_profile(grid, m, half)
         entries.append({"label": label, "profile": profile, "path": path,

@@ -19,6 +19,7 @@ from .whitney import (SampledFunction, whitney_extend, extension_bounds,
                       holder_seminorm_pairs, HypothesisViolation)
 from .profile_analysis import analyze, curve_angle, curve_samples
 from .geodesy import MetricGrid, GeodesicPath
+from .ode_core import _envelope_margin
 from .report import CheckerRecord, CheckerReport
 
 LN2 = np.log(2.0)
@@ -532,8 +533,7 @@ def assemble_metric(p, s, decomp, correction):
     G = sinr * np.exp(cum_grid)
     K_grid = K0 - (F_grid ** 2 + 2.0 * F_grid * cotr + dF_grid)
 
-    H_grid = max(float(np.max(np.abs(K_grid))) * 1.05, abs(K0) * 1.05, 1e-6)
-    metric = MetricGrid(r_nodes, theta_nodes, G, H=H_grid)
+    metric = MetricGrid(r_nodes, theta_nodes, G)
 
     rdd = np.asarray(p.second_deriv(t), dtype=float)
     gamma = GeodesicPath(t_nodes=t, rho=rho, phi=phi, rho_dot=rd,
@@ -661,8 +661,10 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, seed=0):
     shorter than pi/sqrt(H) are unique and minimizing, so the curve's
     length is its distance once the curvature and geodesic records pass.
     ``curvature_sup`` states both halves of that premise with the H it
-    enforces, c_k_sup H.  ``radius_ratio_envelope`` fails any G <= 0, and
-    a grid whose own H R^2 reaches pi^2, where psi(H r^2) has no value.
+    enforces, c_k_sup H, and ``radius_ratio_envelope`` compares G/r with
+    the comparison envelope at that same H.  The envelope fails any G <= 0,
+    and any c_k_sup H R^2 that reaches pi^2, where psi has no value; such
+    a disc has failed the premise of ``curvature_sup`` already.
     Nor does unit speed: the angle above is integrated through G itself,
     so the curve is unit-speed in the grid by construction.
     """
@@ -678,26 +680,26 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, seed=0):
     rng = np.random.default_rng(seed)
     alpha = consts.alpha
     H = consts.H
+    H_v = consts.c_k_sup * H   # bound of curvature_sup and the envelope
     records = []
 
     r_nodes = grid.r_nodes
-    h_r2 = grid.H * r_nodes ** 2
-    env_detail, bad_G = "", np.argwhere(grid.G <= 0)
+    h_r2 = H_v * r_nodes ** 2
+    env_detail = ""
     if h_r2[-1] >= PI_SQUARED:
-        # psi(H r^2) has no value there: no envelope to compare against
+        # psi has no value there: no envelope to compare against
         env_margin, env_detail = np.inf, (
-            f"grid H*R^2 = {h_r2[-1]:.6g} >= pi^2, outside psi's domain")
-    elif bad_G.size:
-        # a negative ratio never raises the envelope's max: fail outright
-        i, j = bad_G[0]
-        env_margin, env_detail = np.inf, (
-            f"G = {grid.G[i, j]:.6g} <= 0 at r = {r_nodes[j]:.6g}, "
-            f"theta = {grid.theta_nodes[i]:.6g}")
+            f"c_k_sup*H*R^2 = {h_r2[-1]:.6g} >= pi^2, outside psi's domain")
     else:
-        ratio_env = grid.G / r_nodes[None, :]
-        lo_env, hi_env = psi(h_r2), psi(-h_r2)
-        env_margin = max(np.max(lo_env[None, :] / ratio_env),
-                         np.max(ratio_env / hi_env[None, :])) / (1 + 1e-6)
+        env_margin = _envelope_margin(grid.G / r_nodes[None, :], psi(h_r2),
+                                      psi(-h_r2)) / (1 + 1e-6)
+        bad_G = np.argwhere(grid.G <= 0)
+        if bad_G.size:
+            # the margin is inf: name the first such node
+            i, j = bad_G[0]
+            env_detail = (f"G = {grid.G[i, j]:.6g} <= 0 at "
+                          f"r = {r_nodes[j]:.6g}, "
+                          f"theta = {grid.theta_nodes[i]:.6g}")
     records.append(CheckerRecord.from_margin(
         "radius_ratio_envelope", env_margin, detail=env_detail))
 
@@ -707,11 +709,10 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, seed=0):
     K_fd, K_res = grid.curvature_fd()
     sup_excess = np.maximum(np.abs(K_fd) - K_res, 0.0)
     sup_k = float(np.max(sup_excess))
-    sup_margin, sup_detail = sup_k / (consts.c_k_sup * H), ""
-    premise = consts.c_k_sup * H * grid.R ** 2
-    if premise > PI_SQUARED / 4:
-        sup_margin = max(sup_margin, premise / (PI_SQUARED / 4))
-        sup_detail = f"premise c_k_sup*H*R^2 = {premise:.6g} exceeds pi^2/4"
+    sup_margin, sup_detail = sup_k / H_v, ""
+    if h_r2[-1] > PI_SQUARED / 4:
+        sup_margin = max(sup_margin, h_r2[-1] / (PI_SQUARED / 4))
+        sup_detail = f"premise c_k_sup*H*R^2 = {h_r2[-1]:.6g} exceeds pi^2/4"
     records.append(CheckerRecord.from_margin(
         "curvature_sup", sup_margin, detail=sup_detail))
     hol_k = _sample_holder(K_fd, r_nodes, grid.theta_nodes, alpha, rng,
@@ -741,5 +742,5 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, seed=0):
 
     return CheckerReport(
         records=records, constants_version=consts.version,
-        meta={"m": p.m, "H_grid": grid.H,
+        meta={"m": p.m, "H": H,
               "sup_K_fd": sup_k, "n_theta": len(grid.theta_nodes)})

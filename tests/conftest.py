@@ -24,7 +24,7 @@ def variable_curvature_disc():
     def K_fn(r, theta):
         return (0.2 + 0.25 * np.sin(6.0 * r + 1.0)) * np.ones_like(theta)
 
-    grid = variable_curvature_grid(K_fn, 0.065, H=1.0)
+    grid = variable_curvature_grid(K_fn, 0.065)
     return grid, grid_profile(grid, 0.008, 0.038)[0]
 
 

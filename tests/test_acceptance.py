@@ -221,8 +221,7 @@ def test_criterion_9_defect_detection(consts):
         it = int(rng.integers(0, res.metric.theta_nodes.size))
         ir = int(rng.integers(lo, hi))
         G2[it, ir] *= 1.0 + 1e-2
-        bad_grid = MetricGrid(res.metric.r_nodes, res.metric.theta_nodes, G2,
-                              H=res.metric.H)
+        bad_grid = MetricGrid(res.metric.r_nodes, res.metric.theta_nodes, G2)
         rep = verify_synthesis(dataclasses.replace(res, metric=bad_grid),
                                p, consts)
         flagged += int(not rep.record("curvature_holder").passed)

@@ -100,7 +100,7 @@ def test_synthesize_and_verify(sphere_csv, tmp_path, capsys):
     grid = load_metric_json(grid_path)
     assert grid.G.shape[0] == len(grid.theta_nodes)
     assert list(json.loads(grid_path.read_text())) \
-        == ["H", "r_nodes", "theta_nodes", "G"]
+        == ["r_nodes", "theta_nodes", "G"]
     code = main(["verify", "--input", sphere_csv, "--grid", str(grid_path),
                  "--out", str(tmp_path / "rep2.json")])
     assert code == 0
@@ -113,7 +113,7 @@ def test_synthesize_and_verify(sphere_csv, tmp_path, capsys):
 # sha256 of the grid file synthesize writes for roundtrip_suite(1,
 # seed=1)[0] read from its CSV, the round trip the CI step runs
 ROUNDTRIP_GRID_DIGEST = \
-    "d49d9abd5c7daa21e48ba3e51ab3aea5c8d22daf562fb5614d86a703e180b36d"
+    "be573389695612ca4d3c804367cf9c74ab124937d03255c9391d46d4022499ba"
 
 
 def test_roundtrip_grid_file_digest(tmp_path):
@@ -388,11 +388,11 @@ def _encode_G(G):
 
 
 def _corrupt_grid(text):
-    """Ten kinds of damage to a grid file: cut short, a key gone,
+    """Eight kinds of damage to a grid file: cut short, a key gone,
     theta_nodes one short of the rows of G, one theta node, no r nodes,
-    an H that is NaN or zero, and a G that is the old nested list, one
-    node short, or not base64.  one_theta and no_r cut G's array and
-    encode it again, so that MetricGrid is what refuses them."""
+    and a G that is the old nested list, one node short, or not base64.
+    one_theta and no_r cut G's array and encode it again, so that
+    MetricGrid is what refuses them."""
     d = json.loads(text)
     G = _grid_G(d)
     return {
@@ -403,8 +403,6 @@ def _corrupt_grid(text):
         "one_theta": json.dumps({**d, "theta_nodes": d["theta_nodes"][:1],
                                  "G": _encode_G(G[:1])}),
         "no_r": json.dumps({**d, "r_nodes": [], "G": _encode_G(G[:, :0])}),
-        "nan_H": json.dumps({**d, "H": float("nan")}),
-        "zero_H": json.dumps({**d, "H": 0.0}),
         "nested_G": json.dumps({**d, "G": G.tolist()}),
         "short_G": json.dumps({**d, "G": _encode_G(G.ravel()[:-1])}),
         "not_base64": json.dumps({**d, "G": "*" + d["G"][1:]}),
@@ -413,8 +411,8 @@ def _corrupt_grid(text):
 
 @pytest.mark.parametrize("damage", ["truncated", "missing_key",
                                     "inconsistent", "one_theta", "no_r",
-                                    "nan_H", "zero_H", "nested_G", "short_G",
-                                    "not_base64", "directory"])
+                                    "nested_G", "short_G", "not_base64",
+                                    "directory"])
 def test_verify_malformed_grid_exit_code(sphere_csv, tmp_path, capsys,
                                          damage):
     bad = tmp_path / "bad.json"
@@ -434,26 +432,48 @@ def test_verify_malformed_grid_exit_code(sphere_csv, tmp_path, capsys,
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("malformed input: ")
+    if damage == "nested_G":
+        assert err.endswith(
+            "ValueError: G is not a base64 string: grid files with a "
+            "nested-list G predate the base64 format; synthesize rewrites "
+            "them\n")
 
 
 def test_verify_grid_past_psi_domain_exit_code(sphere_csv, tmp_path,
-                                               capsys):
-    """A well-formed grid whose H R^2 is at least pi^2 is a disc verify
-    fails, not malformed input: exit 1 with a report whose envelope
-    record names H R^2."""
+                                               capsys, consts):
+    """At --h-bound 1e4 the disc's c_k_sup H R^2 is at least pi^2: verify
+    fails it, not as malformed input, with exit 1 and a report whose
+    envelope record names c_k_sup H R^2."""
     grid = constant_curvature_grid(0.5, 0.05, n_r=40, n_theta=8)
     path, out = tmp_path / "grid.json", tmp_path / "verify.json"
-    save_metric_json(MetricGrid(grid.r_nodes, grid.theta_nodes, grid.G,
-                                H=1e4), path)
+    save_metric_json(grid, path)
     assert main(["verify", "--input", sphere_csv, "--grid", str(path),
-                 "--out", str(out)]) == 1
+                 "--h-bound", "1e4", "--out", str(out)]) == 1
     assert capsys.readouterr().err == ""
     rec = {r["name"]: r for r in json.loads(out.read_text())["records"]}[
         "radius_ratio_envelope"]
-    h_r2 = 1e4 * grid.R ** 2
+    h_r2 = consts.c_k_sup * 1e4 * grid.R ** 2
     assert rec["margin"] == "inf" and not rec["pass"]
     assert rec["detail"] \
-        == f"grid H*R^2 = {h_r2:.6g} >= pi^2, outside psi's domain"
+        == f"c_k_sup*H*R^2 = {h_r2:.6g} >= pi^2, outside psi's domain"
+
+
+def test_verify_ignores_a_grid_files_H(sphere_csv, tmp_path):
+    """A grid file that still carries the H key of the older format loads,
+    and verify writes the same report bytes with H absent, 1e4 or NaN:
+    the envelope reads c_k_sup H of the checker constants."""
+    path = tmp_path / "grid.json"
+    save_metric_json(
+        constant_curvature_grid(0.5, 0.05, n_r=400, n_theta=64), path)
+    d = json.loads(path.read_text())
+    reports = set()
+    for name, H in (("absent", None), ("big", 1e4), ("nan", float("nan"))):
+        grid_path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out"
+        grid_path.write_text(json.dumps(d if H is None else {"H": H, **d}))
+        main(["verify", "--input", sphere_csv, "--grid", str(grid_path),
+              "--out", str(out)])
+        reports.add(out.read_bytes())
+    assert len(reports) == 1
 
 
 @pytest.mark.parametrize("command,option", [

@@ -18,22 +18,22 @@ from geoprofile.surfaces import (constant_curvature_grid, flat_profile,
 
 @pytest.fixture(scope="module")
 def flat_big():
-    return constant_curvature_grid(0.0, 2.0, H=0.5)
+    return constant_curvature_grid(0.0, 2.0)
 
 
 @pytest.fixture(scope="module")
 def sphere():
-    return constant_curvature_grid(1.0, 1.5, H=1.0)
+    return constant_curvature_grid(1.0, 1.5)
 
 
 @pytest.fixture(scope="module")
 def hyperbolic():
-    return constant_curvature_grid(-1.0, 1.0, H=1.0)
+    return constant_curvature_grid(-1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
 def small_sphere():
-    return constant_curvature_grid(0.3, 0.052, H=1.0)
+    return constant_curvature_grid(0.3, 0.052)
 
 
 def test_flat_line(flat_big):
@@ -167,7 +167,7 @@ def test_grid_json_roundtrip(tmp_path, small_sphere):
     for attr in ("G", "r_nodes", "theta_nodes"):
         assert getattr(loaded, attr).tobytes() \
             == getattr(small_sphere, attr).tobytes(), attr
-    assert loaded.H == small_sphere.H and loaded.G.flags.writeable
+    assert loaded.G.flags.writeable
     n_t, n_r = small_sphere.G.shape
     assert path.stat().st_size <= 11 * n_t * n_r + 25 * (n_t + n_r)
     path2 = tmp_path / "grid2.json"
@@ -179,7 +179,7 @@ def test_grid_json_roundtrip(tmp_path, small_sphere):
     G[2, 3], G[4, 5] = np.inf, -0.0
     odd = tmp_path / "odd.json"
     save_metric_json(SimpleNamespace(
-        H=small_sphere.H, r_nodes=small_sphere.r_nodes,
+        r_nodes=small_sphere.r_nodes,
         theta_nodes=small_sphere.theta_nodes, G=G), odd)
     assert base64.b64decode(json.loads(odd.read_text())["G"]) \
         == G.astype("<f8").tobytes()
@@ -193,7 +193,7 @@ def test_grid_validation_rejects_bad_G(consts):
     theta = -np.pi + 2 * np.pi * np.arange(8) / 8
     G = np.tile(r, (8, 1)) * 3.0   # badly off the envelope
     p = flat_profile(0.01, (-0.04, 0.04), n=3001)
-    rep = synthesis.verify_grid(MetricGrid(r, theta, G, H=1.0), p, consts)
+    rep = synthesis.verify_grid(MetricGrid(r, theta, G), p, consts)
     assert not rep.record("radius_ratio_envelope").passed
 
 
@@ -201,7 +201,7 @@ def _grid_with_zero_row(grid):
     """``grid`` with G = 0 on the theta = -pi row."""
     G = grid.G.copy()
     G[0] = 0.0
-    return MetricGrid(grid.r_nodes, grid.theta_nodes, G, H=grid.H)
+    return MetricGrid(grid.r_nodes, grid.theta_nodes, G)
 
 
 def test_point_path_equals_array_path(sphere):
@@ -417,9 +417,8 @@ def test_near_radial_distance_matches_law_of_cosines(request, name, K, a, b,
 
 @pytest.mark.parametrize("name", ["small_sphere", "flat_big"])
 def test_distance_is_scale_covariant(request, name):
-    """Scaling the disc by lambda (r -> lambda r, G -> lambda G,
-    H -> H/lambda^2) scales every distance by lambda: the shots hold no
-    length but R."""
+    """Scaling the disc by lambda (r -> lambda r, G -> lambda G) scales
+    every distance by lambda: the shots hold no length but R."""
     grid = request.getfixturevalue(name)
     R = grid.R
     rng = np.random.default_rng(3)
@@ -429,8 +428,7 @@ def test_distance_is_scale_covariant(request, name):
     base = [distance(grid, PolarPoint(*p), PolarPoint(*q)) for p, q in pairs]
     for lam in (0.5, 2.0, 3.0):
         scaled = MetricGrid(lam * grid.r_nodes, grid.theta_nodes,
-                            lam * grid.G,
-                            H=grid.H / lam ** 2)
+                            lam * grid.G)
         for (p, q), d in zip(pairs, base):
             got = distance(scaled, PolarPoint(lam * p[0], p[1]),
                            PolarPoint(lam * q[0], q[1]))

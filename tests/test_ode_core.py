@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -65,19 +67,28 @@ def test_grid_refinement_order():
 def test_blowup_reported_with_node():
     k = RadialCurvature(
         K=lambda r: 4.0 * np.ones_like(np.asarray(r, dtype=float)),
-        R=2.0, H=4.0, alpha=0.5, validate=False)
+        R=2.0, H=4.0, alpha=0.5)
     with pytest.raises(OdeBlowupError) as err:
         solve_jacobi(k, step=1e-3)
     assert 0 < err.value.r_bad <= 2.0
 
 
-def test_field_validation():
-    with pytest.raises(ValueError):
-        RadialCurvature(K=lambda r: 3.0 * np.ones_like(np.asarray(r)),
-                        R=1.0, H=1.0)   # sup violates H
-    with pytest.raises(ValueError):
-        RadialCurvature(K=lambda r: np.zeros_like(np.asarray(r)),
-                        R=4.0, H=1.0)   # H R^2 too large
+def test_field_validation(consts):
+    """RadialCurvature holds a field outside the premises without judging
+    it; riccati_stability_check refuses it before solving, so K = 5,
+    whose Riccati solution blows up at r = pi/sqrt(5) < R, is refused
+    for its sup, and so is K = 5 below r = 0.02 < r_min alone."""
+    for K in (lambda r: 5.0 * np.ones_like(np.asarray(r)),
+              lambda r: np.where(np.asarray(r) < 0.02, 5.0, 0.0)):
+        over = RadialCurvature(K=K, R=1.5, H=1.0)   # sup violates H
+        with pytest.raises(ValueError, match=re.escape(
+                "sampled |K| = 5 exceeds H = 1.0")):
+            riccati_stability_check(const_field(0.0, R=1.5), over, 0.05,
+                                    consts)
+    wide = const_field(0.0, R=4.0, H=1.0)   # H R^2 too large
+    with pytest.raises(ValueError,
+                       match=re.escape("H*R^2 = 16 exceeds pi^2/4")):
+        riccati_stability_check(wide, wide, 0.05, consts)
 
 
 def test_stability_identical_fields(consts):
@@ -190,7 +201,7 @@ def test_radial_solves_equal_scalar_reference(rng):
 def test_blowup_node_equals_scalar_reference(solve, riccati):
     k = RadialCurvature(
         K=lambda r: 4.0 * np.ones_like(np.asarray(r, dtype=float)),
-        R=2.0, H=4.0, alpha=0.5, validate=False)
+        R=2.0, H=4.0, alpha=0.5)
     xs, r_bad, _ = reference_solve(k, 1e-3, riccati)
     assert np.ndim(r_bad) == 0
     with pytest.raises(OdeBlowupError) as err:

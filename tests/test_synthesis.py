@@ -260,7 +260,7 @@ def test_variable_curvature_roundtrip(consts):
     def K_fn(r, theta):
         return (0.2 + 0.25 * np.sin(6.0 * r + 1.0)) * np.ones_like(theta)
 
-    grid = variable_curvature_grid(K_fn, 0.065, H=1.0)
+    grid = variable_curvature_grid(K_fn, 0.065)
     p, _ = grid_profile(grid, 0.008, 0.038)
     res = synthesize(p, consts)
     rep = verify_synthesis(res, p, consts)
@@ -358,8 +358,7 @@ def test_defect_injection_flagged(consts):
     G2 = res.metric.G.copy()
     col = int(np.searchsorted(res.metric.r_nodes, 0.02))
     G2[7, col] *= 1.01
-    bad = MetricGrid(res.metric.r_nodes, res.metric.theta_nodes, G2,
-                     H=res.metric.H)
+    bad = MetricGrid(res.metric.r_nodes, res.metric.theta_nodes, G2)
     rep = verify_synthesis(dataclasses.replace(res, metric=bad), p, consts)
     assert not rep.record("curvature_holder").passed
 
@@ -398,7 +397,7 @@ def test_verify_grid_reports_non_finite_curve_points(consts):
     grid = constant_curvature_grid(0.5, 0.05, n_r=400, n_theta=64)
     G = grid.G.copy()
     G[int(np.argmin(np.abs(grid.theta_nodes)))] = 0.0
-    zero = MetricGrid(grid.r_nodes, grid.theta_nodes, G, H=grid.H)
+    zero = MetricGrid(grid.r_nodes, grid.theta_nodes, G)
     with np.errstate(all="ignore"):
         rep = verify_grid(zero, p, consts)
     assert not rep.verdict
@@ -417,7 +416,7 @@ def test_verify_grid_refuses_curve_outside_grid(consts, synthesized, cut):
     g = res.metric
     keep = (g.r_nodes <= 0.3 * np.max(p.rho) if cut == "R_below_m"
             else g.r_nodes >= 1.1 * p.m)
-    grid = MetricGrid(g.r_nodes[keep], g.theta_nodes, g.G[:, keep], H=g.H)
+    grid = MetricGrid(g.r_nodes[keep], g.theta_nodes, g.G[:, keep])
     off = (p.rho < grid.r_nodes[0]) | (p.rho > grid.R)
     assert np.all(off) == (cut == "R_below_m") and np.any(off)
     rep = verify_grid(grid, p, consts)
@@ -436,8 +435,7 @@ def test_verify_grid_fails_a_negative_G_node(consts, synthesized):
     g = res.metric
     G = g.G.copy()
     G[3, 400] = -G[3, 400]
-    rep = verify_grid(MetricGrid(g.r_nodes, g.theta_nodes, G, H=g.H), p,
-                      consts)
+    rep = verify_grid(MetricGrid(g.r_nodes, g.theta_nodes, G), p, consts)
     rec = rep.record("radius_ratio_envelope")
     assert not rec.passed and rec.margin == np.inf
     assert rec.detail == (f"G = {G[3, 400]:.6g} <= 0 at "
@@ -446,19 +444,20 @@ def test_verify_grid_fails_a_negative_G_node(consts, synthesized):
 
 
 def test_verify_grid_fails_a_grid_past_psis_domain(consts, synthesized):
-    """The synthesized grid of roundtrip_suite(1, seed=1)[0] with H = 1e4:
-    H R^2 = 16.7 >= pi^2, where psi(H r^2) has no value, so the envelope
-    record fails outright and names H R^2 instead of raising."""
+    """The synthesized grid of roundtrip_suite(1, seed=1)[0] verified at
+    H = 1e4: c_k_sup H R^2 = 18.4 >= pi^2, where psi has no value, so the
+    envelope record fails outright and names c_k_sup H R^2 instead of
+    raising.  curvature_sup fails its premise as well."""
     p, res = synthesized["roundtrip0"]
-    g = res.metric
-    rep = verify_grid(MetricGrid(g.r_nodes, g.theta_nodes, g.G, H=1e4), p,
-                      consts)
-    h_r2 = 1e4 * g.r_nodes[-1] ** 2
+    big = dataclasses.replace(consts, H=1e4)
+    rep = verify_grid(res.metric, p, big)
+    h_r2 = big.c_k_sup * big.H * res.metric.R ** 2
     assert h_r2 >= PI_SQUARED
     rec = rep.record("radius_ratio_envelope")
     assert not rec.passed and rec.margin == np.inf
     assert rec.detail \
-        == f"grid H*R^2 = {h_r2:.6g} >= pi^2, outside psi's domain"
+        == f"c_k_sup*H*R^2 = {h_r2:.6g} >= pi^2, outside psi's domain"
+    assert not rep.record("curvature_sup").passed
 
 
 def test_verify_states_the_cat_premise(consts):
@@ -470,7 +469,7 @@ def test_verify_states_the_cat_premise(consts):
     assert finiteness_check(
         p, consts, twelve_point_configurations(p.interval, 240)).verdict
     res = synthesize(p, consts)
-    grid = constant_curvature_grid(1.0, 1.9, H=1.0)
+    grid = constant_curvature_grid(1.0, 1.9)
     for rep, R in ((verify_synthesis(res, p, consts), res.metric.R),
                    (verify_grid(grid, p, consts), 1.9)):
         premise = consts.c_k_sup * consts.H * R ** 2
@@ -503,7 +502,7 @@ def test_verify_grid_refuses_wrong_curvature(consts, Kg, Kp, passes):
     curvature Kg: the curve is a geodesic of the grid only when the two
     agree, and geodesic_residual reads the difference (500, 1000 and
     16.7 on the three mismatches)."""
-    grid = constant_curvature_grid(Kg, 0.6, n_r=1200, n_theta=256, H=1)
+    grid = constant_curvature_grid(Kg, 0.6, n_r=1200, n_theta=256)
     p = constant_curvature_profile(Kp, 0.05, (-0.4, 0.4))
     rec = verify_grid(grid, p, consts).record("geodesic_residual")
     assert rec.passed == passes, rec.margin
@@ -516,8 +515,8 @@ def test_only_radius_ratio_envelope_sees_a_cone_apex(consts, c):
     geodesic_residual reads below 1e-6, and only radius_ratio_envelope
     sees G'(0) = c, at max(c, 1/c) / (1 + 1e-6).  So no other record
     checks that each ray starts at unit speed."""
-    g = constant_curvature_grid(0.0, 0.065, H=1.0)
-    cone = MetricGrid(g.r_nodes, g.theta_nodes, c * g.G, H=1)
+    g = constant_curvature_grid(0.0, 0.065)
+    cone = MetricGrid(g.r_nodes, g.theta_nodes, c * g.G)
     rep = verify_grid(cone, flat_profile(0.01, (-0.04, 0.04), n=3001), consts)
     assert [r.name for r in rep.records if not r.passed] \
         == ([] if c == 1.0 else ["radius_ratio_envelope"])
@@ -779,7 +778,7 @@ SYNTH_DIGESTS = {
     ("roundtrip0", "nodes_to"):
         "1ad046329fd4c5809ec82af371db76782ecf509a8aa5aaf4e441b926159af9ab",
     ("roundtrip0", "verify"):
-        "54644efdd489cb302f94f3d967197336bdb31fc30145ffd16ef1bf562c3de723",
+        "95d1ddfd75c70842e420f1cdd17034375d3fc611fcbbbf90693fc3581c31e9f6",
     ("roundtrip1", "G"):
         "5cb0d432ba7fe557f4534033e8a0dd6cc4cf3dd796bbdda412283881f2cf2434",
     ("roundtrip1", "K_grid"):
@@ -789,7 +788,7 @@ SYNTH_DIGESTS = {
     ("roundtrip1", "nodes_to"):
         "c970d86f5d132c8c9168b5db0a8898697fd5b5edb7a3fbd5df00824918fd60bf",
     ("roundtrip1", "verify"):
-        "8f7905fa331e026d602bf22a1267d32e8116948d32b29f3026af71f2b22932e4",
+        "83efbba9cde3e6652ee78eb5d476b3000f2191bfc2418a97464876eb15d41346",
     ("bump", "G"):
         "993fdd7d139a59bc6174b8daca422a4c42859f001797ae4afb7db7a75e69b840",
     ("bump", "K_grid"):
@@ -799,7 +798,7 @@ SYNTH_DIGESTS = {
     ("bump", "nodes_to"):
         "97d9302cc13734d5aac35f9ca3d318e3e6f3f74350410461d54e9add44da323f",
     ("bump", "verify"):
-        "5ea9ccc22bf57a03b7d08c3dd0d67bfd580525fdb0b3b17d093f8a03a98eea94",
+        "2f8ed89505fa060d6dbf9e9bf9b807a53bbd843b7ee915aff2a65675038dfe2a",
 }
 
 
