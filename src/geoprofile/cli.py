@@ -151,8 +151,7 @@ def cmd_synthesize(args):
         print(f"synthesis failed: {exc}")
         return 1
     save_metric_json(result.metric, args.grid_out)
-    report = verify_synthesis(result, p, consts, tol_geo=args.tol_geo,
-                              seed=args.seed)
+    report = verify_synthesis(result, p, consts, seed=args.seed)
     _write(args.out, report.to_json())
     if args.plot_csv:
         grid = result.metric
@@ -174,8 +173,7 @@ def cmd_verify(args):
     p = _load_profile(args.input)
     consts = _constants(args)
     grid = _load_grid(args.grid)
-    report = verify_grid(grid, p, consts, tol_geo=args.tol_geo,
-                         seed=args.seed)
+    report = verify_grid(grid, p, consts, seed=args.seed)
     _write(args.out, report.to_json())
     print("\n".join(report.summary_lines()))
     return 0 if report.verdict else 1
@@ -226,10 +224,9 @@ def build_parser():
                     "metrics.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_input=True, checks=True, verifies=False):
+    def common(sp, with_input=True, checks=True):
         """Options of the subcommands that read a profile: ``checks``
-        adds the checker's sampling, ``verifies`` the geodesic
-        tolerance of verification."""
+        adds the checker's sampling."""
         if with_input:
             sp.add_argument("--input", required=True,
                             help="profile CSV (header 't,rho')")
@@ -240,8 +237,6 @@ def build_parser():
         if checks:
             sp.add_argument("--seed", type=_nonnegative_int, default=0)
             sp.add_argument("--budget", type=_positive_int, default=240)
-        if verifies:
-            sp.add_argument("--tol-geo", type=_positive_float, default=1e-5)
 
     sp = sub.add_parser("analyze", help="derived curves of a profile")
     common(sp, checks=False)
@@ -253,7 +248,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("synthesize", help="build and verify a metric")
-    common(sp, verifies=True)
+    common(sp)
     sp.add_argument("--grid-out", required=True, help="metric grid JSON")
     sp.add_argument("--force", action="store_true",
                     help="synthesize even if the checker fails")
@@ -261,7 +256,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_synthesize)
 
     sp = sub.add_parser("verify", help="verify an existing grid + profile")
-    common(sp, verifies=True)
+    common(sp)
     sp.add_argument("--grid", required=True, help="metric grid JSON")
     sp.set_defaults(fn=cmd_verify)
 

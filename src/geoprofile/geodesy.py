@@ -85,9 +85,9 @@ class MetricGrid:
     """Immutable polar metric grid with anisotropic interpolation.
 
     ``G`` has one row per theta node (theta in [-pi, pi), periodic) and
-    one column per r node.  Its arrays are all the grid holds: dG_dr
-    comes from the per-ray cubic splines of G, so a grid read back from
-    its JSON interpolates exactly as the grid that was saved.  It refuses
+    one column per r node.  It holds G and one table of G's per-ray cubic
+    splines, whose derivative gives dG_dr, so a grid read back from its
+    JSON interpolates exactly as the grid that was saved.  It refuses
     (``ValueError``) only arrays it cannot interpolate: fewer than 2 nodes
     on an axis or nodes out of order.  ``synthesis.verify_grid`` judges
     whether it is a disc in the class: G > 0, the comparison envelope and
@@ -117,14 +117,11 @@ class MetricGrid:
                           rtol=0, atol=1e-9):
             raise ValueError("theta_nodes must tile the full circle")
         cg = CubicSpline(self.r_nodes, self.G.T).c  # (4, n_r-1, n_theta)
-        cd = np.stack([np.zeros_like(cg[0]), 3 * cg[0], 2 * cg[1], cg[2]])
-        # both tables flat: coefficient k of ray j in radial cell i sits at
-        # k*stride + i*n_theta + j; the memoryviews serve float points
+        # the table flat: coefficient k of ray j in radial cell i sits at
+        # k*stride + i*n_theta + j; the memoryview serves float points
         self._stride = (n_r - 1) * n_t
         self._cg = np.ascontiguousarray(cg).reshape(-1)
-        self._cd = np.ascontiguousarray(cd).reshape(-1)
         self._cg_view = memoryview(self._cg)
-        self._cd_view = memoryview(self._cd)
         self._r_list = self.r_nodes.tolist()
         self._theta0 = float(self.theta_nodes[0])
 
@@ -143,13 +140,13 @@ class MetricGrid:
     # -- interpolation ----------------------------------------------------
 
     def _cell(self, r, theta):
-        """Coefficient tables and cell of (r, theta), as
-        ``(cg, cd, k0, k1, dx, w)``: k0 and k1 are the flat offsets of the
-        two rays bracketing theta in the radial cell of r, dx is r minus the
+        """Coefficient table and cell of (r, theta), as
+        ``(cg, k0, k1, dx, w)``: k0 and k1 are the flat offsets of the two
+        rays bracketing theta in the radial cell of r, dx is r minus the
         cell start and w the angular weight.
 
         A float point is located with bisect and math.floor and its
-        coefficients are read through memoryviews, so every value stays a
+        coefficients are read through a memoryview, so every value stays a
         Python float: numpy's overhead on 0-d values would be most of the
         cost of a geodesic step.  Arrays, and a point whose theta cannot be
         floored (NaN or inf), use searchsorted and numpy indexing.  Both
@@ -163,7 +160,7 @@ class MetricGrid:
                 i = min(max(bisect_right(self._r_list, r) - 1, 0),
                         len(self._r_list) - 2)
                 j0 = math.floor(tf)
-                return (self._cg_view, self._cd_view,
+                return (self._cg_view,
                         i * n_t + j0 % n_t, i * n_t + (j0 + 1) % n_t,
                         r - self._r_list[i], tf - j0)
         r = np.asarray(r, dtype=float)
@@ -172,30 +169,30 @@ class MetricGrid:
                     0, self.r_nodes.size - 2)
         tf = (theta - self.theta_nodes[0]) / self._dtheta
         j0 = np.floor(tf).astype(int)
-        return (self._cg, self._cd,
-                i * n_t + j0 % n_t, i * n_t + (j0 + 1) % n_t,
+        return (self._cg, i * n_t + j0 % n_t, i * n_t + (j0 + 1) % n_t,
                 r - self.r_nodes[i], tf - j0)
 
-    def _blend(self, c, k0, k1, dx, w):
-        """The cubics in dx of the rays at flat offsets k0 and k1 of table
-        ``c``, blended linearly in theta with weight w."""
+    def _ray(self, c, k, dx):
+        """G and dG_dr on the ray at flat offset k of table ``c``: its
+        cubic in dx and the cubic's derivative, from one read of the four
+        coefficients."""
         s = self._stride
-        g0 = ((c[k0] * dx + c[k0 + s]) * dx + c[k0 + 2 * s]) * dx \
-            + c[k0 + 3 * s]
-        g1 = ((c[k1] * dx + c[k1 + s]) * dx + c[k1 + 2 * s]) * dx \
-            + c[k1 + 3 * s]
-        return (1 - w) * g0 + w * g1
+        a, b, d = c[k], c[k + s], c[k + 2 * s]
+        return (((a * dx + b) * dx + d) * dx + c[k + 3 * s],
+                (3 * a * dx + 2 * b) * dx + d)
 
     def value(self, r, theta):
         """G at (r, theta); array-compatible."""
-        cg, _, k0, k1, dx, w = self._cell(r, theta)
-        return self._blend(cg, k0, k1, dx, w)
+        c, k0, k1, dx, w = self._cell(r, theta)
+        return (1 - w) * self._ray(c, k0, dx)[0] + w * self._ray(c, k1, dx)[0]
 
     def value_and_h(self, r, theta):
         """(G, dG_dr/G) at (r, theta); array-compatible."""
-        cg, cd, k0, k1, dx, w = self._cell(r, theta)
-        g = self._blend(cg, k0, k1, dx, w)
-        d = self._blend(cd, k0, k1, dx, w)
+        c, k0, k1, dx, w = self._cell(r, theta)
+        g0, d0 = self._ray(c, k0, dx)
+        g1, d1 = self._ray(c, k1, dx)
+        g = (1 - w) * g0 + w * g1
+        d = (1 - w) * d0 + w * d1
         try:
             return g, d / g
         except ZeroDivisionError:

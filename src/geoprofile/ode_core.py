@@ -131,6 +131,11 @@ def _rk4(f, y0, x0, x1, n_steps):
     return xs, ys
 
 
+def _cumulative(v, dr):
+    """Cumulative trapezoid of the samples v over the spacings dr."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * dr)))
+
+
 def _radial_start(R, step):
     """The first radius r0 = max(step, R*1e-4) and the number of RK4 steps
     of a radial solve on [r0, R] at about ``step``."""
@@ -193,8 +198,7 @@ def solve_riccati(k, step):
     f = gs / rs ** 2
     h = 1.0 / rs + f
     # log(G/r)' = f; trapezoid is adequate since f is C^1 and small.
-    log_ratio = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(rs))))
+    log_ratio = _cumulative(f, np.diff(rs))
     log_ratio += f[0] * r0 * 0.5  # series tail below r0: f ~ -K(0) r / 3
     G = rs * np.exp(log_ratio)
     if np.any(~np.isfinite(h)):
@@ -207,7 +211,8 @@ def solve_riccati(k, step):
 def riccati_stability_check(k1, k2, r_min, consts, step=None):
     """Check the four stability conclusions for f = h1 - h2 on [r_min, R].
 
-    With T = sup|K1 - K2|, L = max Hölder bound and R the common radius:
+    With T = sup|K1 - K2| over every node of the solves (from r0, not
+    r_min), L = max Hölder bound and R the common radius:
 
         (a) sup|f|      <= c_a * T * R
         (b) sup|f'|     <= c_b * T
@@ -215,7 +220,8 @@ def riccati_stability_check(k1, k2, r_min, consts, step=None):
         (d) [f']_alpha  <= c_d * (L + T * R^(-alpha) * (1 + R/r_min))
 
     f' is evaluated from the Riccati equation itself (h' = -h^2 - K), not
-    by numerical differentiation.  Margins are actual/allowed ratios.
+    by numerical differentiation.  Margins are actual/allowed ratios,
+    all four 0 for identical fields (T = 0).
     Fields outside the premises raise ``ValueError`` before any solve:
     H R^2 > pi^2/4 with H the larger bound, or |K| above its field's H
     at a node of the Riccati solves.
@@ -238,11 +244,11 @@ def riccati_stability_check(k1, k2, r_min, consts, step=None):
         if np.max(np.abs(kv)) > k.H * (1 + 1e-9):
             raise ValueError(f"sampled |K| = {np.max(np.abs(kv)):.6g} "
                              f"exceeds H = {k.H}")
+    T = float(np.max(np.abs(kv1 - kv2)))
     sel = r >= r_min * (1 - 1e-12)
     r, kv1, kv2 = r[sel], kv1[sel], kv2[sel]
     h1 = solve_riccati(k1, step).h[sel]
     h2 = solve_riccati(k2, step).h[sel]
-    T = float(np.max(np.abs(kv1 - kv2)))
     L = max(k1.L, k2.L)
     alpha = k1.alpha
     f = h1 - h2

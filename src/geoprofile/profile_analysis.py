@@ -282,7 +282,8 @@ def finiteness_check(p, consts, configs):
     # configuration point; kappa is undefined where the first fails, so
     # the report then holds this alone
     ts = np.concatenate([p.t_nodes, configs.ravel()])
-    rs = np.concatenate([p.rho, p.value(configs.ravel())])
+    config_rho = np.asarray(p.value(configs.ravel()), dtype=float)
+    rs = np.concatenate([p.rho, config_rho])
     lip, tri = (q / C_LIPSCHITZ for q in
                 metric_condition_quotients(ts, rs, 1e-12 * (b - a)))
     lip_record = CheckerRecord.from_margin("lipschitz_triangle",
@@ -300,8 +301,7 @@ def finiteness_check(p, consts, configs):
     # divided differences over each cluster's own points; nothing is
     # smoothed globally
     ta, tb, tc = np.moveaxis(configs, 2, 0)
-    ra, rho, rc = np.moveaxis(np.asarray(
-        p.value(configs.ravel()), dtype=float).reshape(configs.shape), 2, 0)
+    ra, rho, rc = np.moveaxis(config_rho.reshape(configs.shape), 2, 0)
     dd1 = (rc - ra) / (tc - ta)
     dd2 = 2.0 * ((rc - rho) / (tc - tb) - (rho - ra) / (tb - ta)) / (tc - ta)
     width = tc - ta
@@ -318,8 +318,7 @@ def finiteness_check(p, consts, configs):
     # modeled by dd2/rho).  Only excesses beyond resolution count as
     # violations; the width cycle of the configurations guarantees
     # near-optimal-resolution clusters at every location.
-    u_val = np.asarray(p.value_resolution(tb.ravel(), np.abs(dd2).ravel()),
-                       dtype=float).reshape(tb.shape)
+    u_val = p.value_resolution(tb, rho, np.abs(dd2))
     dd2_res = 16.0 * u_val / width ** 2 \
         + 0.25 * width ** 2 * np.abs(dd2) / rho ** 2
     dd1_res = 8.0 * u_val / width \

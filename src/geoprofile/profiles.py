@@ -103,20 +103,19 @@ class DistanceProfile:
                       0, self.t_nodes.size - 2)
         return self.t_nodes[idx + 1] - self.t_nodes[idx]
 
-    def value_resolution(self, t, dd2_scale):
-        """Bound on the evaluation error of ``value`` at t.
+    def value_resolution(self, t, rho, dd2_scale):
+        """Bound on the evaluation error of ``value``, which reads rho at t.
 
         Analytic callbacks are good to an ulp; the quintic interpolant
         adds interpolation error h^6 * |rho^(6)| / 128, modeled through
         the local spacing h and a caller-supplied second-derivative
         scale, with rho^(6) estimated by dd2 / rho^4.
         """
-        t_arr = np.asarray(t, dtype=float)
-        rho = np.abs(np.asarray(self.value(t_arr), dtype=float))
+        rho = np.abs(np.asarray(rho, dtype=float))
         eps = np.finfo(float).eps
         if self._rho_fn is not None:
             return 2.0 * eps * rho
-        h = self.local_spacing(t_arr)
+        h = self.local_spacing(t)
         # piecewise-polynomial evaluation chains cost a few ulps
         return (4.0 * eps * rho
                 + h ** 6 * np.abs(dd2_scale) / (128.0 * rho ** 4))

@@ -19,7 +19,7 @@ from .whitney import (SampledFunction, whitney_extend, extension_bounds,
                       holder_seminorm_pairs, HypothesisViolation)
 from .profile_analysis import analyze, curve_angle, curve_samples
 from .geodesy import MetricGrid, GeodesicPath
-from .ode_core import _envelope_margin
+from .ode_core import _cumulative, _envelope_margin
 from .report import CheckerRecord, CheckerReport
 
 LN2 = np.log(2.0)
@@ -409,11 +409,6 @@ class RadialCorrectionField:
         return out
 
 
-def _cumulative(v, dr):
-    """Cumulative trapezoid of the samples v over the spacings dr."""
-    return np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * dr)))
-
-
 def glue_f(fields_by_k, decomp):
     """Glue per-annulus extensions with the log2-dyadic partition of unity."""
     needed = set(decomp.pieces.keys())
@@ -618,14 +613,18 @@ def _sample_holder(values, r_nodes, theta_nodes, alpha, rng, resolution,
     return float(np.max(partial))
 
 
-def verify_synthesis(res, p, consts, tol_geo=1e-5, seed=0):
+# tolerance of geodesic_residual: |rho'' - h (1 - rho'^2)| along the curve
+TOL_GEO = 1e-5
+
+
+def verify_synthesis(res, p, consts, seed=0):
     """``verify_grid`` on the synthesized grid, which is the grid
     ``save_metric_json`` writes, plus the Hölder budget of the curvature
     correction term, which needs the correction field; always returns a
     report.  Without ``f_holder_budget`` the report is the one ``verify``
     gives for the saved grid, byte for byte."""
     s = res.summary
-    report = verify_grid(res.metric, p, consts, tol_geo, seed)
+    report = verify_grid(res.metric, p, consts, seed)
     # analytic-route Hölder budget of f^2 + 2 f cot + df/dr
     rs = np.geomspace(max(0.55 * s.m, res.metric.r_nodes[0]),
                       res.metric.r_nodes[-1] * 0.999, 40)
@@ -645,7 +644,7 @@ def verify_synthesis(res, p, consts, tol_geo=1e-5, seed=0):
     return report
 
 
-def verify_grid(grid, p, consts, tol_geo=1e-5, seed=0):
+def verify_grid(grid, p, consts, seed=0):
     """Verify that a metric grid realizes a profile: the grid that
     ``synthesize`` saved, or one it did not build.
 
@@ -727,7 +726,7 @@ def verify_grid(grid, p, consts, tol_geo=1e-5, seed=0):
     rho_ddot = np.asarray(p.second_deriv(t), dtype=float)
     resid_geo = np.abs(rho_ddot - h_on * (1.0 - rd ** 2))
     worst_i = int(np.argmax(resid_geo))
-    margin_geo = float(np.max(resid_geo)) / tol_geo
+    margin_geo = float(np.max(resid_geo)) / TOL_GEO
     bad_phi = np.flatnonzero(~np.isfinite(phi))
     detail = (f"curve angle not finite at t = {t[bad_phi[0]]:.6g}"
               if bad_phi.size else "")

@@ -171,7 +171,7 @@ def test_criterion_7_synthesis_roundtrip(consts):
     for entry in roundtrip_suite(20, seed=1):
         p = entry["profile"]
         res = synthesize(p, consts)
-        rep = verify_synthesis(res, p, consts, tol_geo=1e-5)
+        rep = verify_synthesis(res, p, consts)
         fails = [r.name for r in rep.records if not r.passed]
         K_fd, _ = res.metric.curvature_fd()
         gam = res.gamma

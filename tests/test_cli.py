@@ -182,15 +182,15 @@ def test_budget_below_one_exit_code(sphere_csv, capsys):
     ("check", "--tol-geo", "1e-5"), ("check", "--tol-dist", "1"),
     ("demo eps-bump", "--tol-geo", "1"), ("demo eps-bump", "--tol-dist", "1"),
     ("synthesize", "--tol-dist", "-1"), ("synthesize", "--tol-dist", "0"),
-    ("verify", "--tol-dist", "1")])
+    ("verify", "--tol-dist", "1"), ("verify", "--tol-geo", "1e-5")])
 def test_out_of_range_option_exit_code(sphere_csv, tmp_path, capsys, command,
                                        option, value):
-    """A tolerance or curvature bound must be finite and above 0, alpha in
+    """A curvature bound must be finite and above 0, alpha in
     (0, 1], a seed at least 0, the demos' eps above 0, beta in (0, 1] and
     c in [0, 1); anything else is malformed input, refused before any
     work.  A subcommand offers only the options it reads: analyze has no
-    checker sampling, only synthesize and verify take the geodesic
-    tolerance, and none takes a distance tolerance."""
+    checker sampling, and none takes a geodesic or a distance tolerance,
+    since verification's geodesic tolerance is a constant."""
     argv = command.split() + [option, value]
     if command in ("analyze", "check", "synthesize", "verify"):
         argv += ["--input", sphere_csv]

@@ -1,4 +1,6 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs to completion against the package in src/,
+with RuntimeWarnings as errors, as the test suite runs: they are how NaN
+and inf would reach a margin."""
 
 import os
 import subprocess
@@ -18,6 +20,7 @@ def test_all_demos_found():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -2,6 +2,7 @@ import base64
 import itertools
 import json
 import pickle
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -229,10 +230,28 @@ def test_point_path_equals_array_path(sphere):
 
 
 def test_grid_pickles(small_sphere):
-    """The memoryviews behind the point path are rebuilt, not pickled."""
+    """The memoryview behind the point path is rebuilt, not pickled."""
     copy = pickle.loads(pickle.dumps(small_sphere))
     assert np.array_equal(copy.G, small_sphere.G)
     assert copy.value_and_h(0.03, 1.0) == small_sphere.value_and_h(0.03, 1.0)
+
+
+def test_grid_holds_one_coefficient_table():
+    """A built grid holds G and one (4, n_r - 1, n_theta) table of cubic
+    coefficients: dG_dr is formed from that table, not stored beside it."""
+    n_t, n_r = 512, 852
+    r = np.linspace(1e-3, 1.0, n_r)
+    theta = -np.pi + 2 * np.pi * np.arange(n_t) / n_t
+    G = r[None, :] * (1.0 + 0.1 * np.cos(theta)[:, None])
+    tracemalloc.start()
+    try:
+        grid = MetricGrid(r, theta, G)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = 4 * (n_r - 1) * n_t * 8
+    assert held <= G.nbytes + table + 2**20, (held, G.nbytes, table)
+    assert grid.value(0.5, 0.0) > 0
 
 
 def test_point_path_falls_back_to_numpy(sphere):

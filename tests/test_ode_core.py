@@ -98,6 +98,20 @@ def test_stability_identical_fields(consts):
     assert all(r.margin == 0.0 for r in rep.records)
 
 
+def test_stability_difference_below_r_min(consts):
+    """Fields that differ only below r_min still differ in h on
+    [r_min, R]: T is taken over every node of the solves, so the check
+    measures f there instead of returning zero margins."""
+    k1 = const_field(0.0, H=1.0)
+    k2 = RadialCurvature(
+        K=lambda r: np.where(np.asarray(r, dtype=float) < 0.05, 0.9, 0.0),
+        R=1.0, H=1.0, alpha=0.5)
+    rep = riccati_stability_check(k1, k2, r_min=0.1, consts=consts)
+    assert rep.meta["T"] == 0.9
+    assert rep.verdict
+    assert all(r.margin > 0.0 for r in rep.records)
+
+
 def test_stability_constant_difference(consts):
     """K1 = 0.2, K2 = 0: f = cot_{0.2} - 1/r has a closed form."""
     k1 = const_field(0.2)
