@@ -215,11 +215,14 @@ class MetricGrid:
         a = 2.0 / (h1 * (h1 + h2))
         b = -2.0 / (h1 * h2)
         c = 2.0 / (h2 * (h1 + h2))
-        d2 = a[None, :] * G[:, :-2] + b[None, :] * G[:, 1:-1] \
-            + c[None, :] * G[:, 2:]
-        K = -d2 / G[:, 1:-1]
+        # formed in place, through one temporary: peak K + one G
         K_full = np.empty_like(G)
-        K_full[:, 1:-1] = K
+        K = np.multiply(a, G[:, :-2], out=K_full[:, 1:-1])
+        tmp = b * G[:, 1:-1]
+        K += tmp
+        K += np.multiply(c, G[:, 2:], out=tmp)
+        K /= G[:, 1:-1]
+        np.negative(K, out=K)
         K_full[:, 0] = K[:, 0]
         K_full[:, -1] = K[:, -1]
         res = 6.0 * np.finfo(float).eps / (h1 * h2)

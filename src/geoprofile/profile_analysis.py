@@ -95,11 +95,12 @@ def curve_angle(p, coefficient, theta, samples=None):
     return cum - cum[p.argmin_node()], phi_dot[th_s.size:].copy(), rd
 
 
-def f0_curve(p, K0):
+def f0_curve(p, K0, samples=None):
     """Radial correction along the profile:
-    rho''/(1 - rho'^2) - cot_k(K0, rho), evaluated at the nodes."""
+    rho''/(1 - rho'^2) - cot_k(K0, rho), evaluated at the nodes, with
+    rho' read from ``samples = curve_samples(p)`` when they are given."""
     t = p.t_nodes
-    rd = np.asarray(p.deriv(t), dtype=float)
+    rd = samples[2] if samples else np.asarray(p.deriv(t), dtype=float)
     rdd = np.asarray(p.second_deriv(t), dtype=float)
     one_minus = 1.0 - rd * rd
     if np.any(one_minus <= 0):
@@ -150,7 +151,7 @@ def analyze(p, H=1.0, alpha=0.5):
     samples = curve_samples(p)
     phi0, phi0p, _ = curve_angle(p, lambda r, theta: sin_k(K0_used, r),
                                  np.zeros_like(t), samples)
-    f0 = f0_curve(p, K0_used)
+    f0 = f0_curve(p, K0_used, samples)
     return AnalysisSummary(t0=t0, m=m, K0=K0, t_nodes=t, phi0=phi0,
                            phi0_prime=phi0p, f0=f0, alpha=alpha, H=H,
                            K0_clamped=clamped, samples=samples)

@@ -80,6 +80,8 @@ def holder_seminorm(s, alpha):
 # pow(), which need not be correctly rounded.  The slack keeps a bound
 # that pow() rounded low from pruning a pair it bounds.
 _BOUND_SLACK = 1.0 + 1e-12
+_TINY = np.finfo(float).tiny
+_CHUNK = 8  # block pairs per numpy pass, the fastest of 1, 2, 4, ..., 32
 
 
 def holder_seminorm_pairs(values, points, alpha, resolution=None):
@@ -94,9 +96,18 @@ def holder_seminorm_pairs(values, points, alpha, resolution=None):
     bound table and one block pair both stay linear in n.  A block pair
     is bounded by its value range, less the least resolution in each
     block, over the gap between the blocks' bounding boxes to the power
-    alpha.  Block pairs are evaluated in decreasing bound order with the
-    per-pair quotients of the dense formula, until no remaining bound
-    beats the best quotient found.
+    alpha.  On a line (0 < alpha <= 1, resolution >= 0) block pair a <= b
+    is also bounded by S (hi_b - lo_a)^(1 - alpha), S the largest secant
+    |dv_k|/dx_k from block a to the point after block b: for i < j,
+    |v_j - v_i| <= sum |dv_k| <= S (x_j - x_i).  A computed secant is
+    within about 3u of exact, the sum telescopes without cancellation,
+    and the pair quotient and pow() round by about 20u in all, far below
+    the slack, which multiplies S first to survive an underflow.  A gap
+    whose square is not normal gets an infinite secant, so no distance
+    underflows, and an S below the least normal float, or NaN, leaves
+    the range bound alone.  Block pairs are evaluated _CHUNK at a time
+    in decreasing bound order, with the per-pair quotients of the dense
+    formula, until no remaining bound beats the best quotient found.
     """
     v = np.asarray(values, dtype=float)
     p = np.asarray(points, dtype=float)
@@ -108,36 +119,51 @@ def holder_seminorm_pairs(values, points, alpha, resolution=None):
            else np.asarray(resolution, dtype=float)[order])
     size = max(16, math.isqrt(v.size) + 1)
     starts = np.arange(0, v.size, size)
+    nb = starts.size
     lo = np.minimum.reduceat(p, starts)
     hi = np.maximum.reduceat(p, starts)
     v_lo = np.minimum.reduceat(v, starts)
     v_hi = np.maximum.reduceat(v, starts)
     r_lo = np.minimum.reduceat(res, starts)
-    a, b = np.triu_indices(starts.size)
+    a, b = np.triu_indices(nb)
     # block pairs a <= b; each pair is formed in both orders, as the
     # dense formula subtracts the first point's resolution first
     spread = np.maximum(v_hi[a] - v_lo[b], v_hi[b] - v_lo[a])
     num = np.maximum(np.maximum(spread - r_lo[a] - r_lo[b],
                                 spread - r_lo[b] - r_lo[a]), 0.0)
     gap = np.maximum(np.maximum(lo[b] - hi[a], lo[a] - hi[b]), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bound = num / np.sqrt((gap ** 2).sum(-1)) ** alpha * _BOUND_SLACK
+        if p.shape[1] == 1 and 0 < alpha <= 1 and np.all(res >= 0):
+            dx = np.diff(p[:, 0])
+            secant = np.abs(np.diff(v)) / dx
+            secant[~(dx * dx >= _TINY)] = np.inf
+            top = np.maximum.reduceat(np.append(secant, 0.0), starts)
+            S = np.maximum.accumulate(np.triu(np.tile(top, (nb, 1))), 1)[a, b]
+            slope = S * _BOUND_SLACK * (hi[b, 0] - lo[a, 0]) ** (1 - alpha)
+            bound = np.fmin(bound, np.where(S >= _TINY, slope, np.inf))
     bound[num == 0.0] = 0.0
     # a NaN value or point leaves its block pairs unbounded: they are all
     # evaluated, and a NaN quotient ends the loop (NaN > x is false)
     bound[np.isnan(bound)] = np.inf
+    # blocks padded to whole size; a NaN point fails d > 0
+    pad = (0, nb * size - v.size)
+    P = np.pad(p, (pad, (0, 0)), constant_values=np.nan)
+    P = P.reshape(nb, size, p.shape[1])
+    V, R = (np.pad(u, pad).reshape(nb, size) for u in (v, res))
+    order = np.argsort(-bound, kind="stable")
     best = 0.0
-    for k in np.argsort(-bound, kind="stable"):
-        if not bound[k] > best:
+    for at in range(0, order.size, _CHUNK):
+        k = order[at:at + _CHUNK]
+        k = k[bound[k] > best]
+        if k.size == 0:
             break
-        i = slice(starts[a[k]], starts[a[k]] + size)
-        j = slice(starts[b[k]], starts[b[k]] + size)
-        d = np.sqrt(((p[i, None, :] - p[None, j, :]) ** 2).sum(-1))
-        dv = np.abs(v[i, None] - v[None, j])
+        i, j = a[k], b[k]
+        d = np.sqrt(((P[i, :, None] - P[j, None]) ** 2).sum(-1))
+        dv = np.abs(V[i, :, None] - V[j, None])
         if resolution is not None:
-            dv = np.maximum(np.maximum(dv - res[i, None] - res[None, j],
-                                       dv - res[None, j] - res[i, None]),
-                            0.0)
+            ri, rj = R[i, :, None], R[j, None]
+            dv = np.maximum(np.maximum(dv - ri - rj, dv - rj - ri), 0.0)
         mask = d > 0
         best = np.max(dv[mask] / d[mask] ** alpha, initial=best)
     return float(best)

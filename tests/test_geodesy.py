@@ -254,6 +254,25 @@ def test_grid_holds_one_coefficient_table():
     assert grid.value(0.5, 0.0) > 0
 
 
+def test_curvature_fd_peaks_at_K_and_one_temporary():
+    """The second difference is formed in K itself through one G-sized
+    temporary: the traced peak is K, one temporary and small rows."""
+    n_t, n_r = 512, 852
+    r = np.linspace(1e-3, 1.0, n_r)
+    theta = -np.pi + 2 * np.pi * np.arange(n_t) / n_t
+    G = r[None, :] * (1.0 + 0.1 * np.cos(theta)[:, None])
+    grid = MetricGrid(r, theta, G)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        K, res = grid.curvature_fd()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= K.nbytes + G.nbytes + 2**20, (peak, G.nbytes)
+    assert np.all(np.isfinite(K)) and res.shape == G.shape
+
+
 def test_point_path_falls_back_to_numpy(sphere):
     """Where Python floats would raise, numpy's inf and NaN come back."""
     zero = _grid_with_zero_row(sphere)

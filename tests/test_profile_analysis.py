@@ -88,6 +88,22 @@ def test_summary_fields():
     assert abs(kappa(p, p.t_nodes)[len(p) // 2] - 0.5) < 1e-8
 
 
+def test_analyze_reads_node_slopes_from_curve_samples(monkeypatch):
+    """f0 reads rho' at the nodes from the curve samples: one analyze
+    evaluates rho' at the nodes once, and f0 is f0_curve's own
+    evaluation bit for bit."""
+    p = roundtrip_suite(1, seed=1)[0]["profile"]
+    want = f0_curve(p, analyze(p).K0)
+    calls = []
+    deriv = DistanceProfile.deriv
+    monkeypatch.setattr(DistanceProfile, "deriv",
+                        lambda self, t: calls.append(t) or deriv(self, t))
+    s = analyze(p)
+    assert sum(np.shape(t) == p.t_nodes.shape for t in calls) == 1
+    assert s.K0_clamped is False
+    assert np.array_equal(s.f0, want)
+
+
 def test_large_negative_K0_is_not_clamped():
     """-K0 max_rho^2 = 9 is far below the positive cap's size but well
     inside the range of sinh: K0 and the angle stay exact."""

@@ -238,6 +238,41 @@ def test_holder_pairs_edge_inputs_equal_dense_reference(with_resolution):
             == holder_seminorm_pairs(vals, line, 0.5))
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+def test_holder_pairs_secant_bound_equals_dense_reference(alpha):
+    """On a line each block pair is also bounded by the largest adjacent
+    secant from its first block to its last.  A step between two adjacent
+    samples, inside a block and across a block boundary: a near pair
+    wins at alpha = 0.5 and 1, a pair of distant blocks at 0.1.  Smooth
+    data plus noise keeps more block pairs above the best than one pass
+    evaluates (at alpha = 1 and 0.5).  17 points leave a last block of
+    one point; 0 points give 0.  Extreme scales: subnormal values, points spaced about
+    1e-160, whose squared distances are not normal floats, and secants
+    that overflow to inf while the quotients stay finite."""
+    rng = np.random.default_rng(13)
+    x = np.linspace(0.0, 1.0, 1025)          # 32 blocks of 33 points
+    cases = []
+    for k in (10 * 33 + 16, 10 * 33 - 1):    # inside a block, across
+        y = x.copy()
+        y[k + 1:] += 0.5
+        cases.append((y, x))
+    cases.append((x + rng.normal(0.0, 1e-9, x.size), x))
+    cases.append((np.sqrt(x) + rng.normal(0.0, 1e-6, x.size), x))
+    cases.append((np.sin(3.0 * x[:17]), x[:17]))   # a last block of 1
+    cases.append((x[:0], x[:0]))
+    cases.append((1e-310 * np.sin(3.0 * x), x))
+    tiny = 1e-160 * np.cumsum(rng.uniform(0.5, 1.5, 300))
+    cases.append((tiny / 1e-160 * (1.0 + rng.normal(0.0, 1e-9, 300)), tiny))
+    if alpha < 1:
+        cases.append((1e300 * rng.normal(size=x.size), 1e-8 * x))
+    for vals, pts in cases:
+        assert holder_seminorm_pairs(vals, pts, alpha) == dense_holder(
+            vals, pts, alpha)
+    y = np.sin(3.0 * x)
+    y[500] = np.nan                    # in a middle block
+    assert np.isnan(holder_seminorm_pairs(y, x, alpha))
+
+
 def test_holder_seminorm_matches_dense_reference():
     """On a line the kernel's sqrt(d*d) equals |d| bit for bit."""
     rng = np.random.default_rng(3)
