@@ -43,7 +43,7 @@ K_fd, _ = res.metric.curvature_fd()
 print("\nreconstructed curvature along the curve vs the generating field:")
 for frac in np.linspace(0.05, 0.95, 6):
     i = int(frac * (len(profile) - 1))
-    r, th = res.gamma.rho[i], res.gamma.phi[i]
+    r, th = profile.rho[i], res.phi[i]
     ir = int(np.argmin(np.abs(res.metric.r_nodes - r)))
     it = int(np.argmin(np.abs(res.metric.theta_nodes - th)))
     print(f"  t = {profile.t_nodes[i]:+.4f} (r = {r:.4f}): "

@@ -154,16 +154,17 @@ def cmd_synthesize(args):
     report = verify_synthesis(result, p, consts, seed=args.seed)
     _write(args.out, report.to_json())
     if args.plot_csv:
-        grid = result.metric
+        # K = K0 - the curvature term, formed at the plotted nodes only
+        grid, K0 = result.metric, result.summary.K0
+        r_nodes = grid.r_nodes[::max(1, grid.r_nodes.size // 128)]
+        thetas = grid.theta_nodes[::max(1, grid.theta_nodes.size // 32)]
+        K = K0 - result.correction.curvature_term(
+            K0, r_nodes, result.theta_map.inverse(thetas))
         with open(args.plot_csv, "w") as fh:
             fh.write("r,theta,K\n")
-            for i in range(0, grid.theta_nodes.size,
-                           max(1, grid.theta_nodes.size // 32)):
-                for j in range(0, grid.r_nodes.size,
-                               max(1, grid.r_nodes.size // 128)):
-                    fh.write(f"{grid.r_nodes[j]:.17g},"
-                             f"{grid.theta_nodes[i]:.17g},"
-                             f"{result.K_grid[i, j]:.17g}\n")
+            for theta, row in zip(thetas, K):
+                for r, k in zip(r_nodes, row):
+                    fh.write(f"{r:.17g},{theta:.17g},{k:.17g}\n")
     print("\n".join(report.summary_lines()))
     return 0 if report.verdict else 1
 

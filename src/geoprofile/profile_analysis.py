@@ -113,14 +113,13 @@ class AnalysisSummary:
     t0: float
     m: float
     K0: float
-    t_nodes: np.ndarray
     phi0: np.ndarray
     phi0_prime: np.ndarray
     f0: np.ndarray
     alpha: float
     H: float
     K0_clamped: bool = False
-    samples: tuple = None  # curve_samples(p), for assemble_metric only
+    samples: tuple = None  # curve_samples(p), for synthesis only
 
 
 def _clamped_K0(K0, max_rho):
@@ -147,14 +146,13 @@ def analyze(p, H=1.0, alpha=0.5):
     m = float(p.rho[i0])
     K0 = kappa(p, t0)
     K0_used, clamped = _clamped_K0(K0, float(np.max(p.rho)))
-    t = p.t_nodes
     samples = curve_samples(p)
     phi0, phi0p, _ = curve_angle(p, lambda r, theta: sin_k(K0_used, r),
-                                 np.zeros_like(t), samples)
+                                 np.zeros_like(p.t_nodes), samples)
     f0 = f0_curve(p, K0_used, samples)
-    return AnalysisSummary(t0=t0, m=m, K0=K0, t_nodes=t, phi0=phi0,
-                           phi0_prime=phi0p, f0=f0, alpha=alpha, H=H,
-                           K0_clamped=clamped, samples=samples)
+    return AnalysisSummary(t0=t0, m=m, K0=K0, phi0=phi0, phi0_prime=phi0p,
+                           f0=f0, alpha=alpha, H=H, K0_clamped=clamped,
+                           samples=samples)
 
 
 # -- 12-point configurations --------------------------------------------------

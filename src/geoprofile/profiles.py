@@ -143,10 +143,6 @@ class DistanceProfile:
         return int(np.argmin(self.rho))
 
     @property
-    def t0(self):
-        return float(self.t_nodes[self.argmin_node()])
-
-    @property
     def m(self):
         return float(self.rho[self.argmin_node()])
 

@@ -18,7 +18,7 @@ from .special_functions import sin_k, cot_k, psi, PI_SQUARED
 from .whitney import (SampledFunction, whitney_extend, extension_bounds,
                       holder_seminorm_pairs, HypothesisViolation)
 from .profile_analysis import analyze, curve_angle, curve_samples
-from .geodesy import MetricGrid, GeodesicPath
+from .geodesy import MetricGrid
 from .ode_core import _cumulative, _envelope_margin
 from .report import CheckerRecord, CheckerReport
 
@@ -144,8 +144,8 @@ def _piece_case(p, s, k, i_lo, i_hi, alpha):
     """Case predicate in order I, II, III, IV plus lambda, delta and the
     radial net.  Case III interpolates the delta-net, case IV the two
     end nodes; a net with fewer than two distinct radii demotes III to
-    IV, and IV to II."""
-    rd = np.asarray(p.deriv(p.t_nodes[i_lo:i_hi + 1]), dtype=float)
+    IV, and IV to II.  Node rho' is read from analyze's s.samples."""
+    rd = s.samples[2][i_lo:i_hi + 1]
     lam, delta = _rates(s, k, i_lo, i_hi, alpha)
     length = float(p.t_nodes[i_hi] - p.t_nodes[i_lo])
     net = ()
@@ -322,11 +322,12 @@ class RadialCorrectionField:
     Each piece p of f_k is fade_p(theta) * (g_p(theta) + y_p(r)), so f is
     a sum of separable terms fade_p(theta) * (A(r) + g_p(theta) * B(r))
     with B = chi w_k and A = B y_p, y_p read only where w_k > 0.  f is
-    read through two passes of these terms alone: ``along_curve`` at
-    paired (r, theta) points and ``on_grid`` on a (theta, r) tensor grid.
-    Each sums the terms with (A, B) for f, ``on_grid`` with (A', B') for
-    df/dr, and both with the 1-D cumulative trapezoids of A and B for the
-    linear radial trapezoid of f.  ``fields`` maps k to the pieces of f_k.
+    read through passes of these terms alone, each forming only what its
+    reader reads: ``along_curve`` at paired (r, theta) points, and on a
+    (theta, r) tensor grid ``radial_integral`` for G and ``on_grid`` for
+    the curvature term.  The cumulative trapezoids of A and B give the
+    linear radial trapezoid of f, (A, B) give f and (A', B') give df/dr.
+    ``fields`` maps k to the pieces of f_k.
     """
 
     def __init__(self, fields_by_k, m):
@@ -391,22 +392,35 @@ class RadialCorrectionField:
                 total += term
         return out
 
-    def on_grid(self, r_nodes, thetas):
-        """f, df/dr and the cumulative radial trapezoid of f on the
-        (thetas, r_nodes) tensor grid, f and df/dr formed over the radial
-        span of each term's support only."""
+    def radial_integral(self, r_nodes, thetas):
+        """The cumulative radial trapezoid of f on the (thetas, r_nodes)
+        tensor grid."""
         dr = np.diff(r_nodes)
-        out = np.zeros((3, thetas.size, r_nodes.size))
+        out = np.zeros((thetas.size, r_nodes.size))
+        for piece, _, [(a, b)] in self._terms(r_nodes):
+            out += next(piece.terms(thetas[:, None], [
+                (None if a is None else _cumulative(a, dr),
+                 _cumulative(b, dr))]))
+        return out
+
+    def on_grid(self, r_nodes, thetas):
+        """f and df/dr on the (thetas, r_nodes) tensor grid, formed over
+        the radial span of each term's support only."""
+        out = np.zeros((2, thetas.size, r_nodes.size))
         for piece, on, pairs in self._terms(r_nodes, deriv=True):
             idx = np.flatnonzero(on)
-            cuts = [slice(idx[0], idx[-1] + 1)] * 2 + [slice(None)]
-            pairs.append([None if v is None else _cumulative(v, dr)
-                          for v in pairs[0]])
-            for total, sl, term in zip(out, cuts, piece.terms(
+            sl = slice(idx[0], idx[-1] + 1)
+            for total, term in zip(out, piece.terms(
                     thetas[:, None], [(None if a is None else a[sl], b[sl])
-                                      for sl, (a, b) in zip(cuts, pairs)])):
+                                      for a, b in pairs])):
                 total[:, sl] += term
         return out
+
+    def curvature_term(self, K0, r_nodes, thetas):
+        """f^2 + 2 f cot_k(K0, r) + df/dr, which is K0 - K of the
+        synthesized metric, on the (thetas, r_nodes) tensor grid."""
+        f, df = self.on_grid(r_nodes, thetas)
+        return f ** 2 + 2.0 * f * cot_k(K0, r_nodes)[None, :] + df
 
 
 def glue_f(fields_by_k, decomp):
@@ -441,10 +455,12 @@ class ThetaMap:
 
 @dataclass
 class SynthesisResult:
+    """The grid, the curve's angle phi at the profile's nodes (its rho and
+    t are the profile's), the angle map, the field (K = K0 - its
+    ``curvature_term``), the summary less its samples, the annuli."""
     metric: MetricGrid
-    gamma: GeodesicPath
+    phi: np.ndarray
     theta_map: ThetaMap
-    K_grid: np.ndarray
     correction: RadialCorrectionField
     summary: object
     decomposition: AnnulusDecomposition
@@ -462,16 +478,15 @@ def _dyadic_r_nodes(r_min, r_max):
 
 
 def assemble_metric(p, s, decomp, correction):
-    """Build the metric grid, the deformed curve, and the angle map.
+    """Build the metric grid, the curve's angle, and the angle map.
 
     G(r, theta) = sin_k(K0, r) * exp of the radial integral of the glued
-    correction at the pulled-back angle; radial derivatives come from the
-    defining relations (no numerical differentiation).
+    correction at the pulled-back angle; nothing else is formed on the
+    grid.
     """
     K0 = s.K0
     t = p.t_nodes
-    rho = p.rho
-    rho_max = float(np.max(rho))
+    rho_max = float(np.max(p.rho))
     R = rho_max * R_PAD
     r_min = 1e-4 * R
 
@@ -486,8 +501,7 @@ def assemble_metric(p, s, decomp, correction):
         integral = base + 0.5 * (f_lo + f_at) * (r - r_sub[idx])
         return sin_k(K0, r) * np.exp(integral)
 
-    phi, phi_dot, rd = curve_angle(p, reference_coefficient, s.phi0,
-                                   s.samples)
+    phi = curve_angle(p, reference_coefficient, s.phi0, s.samples)[0]
 
     if np.any(np.diff(phi) <= 0):
         bad = int(np.argmax(np.diff(phi) <= 0))
@@ -522,21 +536,11 @@ def assemble_metric(p, s, decomp, correction):
     theta_nodes = -np.pi + 2 * np.pi * np.arange(n_theta) / n_theta
     theta_back = tmap.inverse(theta_nodes)
 
-    F_grid, dF_grid, cum_grid = correction.on_grid(r_nodes, theta_back)
-    sinr = sin_k(K0, r_nodes)[None, :]
-    cotr = cot_k(K0, r_nodes)[None, :]
-    G = sinr * np.exp(cum_grid)
-    K_grid = K0 - (F_grid ** 2 + 2.0 * F_grid * cotr + dF_grid)
-
-    metric = MetricGrid(r_nodes, theta_nodes, G)
-
-    rdd = np.asarray(p.second_deriv(t), dtype=float)
-    gamma = GeodesicPath(t_nodes=t, rho=rho, phi=phi, rho_dot=rd,
-                         phi_dot=phi_dot, rho_ddot=rdd,
-                         unit_speed_residual=0.0)
+    G = sin_k(K0, r_nodes)[None, :] * np.exp(
+        correction.radial_integral(r_nodes, theta_back))
     # the curve samples are spent: the result does not keep them alive
-    return SynthesisResult(metric=metric, gamma=gamma, theta_map=tmap,
-                           K_grid=K_grid, correction=correction,
+    return SynthesisResult(metric=MetricGrid(r_nodes, theta_nodes, G),
+                           phi=phi, theta_map=tmap, correction=correction,
                            summary=replace(s, samples=None),
                            decomposition=decomp)
 
@@ -625,13 +629,12 @@ def verify_synthesis(res, p, consts, seed=0):
     gives for the saved grid, byte for byte."""
     s = res.summary
     report = verify_grid(res.metric, p, consts, seed)
-    # analytic-route Hölder budget of f^2 + 2 f cot + df/dr
+    # analytic-route Hölder budget of the curvature term
     rs = np.geomspace(max(0.55 * s.m, res.metric.r_nodes[0]),
                       res.metric.r_nodes[-1] * 0.999, 40)
     ths = np.linspace(-np.pi * 0.95, np.pi * 0.95, 40)
     RS, THS = np.meshgrid(rs, ths, indexing="ij")
-    fv, dfv, _ = res.correction.on_grid(rs, ths)
-    gam_term = fv.T ** 2 + 2 * fv.T * cot_k(s.K0, RS) + dfv.T
+    gam_term = res.correction.curvature_term(s.K0, rs, ths).T
     pts = np.column_stack([(RS * np.cos(THS)).ravel(),
                            (RS * np.sin(THS)).ravel()])
     hol_gamma = holder_seminorm_pairs(gam_term.ravel()[::2], pts[::2],

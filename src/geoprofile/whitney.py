@@ -81,6 +81,7 @@ def holder_seminorm(s, alpha):
 # that pow() rounded low from pruning a pair it bounds.
 _BOUND_SLACK = 1.0 + 1e-12
 _TINY = np.finfo(float).tiny
+_MAX_FLOAT = np.finfo(float).max
 _CHUNK = 8  # block pairs per numpy pass, the fastest of 1, 2, 4, ..., 32
 
 
@@ -107,7 +108,8 @@ def holder_seminorm_pairs(values, points, alpha, resolution=None):
     underflows, and an S below the least normal float, or NaN, leaves
     the range bound alone.  Block pairs are evaluated _CHUNK at a time
     in decreasing bound order, with the per-pair quotients of the dense
-    formula, until no remaining bound beats the best quotient found.
+    formula, until no remaining bound beats the best quotient found; an
+    inf bound beats an inf best, since its pair may give NaN.
     """
     v = np.asarray(values, dtype=float)
     p = np.asarray(points, dtype=float)
@@ -144,7 +146,7 @@ def holder_seminorm_pairs(values, points, alpha, resolution=None):
             bound = np.fmin(bound, np.where(S >= _TINY, slope, np.inf))
     bound[num == 0.0] = 0.0
     # a NaN value or point leaves its block pairs unbounded: they are all
-    # evaluated, and a NaN quotient ends the loop (NaN > x is false)
+    # evaluated, even after an inf best, and a NaN best ends the loop
     bound[np.isnan(bound)] = np.inf
     # blocks padded to whole size; a NaN point fails d > 0
     pad = (0, nb * size - v.size)
@@ -155,7 +157,7 @@ def holder_seminorm_pairs(values, points, alpha, resolution=None):
     best = 0.0
     for at in range(0, order.size, _CHUNK):
         k = order[at:at + _CHUNK]
-        k = k[bound[k] > best]
+        k = k[bound[k] > min(best, _MAX_FLOAT)]
         if k.size == 0:
             break
         i, j = a[k], b[k]

@@ -174,9 +174,8 @@ def test_criterion_7_synthesis_roundtrip(consts):
         rep = verify_synthesis(res, p, consts)
         fails = [r.name for r in rep.records if not r.passed]
         K_fd, _ = res.metric.curvature_fd()
-        gam = res.gamma
-        sel_t = ((res.metric.theta_nodes >= gam.phi.min())
-                 & (res.metric.theta_nodes <= gam.phi.max()))
+        sel_t = ((res.metric.theta_nodes >= res.phi.min())
+                 & (res.metric.theta_nodes <= res.phi.max()))
         sel_r = ((res.metric.r_nodes >= 0.5 * entry["m"])
                  & (res.metric.r_nodes <= np.max(p.rho)))
         sup_sec = float(np.max(np.abs(K_fd[np.ix_(sel_t, sel_r)])))

@@ -125,6 +125,25 @@ def test_roundtrip_grid_file_digest(tmp_path):
         == ROUNDTRIP_GRID_DIGEST
 
 
+# sha256 of the --plot-csv file synthesize writes for the same round trip
+ROUNDTRIP_PLOT_DIGEST = \
+    "4532ff9aca98a6c5a76e9b098907698503b365b6a4a7cbd9d04be3fa90d3fd65"
+
+
+def test_roundtrip_plot_csv_digest(tmp_path):
+    """The plotted curvature K0 - (f^2 + 2 f cot_k + df/dr), formed at the
+    plotted nodes only, bit for bit."""
+    csv, plot = tmp_path / "rt.csv", tmp_path / "plot.csv"
+    write_profile_csv(roundtrip_suite(1, seed=1)[0]["profile"], csv)
+    assert main(["synthesize", "--input", str(csv),
+                 "--grid-out", str(tmp_path / "grid.json"),
+                 "--out", str(tmp_path / "synthesize.json"),
+                 "--plot-csv", str(plot)]) == 0
+    assert plot.read_text().startswith("r,theta,K\n")
+    assert hashlib.sha256(plot.read_bytes()).hexdigest() \
+        == ROUNDTRIP_PLOT_DIGEST
+
+
 def test_malformed_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("nonsense\n1,2\n")

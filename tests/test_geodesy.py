@@ -475,8 +475,8 @@ def test_distance_is_scale_covariant(request, name):
 
 @pytest.fixture(scope="module")
 def roundtrip_discs(consts):
-    """Two synthesized round-trip discs."""
-    return [synthesis.synthesize(e["profile"], consts)
+    """Two synthesized round-trip discs, each as (profile, result)."""
+    return [(e["profile"], synthesis.synthesize(e["profile"], consts))
             for e in roundtrip_suite(2, seed=1)]
 
 
@@ -486,17 +486,16 @@ def _per_distance(discs, count):
     nodes and the second 0.35 further round.  Each distance is the
     curve's arclength between them, within 1e-4*R."""
     spent = []
-    for res in discs:
-        path = res.gamma
-        n = path.t_nodes.size
+    for p, res in discs:
+        n = p.t_nodes.size
         for frac in np.linspace(0.12, 0.88, 4):
             i = int(frac * (n - 1))
             j = int(((frac + 0.35) % 1.0) * (n - 1))
             before = count()
-            d = distance(res.metric, PolarPoint(path.rho[i], path.phi[i]),
-                         PolarPoint(path.rho[j], path.phi[j]))
+            d = distance(res.metric, PolarPoint(p.rho[i], res.phi[i]),
+                         PolarPoint(p.rho[j], res.phi[j]))
             spent.append(count() - before)
-            arc = abs(path.t_nodes[i] - path.t_nodes[j])
+            arc = abs(p.t_nodes[i] - p.t_nodes[j])
             assert abs(d - arc) <= 1e-4 * res.metric.R
     return spent
 

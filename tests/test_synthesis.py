@@ -113,6 +113,7 @@ def test_support_floor(consts, flat_result):
     r = np.linspace(1e-5, 0.45 * res.summary.m, 50)
     th = np.linspace(-np.pi, np.pi, 21)
     assert np.all(res.correction.on_grid(r, th) == 0.0)
+    assert np.all(res.correction.radial_integral(r, th) == 0.0)
     R, TH = np.meshgrid(r, th)
     for part in _pointwise_reference(res.correction, R.ravel(), TH.ravel()):
         assert np.all(part == 0.0)
@@ -121,7 +122,10 @@ def test_support_floor(consts, flat_result):
 def test_flat_metric_is_euclidean(flat_result):
     p, res = flat_result
     assert np.max(np.abs(res.metric.G - res.metric.r_nodes[None, :])) < 1e-12
-    assert np.max(np.abs(res.K_grid)) < 1e-9
+    K0 = res.summary.K0
+    K = K0 - res.correction.curvature_term(
+        K0, res.metric.r_nodes, res.theta_map.inverse(res.metric.theta_nodes))
+    assert np.max(np.abs(K)) < 1e-9
 
 
 def test_synthesis_refuses_K0_above_one_and_a_half_H(consts):
@@ -203,7 +207,7 @@ def test_construction_angle_matches_grid_angle(synthesized, case, tol):
     phi = np.zeros_like(p.t_nodes)
     for _ in range(5):
         phi = curve_angle(p, res.metric.value, phi)[0]
-    assert np.max(np.abs(res.gamma.phi - phi)) <= tol
+    assert np.max(np.abs(res.phi - phi)) <= tol
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])
@@ -252,7 +256,7 @@ def test_flat_synthesized_angle_is_exact(consts):
     """On a flat profile the synthesized angle is arctan(t / m)."""
     m, half = 1.5e-3, np.sqrt(0.045 ** 2 - 1.5e-3 ** 2)
     p = flat_profile(m, (-half, half), n=3001)
-    phi = synthesize(p, consts).gamma.phi
+    phi = synthesize(p, consts).phi
     assert np.max(np.abs(phi - np.arctan(p.t_nodes / m))) <= 1e-12
 
 
@@ -268,8 +272,8 @@ def test_variable_curvature_roundtrip(consts):
                          if not r.passed]
     # reconstructed curvature agrees with the generating field on the sector
     K_fd, K_res = res.metric.curvature_fd()
-    sel_t = ((res.metric.theta_nodes >= res.gamma.phi.min())
-             & (res.metric.theta_nodes <= res.gamma.phi.max()))
+    sel_t = ((res.metric.theta_nodes >= res.phi.min())
+             & (res.metric.theta_nodes <= res.phi.max()))
     sel_r = ((res.metric.r_nodes >= 0.9 * p.m)
              & (res.metric.r_nodes <= np.max(p.rho)))
     K_sec = K_fd[np.ix_(sel_t, sel_r)]
@@ -638,7 +642,7 @@ def test_separable_radial_integral_matches_dense(consts, which):
     thetas = np.concatenate(
         [curve_thetas, -np.pi + 2 * np.pi * np.arange(64) / 64])
     dense = _dense_cumulative_radial(field, r_nodes, thetas)
-    table = field.on_grid(r_nodes, thetas)[2]
+    table = field.radial_integral(r_nodes, thetas)
     assert table.shape == dense.shape
     assert np.all(np.isfinite(table))
     scale = np.max(np.abs(dense))
@@ -651,7 +655,7 @@ def test_separable_radial_integral_matches_dense(consts, which):
 
 
 def test_correction_radial_derivative_matches_differences():
-    """on_grid's radial derivative, which feeds the dF term of K_grid,
+    """on_grid's radial derivative, which feeds the curvature term,
     agrees with central differences of its value."""
     field = _hand_built_field()
     rng = np.random.default_rng(5)
@@ -771,8 +775,6 @@ def test_case_iv_piece_reproduces_end_values(consts):
 SYNTH_DIGESTS = {
     ("roundtrip0", "G"):
         "5cd9e9b29d015261d20e14370e3ddcc5fc007c5f81396137bd9dbdb840f36349",
-    ("roundtrip0", "K_grid"):
-        "717b6a0cabab5aa58b44696dd4e84fe9516c300a38364da2f38f1c08ae71e792",
     ("roundtrip0", "phi"):
         "7577188943fd750906142ee97dded45ac4f6c1f4c6d7547fa28671293f07d6a2",
     ("roundtrip0", "nodes_to"):
@@ -781,8 +783,6 @@ SYNTH_DIGESTS = {
         "95d1ddfd75c70842e420f1cdd17034375d3fc611fcbbbf90693fc3581c31e9f6",
     ("roundtrip1", "G"):
         "5cb0d432ba7fe557f4534033e8a0dd6cc4cf3dd796bbdda412283881f2cf2434",
-    ("roundtrip1", "K_grid"):
-        "4d08d2bee3b5c4be72255d4b98e7e184cab3abbb2266ba6a741b9c6c165b500b",
     ("roundtrip1", "phi"):
         "6bb31e02b0747d30b1f80736d71ab16c00bb7ca1fd04264ec01e2a9b05226b3a",
     ("roundtrip1", "nodes_to"):
@@ -791,8 +791,6 @@ SYNTH_DIGESTS = {
         "83efbba9cde3e6652ee78eb5d476b3000f2191bfc2418a97464876eb15d41346",
     ("bump", "G"):
         "993fdd7d139a59bc6174b8daca422a4c42859f001797ae4afb7db7a75e69b840",
-    ("bump", "K_grid"):
-        "bdbb04e3006c1e2102e69ec218de2deed3ed0f9984a08425bd943a7ce80fcad9",
     ("bump", "phi"):
         "5f6e644c6a53b488d0332728642c2e9c099e12cfdcce065f13d05cb336f8c304",
     ("bump", "nodes_to"):
@@ -811,8 +809,8 @@ def _synth_profiles():
 
 def _synth_artifact_digests(p, consts):
     res = synthesize(p, consts)
-    arrays = {"G": res.metric.G, "K_grid": res.K_grid,
-              "phi": res.gamma.phi, "nodes_to": res.theta_map.nodes_to}
+    arrays = {"G": res.metric.G, "phi": res.phi,
+              "nodes_to": res.theta_map.nodes_to}
     out = {name: hashlib.sha256(np.ascontiguousarray(
         a, dtype="<f8").tobytes()).hexdigest() for name, a in arrays.items()}
     out["verify"] = hashlib.sha256(verify_synthesis(
@@ -822,10 +820,22 @@ def _synth_artifact_digests(p, consts):
 
 @pytest.mark.parametrize("which", ["roundtrip0", "roundtrip1", "bump"])
 def test_synthesis_bytes_are_pinned(consts, which):
-    """The synthesized grid, its curvature, the curve's angle, the angle
-    map and the verify report, bit for bit."""
+    """The synthesized grid, the curve's angle, the angle map and the
+    verify report, bit for bit."""
     got = _synth_artifact_digests(_synth_profiles()[which], consts)
     assert got == {name: SYNTH_DIGESTS[which, name] for name in got}
+
+
+def test_synthesize_forms_no_curvature_term(consts, monkeypatch):
+    """Metric assembly reads the radial integral pass only: the f and
+    df/dr pass, which the curvature term reads, is never called."""
+    def refused(self, r_nodes, thetas):
+        raise AssertionError("synthesize formed f and df/dr on a grid")
+
+    monkeypatch.setattr(RadialCorrectionField, "on_grid", refused)
+    res = synthesize(_synth_profiles()["roundtrip0"], consts)
+    assert res.metric.G.shape == (res.metric.theta_nodes.size,
+                                  res.metric.r_nodes.size)
 
 
 def test_synthesis_leaves_no_state_between_profiles(consts):
@@ -920,10 +930,11 @@ def test_along_curve_pass_equals_separate_evaluations(consts):
         assert np.max(np.abs(f_at)) > 0.0
         for lo in range(0, theta.size, 500):
             rows = np.arange(lo, min(lo + 500, theta.size))
-            grid = field.on_grid(r_cells, theta[rows])
             at = (rows - lo, cells[rows])
-            assert np.array_equal(f_lo[rows], grid[0][at])
-            assert np.array_equal(base[rows], grid[2][at])
+            assert np.array_equal(
+                f_lo[rows], field.on_grid(r_cells, theta[rows])[0][at])
+            assert np.array_equal(
+                base[rows], field.radial_integral(r_cells, theta[rows])[at])
         sub = slice(0, None, 10)
         ref = _pointwise_reference(field, r[sub], theta[sub])[0]
         assert np.max(np.abs(f_at[sub] - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -931,10 +942,10 @@ def test_along_curve_pass_equals_separate_evaluations(consts):
 
 @pytest.mark.parametrize("which", ["hand_built", "flat_glued"])
 def test_grid_pass_equals_separate_evaluations(consts, which):
-    """One on_grid pass, which forms f and df/dr over each term's radial
+    """The on_grid pass, which forms f and df/dr over each term's radial
     support only, gives the sums of the terms over the full grid, and the
-    table that the cumulative trapezoid of each term gives, bit for
-    bit."""
+    radial_integral pass the table that the cumulative trapezoid of each
+    term gives, bit for bit."""
     if which == "hand_built":
         field = _hand_built_field()
         r_nodes = _dyadic_r_nodes(1e-4, 0.6)
@@ -942,7 +953,7 @@ def test_grid_pass_equals_separate_evaluations(consts, which):
         field, _ = _flat_glued_field(consts)
         r_nodes = _dyadic_r_nodes(4.2e-6, 0.042)
     thetas = -np.pi + 2 * np.pi * np.arange(128) / 128
-    F, dF, cum = field.on_grid(r_nodes, thetas)
+    F, dF = field.on_grid(r_nodes, thetas)
     value, deriv = np.zeros_like(F), np.zeros_like(dF)
     for piece, _, pairs in field._terms(r_nodes, deriv=True):
         for total, term in zip((value, deriv),
@@ -950,6 +961,7 @@ def test_grid_pass_equals_separate_evaluations(consts, which):
             total += term
     assert np.max(np.abs(dF)) > 0.0
     assert np.array_equal(F, value) and np.array_equal(dF, deriv)
+    cum = field.radial_integral(r_nodes, thetas)
     dr = np.diff(r_nodes)
     ref = np.zeros_like(cum)
     for piece, _, [(a, b)] in field._terms(r_nodes):

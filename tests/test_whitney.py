@@ -295,6 +295,19 @@ def test_holder_pairs_nan_gives_nan():
     assert np.isnan(holder_seminorm_pairs(y, x, 0.5))
 
 
+def test_holder_pairs_inf_and_nan_give_nan():
+    """Values holding an inf and a NaN give NaN, as the dense formula
+    does: the inf quotient, found first, does not end the search before
+    the NaN's block pairs are evaluated."""
+    x = np.linspace(0.0, 1.0, 1025)
+    y = np.sin(x)
+    y[3] = np.inf                      # in the first block
+    y[700] = np.nan                    # in a middle block
+    with np.errstate(invalid="ignore"):    # inf - inf on the diagonal
+        assert np.isnan(dense_holder(y, x, 0.5))
+        assert np.isnan(holder_seminorm_pairs(y, x, 0.5))
+
+
 def test_holder_pairs_memory_is_linear():
     """2049 points, the derivative grid of WhitneyExtension: one dense
     N x N pass over them peaks at about 132 MB."""
