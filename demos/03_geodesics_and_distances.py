@@ -30,7 +30,7 @@ sphere = constant_curvature_grid(1.0, 1.5)
 m = 0.3
 path = geodesic_integrate(sphere, PolarPoint(m, 0.0), 0.0, +1, 0.5,
                           step=1e-3)
-prof = distance_profile(sphere, path)
+prof = distance_profile(path)
 oracle = np.arccos(np.cos(m) * np.cos(prof.t_nodes))
 print("\nunit sphere, start (0.3, 0) tangentially:")
 print(f"  max |rho - arccos(cos m cos t)| = "

@@ -103,10 +103,10 @@ def _load_grid(path):
 def cmd_analyze(args):
     p = _load_profile(args.input)
     consts = _constants(args)
-    s = analyze(p, H=consts.H, alpha=consts.alpha)
+    s = analyze(p, alpha=consts.alpha)
     kap = kappa(p, p.t_nodes)
     payload = {
-        "t0": s.t0, "m": s.m, "K0": s.K0, "alpha": s.alpha, "H": s.H,
+        "t0": s.t0, "m": s.m, "K0": s.K0, "alpha": s.alpha, "H": consts.H,
         "K0_clamped": s.K0_clamped,
         "max_abs_kappa": float(abs(kap).max()),
         "max_abs_phi0": float(abs(s.phi0).max()),

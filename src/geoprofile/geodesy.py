@@ -37,6 +37,7 @@ SHOT_ETA = TOL_HIT ** 0.25
 # Brent stops once its bracket is narrower than this fraction of the
 # launch-angle change that moves the miss by tol_hit at the bracket's slope
 BRENT_XTOL = 0.5
+RAY_BLOCK = 16  # rays per spline fit: keeps the solver's copies small
 
 
 class GeodesicDomainError(RuntimeError):
@@ -116,11 +117,14 @@ class MetricGrid:
         if not np.isclose(self.theta_nodes[-1] + self._dtheta, full_circle,
                           rtol=0, atol=1e-9):
             raise ValueError("theta_nodes must tile the full circle")
-        cg = CubicSpline(self.r_nodes, self.G.T).c  # (4, n_r-1, n_theta)
+        cg = np.empty((4, n_r - 1, n_t))
+        for j in range(0, n_t, RAY_BLOCK):
+            rays = self.G[j:j + RAY_BLOCK]
+            cg[:, :, j:j + RAY_BLOCK] = CubicSpline(self.r_nodes, rays.T).c
         # the table flat: coefficient k of ray j in radial cell i sits at
         # k*stride + i*n_theta + j; the memoryview serves float points
         self._stride = (n_r - 1) * n_t
-        self._cg = np.ascontiguousarray(cg).reshape(-1)
+        self._cg = cg.reshape(-1)
         self._cg_view = memoryview(self._cg)
         self._r_list = self.r_nodes.tolist()
         self._theta0 = float(self.theta_nodes[0])
@@ -554,7 +558,7 @@ def distance(grid, p, q):
     return min(float(t_cross), radial_guard)
 
 
-def distance_profile(grid, path):
+def distance_profile(path):
     """Distance profile of a path to the grid center.
 
     In polar normal coordinates the distance to the center is the radial

@@ -117,7 +117,6 @@ class AnalysisSummary:
     phi0_prime: np.ndarray
     f0: np.ndarray
     alpha: float
-    H: float
     K0_clamped: bool = False
     samples: tuple = None  # curve_samples(p), for synthesis only
 
@@ -139,7 +138,7 @@ def _clamped_K0(K0, max_rho):
     return K0, False
 
 
-def analyze(p, H=1.0, alpha=0.5):
+def analyze(p, alpha=0.5):
     """Summary of the derived quantities of a profile."""
     i0 = p.argmin_node()
     t0 = float(p.t_nodes[i0])
@@ -151,7 +150,7 @@ def analyze(p, H=1.0, alpha=0.5):
                                  np.zeros_like(p.t_nodes), samples)
     f0 = f0_curve(p, K0_used, samples)
     return AnalysisSummary(t0=t0, m=m, K0=K0, phi0=phi0, phi0_prime=phi0p,
-                           f0=f0, alpha=alpha, H=H, K0_clamped=clamped,
+                           f0=f0, alpha=alpha, K0_clamped=clamped,
                            samples=samples)
 
 
@@ -293,7 +292,7 @@ def finiteness_check(p, consts, configs):
             meta={"n_configs": len(configs), "alpha": alpha, "H": H})
 
     h_factor = H ** (1 + alpha / 2)
-    summary = analyze(p, H=H, alpha=alpha)
+    summary = analyze(p, alpha=alpha)
     K0 = summary.K0
     K0_used, _ = _clamped_K0(K0, float(np.max(p.rho)))
 

@@ -1,15 +1,15 @@
 """Distance profiles: densely sampled t -> rho(t) with derivative access.
 
 A profile is the distance from a moving point on a unit-speed curve to a
-fixed center.  Derivatives may be supplied as analytic callbacks, as
-arrays of rho' and rho'' carried by an integrator, or left to the
-quintic interpolating spline of the samples (in decreasing order of
-fidelity).  A profile needs at least 6 samples, the fewest a quintic
-spline interpolates.
+fixed center.  Derivatives may be supplied as analytic callbacks, or
+else come with rho from one quintic: the Hermite interpolant of rho' and
+rho'' arrays carried by an integrator, or the interpolating spline of the
+samples alone (in decreasing order of fidelity).  A profile needs at
+least 6 samples, the fewest a quintic spline interpolates.
 """
 
 import numpy as np
-from scipy.interpolate import BPoly, CubicSpline, make_interp_spline
+from scipy.interpolate import PPoly, make_interp_spline
 
 # largest |rho(t) - rho(t')| / |t - t'| and |t - t'| / (rho(t) + rho(t'))
 # a profile may show: 1 by the triangle inequality, plus rounding slack
@@ -55,8 +55,6 @@ class DistanceProfile:
         self._rho_dot = rho_dot
         self._rho_ddot = rho_ddot
         self._spline = None
-        self._dot_interp = None
-        self._ddot_interp = None
 
     # -- construction helpers -------------------------------------------
 
@@ -79,8 +77,8 @@ class DistanceProfile:
         the Hermite interpolant matching all three, whose divided
         differences stay faithful down to scales far below the node
         spacing; from samples alone it is the quintic interpolating
-        spline, whose first two derivatives serve ``deriv`` and
-        ``second_deriv``.
+        spline.  Either way its first two derivatives serve ``deriv``
+        and ``second_deriv`` unless callbacks are given.
         """
         if self._spline is None:
             if self._carried:
@@ -123,19 +121,11 @@ class DistanceProfile:
     def deriv(self, t):
         if callable(self._rho_dot):
             return self._rho_dot(t)
-        if self._carried:
-            if self._dot_interp is None:
-                self._dot_interp = CubicSpline(self.t_nodes, self._rho_dot)
-            return self._dot_interp(t)
         return self.spline(t, 1)
 
     def second_deriv(self, t):
         if callable(self._rho_ddot):
             return self._rho_ddot(t)
-        if self._carried:
-            if self._ddot_interp is None:
-                self._ddot_interp = CubicSpline(self.t_nodes, self._rho_ddot)
-            return self._ddot_interp(t)
         return self.spline(t, 2)
 
     def argmin_node(self):
@@ -152,20 +142,23 @@ class DistanceProfile:
 
 def _quintic_hermite(t, rho, rho_dot, rho_ddot):
     """The quintic Hermite interpolant of rho, rho' and rho'' at the nodes
-    t, in the Bernstein basis: the coefficients of
-    ``BPoly.from_derivatives(t, column_stack([rho, rho_dot, rho_ddot]))``
-    bit for bit, by the same float operations in the same order, on all
-    intervals at once.  scipy squares each width by the scalar libm pow,
-    and so does float_power; the array square (h ** 2 or h * h) differs
-    from it in the last bit on about one width in 1200."""
+    t, in powers of x = t - t_i on [t_i, t_i+1] of width h: the low
+    coefficients are rho_i, rho'_i and rho''_i / 2, so each node but the
+    last gives back its carried values.  With D, E and F the Taylor
+    remainders at t_i+1 of rho, of rho' (times h) and of rho'' (times h^2),
+    the high ones are (10 D - 4 E + F/2) / h^3, (-15 D + 7 E - F) / h^4
+    and (6 D - 3 E + F/2) / h^5."""
     h = np.diff(t)
-    h2 = np.float_power(h, 2)
-    c0, c5 = rho[:-1], rho[1:]
-    c1 = rho_dot[:-1] / 5.0 * h + c0
-    c2 = rho_ddot[:-1] / 20.0 * h2 - c0 + 2.0 * c1
-    c4 = -(rho_dot[1:] / 5.0) * h + c5
-    c3 = rho_ddot[1:] / 20.0 * h2 + 2.0 * c4 - c5
-    return BPoly(np.array([c0, c1, c2, c3, c4, c5]), t)
+    h2 = h * h
+    r0, d0, a2 = rho[:-1], rho_dot[:-1], rho_ddot[:-1] / 2.0
+    D = rho[1:] - r0 - d0 * h - a2 * h2
+    E = (rho_dot[1:] - d0 - rho_ddot[:-1] * h) * h
+    F = (rho_ddot[1:] - rho_ddot[:-1]) * h2
+    c = np.array([(6.0 * D - 3.0 * E + 0.5 * F) / h ** 5,
+                  (-15.0 * D + 7.0 * E - F) / h ** 4,
+                  (10.0 * D - 4.0 * E + 0.5 * F) / h ** 3,
+                  a2, d0, r0])
+    return PPoly(c, t)
 
 
 def metric_condition_quotients(t, rho, min_dt):

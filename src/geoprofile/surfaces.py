@@ -211,7 +211,7 @@ def grid_profile(grid, m, half_length, step=None):
     """Distance profile of the symmetric geodesic (derivatives carried
     from the integrator states)."""
     path = symmetric_geodesic(grid, m, half_length, step=step)
-    return distance_profile(grid, path), path
+    return distance_profile(path), path
 
 
 # -- suites --------------------------------------------------------------------

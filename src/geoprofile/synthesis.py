@@ -547,7 +547,7 @@ def assemble_metric(p, s, decomp, correction):
 
 def synthesize(p, consts):
     """Full pipeline: analyze, decompose, extend, glue, assemble."""
-    s = analyze(p, H=consts.H, alpha=consts.alpha)
+    s = analyze(p, alpha=consts.alpha)
     if abs(s.K0) > consts.H * 1.5:
         raise SynthesisError(
             f"|K0| = {abs(s.K0):.4g} above the admissible bound; "

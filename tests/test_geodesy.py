@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from geoprofile import (MetricGrid, PolarPoint, geodesic_integrate, distance,
                         distance_profile, save_metric_json, load_metric_json,
@@ -106,7 +107,7 @@ def test_profile_extraction_matches_radius(sphere):
     m = 0.25
     path = geodesic_integrate(sphere, PolarPoint(m, 0.0), 0.0, +1, 0.4,
                               step=1e-3)
-    prof = distance_profile(sphere, path)
+    prof = distance_profile(path)
     assert np.array_equal(prof.rho, path.rho)
     oracle = np.arccos(np.cos(m) * np.cos(prof.t_nodes))
     assert np.max(np.abs(prof.rho - oracle)) < 1e-6
@@ -115,7 +116,7 @@ def test_profile_extraction_matches_radius(sphere):
 def test_profile_metric_conditions(sphere):
     path = geodesic_integrate(sphere, PolarPoint(0.25, 0.0), 0.0, +1, 0.4,
                               step=1e-3)
-    prof = distance_profile(sphere, path)
+    prof = distance_profile(path)
     t, r = prof.t_nodes[::40], prof.rho[::40]
     dt = np.abs(t[:, None] - t[None, :])
     dr = np.abs(r[:, None] - r[None, :])
@@ -238,7 +239,10 @@ def test_grid_pickles(small_sphere):
 
 def test_grid_holds_one_coefficient_table():
     """A built grid holds G and one (4, n_r - 1, n_theta) table of cubic
-    coefficients: dG_dr is formed from that table, not stored beside it."""
+    coefficients: dG_dr is formed from that table, not stored beside it.
+    The per-ray splines are fitted a block of rays at a time, so the build
+    peaks under twice the table, which is the one CubicSpline of all rays
+    bit for bit."""
     n_t, n_r = 512, 852
     r = np.linspace(1e-3, 1.0, n_r)
     theta = -np.pi + 2 * np.pi * np.arange(n_t) / n_t
@@ -246,11 +250,14 @@ def test_grid_holds_one_coefficient_table():
     tracemalloc.start()
     try:
         grid = MetricGrid(r, theta, G)
-        held, _ = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     table = 4 * (n_r - 1) * n_t * 8
     assert held <= G.nbytes + table + 2**20, (held, G.nbytes, table)
+    assert peak <= 2 * table, (peak, table)
+    want = CubicSpline(r, G.T).c
+    assert np.array_equal(grid._cg.reshape(want.shape), want)
     assert grid.value(0.5, 0.0) > 0
 
 

@@ -43,7 +43,7 @@ def test_partition_of_unity_sums_to_one():
 
 def test_decompose_flat_annuli(consts):
     p = flat_profile(0.01, (-0.2, 0.2))
-    s = analyze(p, H=consts.H, alpha=consts.alpha)
+    s = analyze(p, alpha=consts.alpha)
     d = decompose_annuli(p, s)
     ks = sorted(d.pieces.keys())
     assert ks == list(range(-7, -1))
@@ -59,7 +59,7 @@ def test_decompose_flat_annuli(consts):
 
 def test_decompose_case_tags_deep_profile(consts):
     p = flat_profile(0.002, (-0.0399, 0.0399), n=4001)
-    s = analyze(p, H=consts.H, alpha=consts.alpha)
+    s = analyze(p, alpha=consts.alpha)
     d = decompose_annuli(p, s)
     cases = {(pc.k, pc.side): pc.case for pc in d.all_pieces()}
     assert cases[(-9, "both")] == "I"
@@ -71,7 +71,7 @@ def test_decompose_case_tags_deep_profile(consts):
 
 def test_annulus_rho_confined(consts):
     p = flat_profile(0.004, (-0.06, 0.06), n=3001)
-    s = analyze(p, H=consts.H, alpha=consts.alpha)
+    s = analyze(p, alpha=consts.alpha)
     d = decompose_annuli(p, s)
     for k, plist in d.pieces.items():
         union = len(plist) == 1 and plist[0].side == "both" \
@@ -88,7 +88,7 @@ def test_annulus_rho_confined(consts):
 
 def test_extension_interpolates_curve_values(consts):
     p = flat_profile(0.002, (-0.0399, 0.0399), n=4001)
-    s = analyze(p, H=consts.H, alpha=consts.alpha)
+    s = analyze(p, alpha=consts.alpha)
     d = decompose_annuli(p, s)
     fields = {k: extend_fk(k, d, p, s) for k in d.pieces}
     correction = glue_f(fields, d)
@@ -98,7 +98,7 @@ def test_extension_interpolates_curve_values(consts):
 
 def test_glue_requires_coverage(consts):
     p = flat_profile(0.01, (-0.0387, 0.0387), n=2001)
-    s = analyze(p, H=consts.H, alpha=consts.alpha)
+    s = analyze(p, alpha=consts.alpha)
     d = decompose_annuli(p, s)
     fields = {k: extend_fk(k, d, p, s) for k in d.pieces}
     fields.pop(sorted(fields)[0])
@@ -619,7 +619,7 @@ def _flat_glued_field(consts):
     """The glued field of the deep flat profile: case I, III and IV
     pieces, the III and IV annuli split into two sectors."""
     p = flat_profile(0.002, (-0.0399, 0.0399), n=4001)
-    s = analyze(p, H=consts.H, alpha=consts.alpha)
+    s = analyze(p, alpha=consts.alpha)
     d = decompose_annuli(p, s)
     assert {pc.case for pc in d.all_pieces()} >= {"I", "III", "IV"}
     fields = {k: extend_fk(k, d, p, s) for k in d.pieces}
@@ -741,7 +741,7 @@ def test_correction_matches_pointwise_reference():
 def test_extend_fk_leaves_decomposition_unchanged(consts):
     for p in (flat_profile(0.002, (-0.0399, 0.0399), n=4001),
               perturbed_cone_profile(1e-2, 1.0)):
-        s = analyze(p, H=consts.H, alpha=consts.alpha)
+        s = analyze(p, alpha=consts.alpha)
         d = decompose_annuli(p, s)
         before = copy.deepcopy(d)
         for k in d.pieces:
@@ -752,7 +752,7 @@ def test_extend_fk_leaves_decomposition_unchanged(consts):
 def test_case_iv_piece_reproduces_end_values(consts):
     """A case IV piece interpolates f0 through its two end nodes."""
     p = perturbed_cone_profile(3e-2, 1.0)
-    s = analyze(p, H=consts.H, alpha=consts.alpha)
+    s = analyze(p, alpha=consts.alpha)
     d = decompose_annuli(p, s)
     checked = 0
     for k, plist in d.pieces.items():
@@ -911,7 +911,7 @@ def _curve_fields(consts):
     yield (field, _dyadic_r_nodes(1e-4, 0.55), r,
            rng.uniform(-np.pi, np.pi, 3000))
     p = flat_profile(0.002, (-0.0399, 0.0399), n=4001)
-    s = analyze(p, H=consts.H, alpha=consts.alpha)
+    s = analyze(p, alpha=consts.alpha)
     d = decompose_annuli(p, s)
     assert any(len(plist) == 2 for plist in d.pieces.values())
     assert any(pc.net for pc in d.all_pieces())
