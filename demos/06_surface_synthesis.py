@@ -3,8 +3,8 @@
 A profile generated on a variable-curvature disc is analyzed, the
 radial correction is extended annulus by annulus and glued, the metric
 coefficient is integrated, and the result is verified by routes that
-never reuse the construction: finite-difference curvature, the grid
-interpolant in the geodesic equation, and shooting distances.
+never reuse the construction: finite-difference curvature and the grid
+interpolant in the geodesic equation.
 """
 
 import numpy as np

@@ -154,28 +154,38 @@ def _stage_curvature(k, r0, n_steps):
     return dict(zip(radii.tolist(), k.values(radii).tolist()))
 
 
+def _jacobi(k_at, r0, R, n_steps):
+    """RK4 of G'' + K G = 0 from r0 to R in n_steps, started from the
+    series G = r0 - K(r0) r0^3/6, G' = 1 - K(r0) r0^2/2, correct to
+    O(r0^(3+alpha)).  ``k_at(r)`` is K at the radius r: a float, or one
+    value per ray, when the rays step together as one array state.
+    Returns the radii and the states (G, G'); raises ``OdeBlowupError``
+    at the first radius where G <= 0."""
+    k0 = k_at(r0)
+    pack = tuple if np.ndim(k0) == 0 else np.stack
+
+    def rhs(r, y):
+        return pack((y[1], -k_at(r) * y[0]))
+
+    y0 = pack((r0 - k0 * r0 ** 3 / 6.0, 1.0 - k0 * r0 ** 2 / 2.0))
+    rs, ys = _rk4(rhs, y0, r0, R, n_steps)
+    bad = np.flatnonzero(np.any((ys[:, 0] <= 0).reshape(rs.size, -1), axis=1))
+    if bad.size:
+        raise OdeBlowupError(
+            f"G <= 0 at r = {rs[bad[0]]:.6g}: H*R^2 precondition violated "
+            "or curvature inconsistent", rs[bad[0]])
+    return rs, ys
+
+
 def solve_jacobi(k, step):
     """Integrate G'' + K G = 0 with G ~ r at 0; returns r, G and h = G'/G.
 
-    Starts at r0 = max(step, R*1e-4) from the series
-    G = r0 - K(r0) r0^3/6, G' = 1 - K(r0) r0^2/2, correct to O(r0^(3+alpha)).
+    ``_jacobi`` from r0 = max(step, R*1e-4) on a float state, with K read
+    from one vectorized evaluation at every RK4 stage radius.
     """
-    R = k.R
-    r0, n = _radial_start(R, step)
-    kv = _stage_curvature(k, r0, n)
-    k0 = kv[r0]
-    y0 = (r0 - k0 * r0 ** 3 / 6.0, 1.0 - k0 * r0 ** 2 / 2.0)
-
-    def rhs(r, y):
-        return (y[1], -kv[r] * y[0])
-
-    rs, ys = _rk4(rhs, y0, r0, R, n)
+    r0, n = _radial_start(k.R, step)
+    rs, ys = _jacobi(_stage_curvature(k, r0, n).__getitem__, r0, k.R, n)
     G = ys[:, 0]
-    if np.any(G <= 0):
-        bad = int(np.argmax(G <= 0))
-        raise OdeBlowupError(
-            f"G <= 0 at r = {rs[bad]:.6g}: H*R^2 precondition violated "
-            "or curvature inconsistent", rs[bad])
     return RadialSolution(r_nodes=rs, G=G, h=ys[:, 1] / G)
 
 

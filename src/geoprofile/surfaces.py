@@ -13,7 +13,7 @@ from .special_functions import sin_k
 from .profiles import DistanceProfile
 from .geodesy import (MetricGrid, PolarPoint, GeodesicPath, geodesic_integrate,
                       distance_profile)
-from .ode_core import _rk4
+from .ode_core import _jacobi
 
 WORKING_RADIUS = 0.05  # default bound on max rho for synthesis-grade profiles
 _R_MIN_FACTOR = 1e-4   # innermost node of the grid builders, as a fraction of R
@@ -38,73 +38,56 @@ def flat_profile(m, interval, n=2001):
     return DistanceProfile.from_callable(rho, interval, n=n, d1=d1, d2=d2)
 
 
-def spherical_profile(K, m, interval, n=2001):
-    """Profile of a geodesic at minimal distance m on curvature K > 0.
+def _law_of_cosines_profile(K, m, interval, n):
+    """Profile of a geodesic at minimal distance m on curvature K != 0,
+    the spherical law of cosines for K > 0 and the hyperbolic for K < 0.
 
-    rho is evaluated through half-angle sines (not arccos of a value
-    near 1), which keeps it accurate to an ulp at small radii.
+    rho is evaluated through half-angle sines (not arccos or arccosh of a
+    value near 1, which loses half the digits), which keeps it accurate
+    to an ulp at small radii.
     """
-    s = np.sqrt(K)
+    sign = 1.0 if K > 0 else -1.0
+    sin, cos, arcsin = ((np.sin, np.cos, np.arcsin) if K > 0
+                        else (np.sinh, np.cosh, np.arcsinh))
+    s = np.sqrt(sign * K)
 
     def rho(t):
         t = np.asarray(t, dtype=float)
-        a = np.sin(0.5 * s * m)
-        bq = np.sin(0.5 * s * t) ** 2
-        sq = a * a + bq - 2.0 * a * a * bq
-        return 2.0 * np.arcsin(np.sqrt(sq)) / s
+        a = sin(0.5 * s * m)
+        bq = sin(0.5 * s * t) ** 2
+        sq = a * a + bq - sign * 2.0 * a * a * bq
+        return 2.0 * arcsin(np.sqrt(sq)) / s
 
     def d1(t):
         t = np.asarray(t, dtype=float)
         sr = s * rho(t)
-        return np.cos(s * m) * np.sin(s * t) / np.sin(sr)
+        return cos(s * m) * sin(s * t) / sin(sr)
 
     def d2(t):
         t = np.asarray(t, dtype=float)
         sr = s * rho(t)
         v = d1(t)
-        return np.cos(s * m) * s * (
-            np.cos(s * t) * np.sin(sr) - np.sin(s * t) * np.cos(sr) * v
-        ) / np.sin(sr) ** 2
+        return cos(s * m) * s * (
+            cos(s * t) * sin(sr) - sin(s * t) * cos(sr) * v
+        ) / sin(sr) ** 2
 
     return DistanceProfile.from_callable(rho, interval, n=n, d1=d1, d2=d2)
+
+
+def spherical_profile(K, m, interval, n=2001):
+    """Profile of a geodesic at minimal distance m on curvature K > 0."""
+    return _law_of_cosines_profile(K, m, interval, n)
 
 
 def hyperbolic_profile(K, m, interval, n=2001):
-    """Profile of a geodesic at minimal distance m on curvature K < 0.
-
-    Same half-angle evaluation as the spherical case (arccosh of a value
-    near 1 loses half the digits)."""
-    s = np.sqrt(-K)
-
-    def rho(t):
-        t = np.asarray(t, dtype=float)
-        a = np.sinh(0.5 * s * m)
-        bq = np.sinh(0.5 * s * t) ** 2
-        sq = a * a + bq + 2.0 * a * a * bq
-        return 2.0 * np.arcsinh(np.sqrt(sq)) / s
-
-    def d1(t):
-        t = np.asarray(t, dtype=float)
-        sr = s * rho(t)
-        return np.cosh(s * m) * np.sinh(s * t) / np.sinh(sr)
-
-    def d2(t):
-        t = np.asarray(t, dtype=float)
-        sr = s * rho(t)
-        v = d1(t)
-        return np.cosh(s * m) * s * (
-            np.cosh(s * t) * np.sinh(sr) - np.sinh(s * t) * np.cosh(sr) * v
-        ) / np.sinh(sr) ** 2
-
-    return DistanceProfile.from_callable(rho, interval, n=n, d1=d1, d2=d2)
+    """Profile of a geodesic at minimal distance m on curvature K < 0."""
+    return _law_of_cosines_profile(K, m, interval, n)
 
 
 def constant_curvature_profile(K, m, interval, n=2001):
-    if K > 0:
-        return spherical_profile(K, m, interval, n=n)
-    if K < 0:
-        return hyperbolic_profile(K, m, interval, n=n)
-    return flat_profile(m, interval, n=n)
+    if K == 0:
+        return flat_profile(m, interval, n=n)
+    return _law_of_cosines_profile(K, m, interval, n)
 
 
 def offset_hyperbola_profile(c, interval=(-0.2, 0.2), n=2001):
@@ -161,24 +144,17 @@ def constant_curvature_grid(K, R, n_r=1200, n_theta=64):
 def variable_curvature_grid(K_fn, R, H=None, n_r=1200, n_theta=64):
     """Grid with curvature K_fn(r, theta_array) via per-ray Jacobi solves.
 
-    All rays are integrated simultaneously (vector RK4); the series start
-    at r0 matches G ~ r to O(r0^3).  ``H`` is accepted and read by
-    nothing: verification takes H from its checker constants.
+    All rays step together through ``solve_jacobi``'s kernel, as one
+    array state.  ``H`` is accepted and read by nothing: verification
+    takes H from its checker constants.
     """
     theta = -np.pi + 2 * np.pi * np.arange(n_theta) / n_theta
-    r0 = _R_MIN_FACTOR * R
-    k0 = np.asarray(K_fn(r0, theta), dtype=float) * np.ones(n_theta)
-    y0 = np.stack([r0 - k0 * r0 ** 3 / 6.0, 1.0 - k0 * r0 ** 2 / 2.0])
 
-    def rhs(rv, yv):
-        k = np.asarray(K_fn(rv, theta), dtype=float) * np.ones(n_theta)
-        return np.stack([yv[1], -k * yv[0]])
+    def k_at(r):
+        return np.asarray(K_fn(r, theta), dtype=float) * np.ones(n_theta)
 
-    r, ys = _rk4(rhs, y0, r0, R, n_r - 1)
-    G = ys[:, 0].T.copy()
-    if np.any(G <= 0):
-        raise ArithmeticError("Jacobi coefficient went nonpositive")
-    return MetricGrid(r, theta, G)
+    r, ys = _jacobi(k_at, _R_MIN_FACTOR * R, R, n_r - 1)
+    return MetricGrid(r, theta, ys[:, 0].T.copy())
 
 
 # -- profile generation on grids ----------------------------------------------

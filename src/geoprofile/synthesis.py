@@ -27,6 +27,8 @@ R_NODES_PER_OCTAVE = 64     # geometric radial grid nodes per dyadic band
 MIN_SECTOR_GAP = 0.35       # angular separation asserted between split pieces
 FADE_WIDTH = 0.45           # angular width of the theta cutoff beyond the sweep
 R_PAD = 1.05                # disc radius over the profile's largest rho
+# tolerance of geodesic_residual: |rho'' - h (1 - rho'^2)| along the curve
+TOL_GEO = 1e-5
 
 
 class SynthesisError(RuntimeError):
@@ -467,14 +469,12 @@ class SynthesisResult:
 
 
 def _dyadic_r_nodes(r_min, r_max):
-    k_bot = int(np.floor(np.log2(r_min)))
-    k_top = int(np.ceil(np.log2(r_max)))
-    r = np.concatenate([np.geomspace(2.0 ** k, 2.0 ** (k + 1),
-                                     R_NODES_PER_OCTAVE, endpoint=False)
-                        for k in range(k_bot, k_top + 1)])
-    r = r[(r >= r_min) & (r <= r_max)]
-    r = np.unique(np.concatenate([[r_min], r, [r_max]]))
-    return r
+    """The lattice 2^(j/R_NODES_PER_OCTAVE) from the node at or below r_min
+    to the first node at or above r_max, so that every pair of adjacent
+    nodes has the one ratio 2^(1/R_NODES_PER_OCTAVE)."""
+    j = np.log2([r_min, r_max]) * R_NODES_PER_OCTAVE
+    return 2.0 ** (np.arange(np.floor(j[0]), np.ceil(j[1]) + 1)
+                   / R_NODES_PER_OCTAVE)
 
 
 def assemble_metric(p, s, decomp, correction):
@@ -482,7 +482,11 @@ def assemble_metric(p, s, decomp, correction):
 
     G(r, theta) = sin_k(K0, r) * exp of the radial integral of the glued
     correction at the pulled-back angle; nothing else is formed on the
-    grid.
+    grid.  The r nodes are the dyadic lattice over [1e-4 R, R]; the theta
+    rows double from 64 until the grid's h along the curve misses the
+    curve's own, f0 + cot_k(K0, rho), by at most TOL_GEO / 2 once
+    weighted by 1 - rho'^2, up to 4096 rows or until a doubling stops
+    reducing that miss: the grid with the least miss is kept.
     """
     K0 = s.K0
     t = p.t_nodes
@@ -526,21 +530,31 @@ def assemble_metric(p, s, decomp, correction):
         raise SynthesisError("theta map nodes not strictly increasing")
     tmap = ThetaMap(nodes_from=nodes_from, nodes_to=nodes_to)
 
-    # grid resolution: resolve the finest angular net scale
-    scale = np.inf
-    for piece in decomp.all_pieces():
-        scale = min(scale, piece.lam * piece.delta)
-    if not np.isfinite(scale) or scale <= 0:
-        scale = 0.1
-    n_theta = int(np.clip(np.ceil(2 * np.pi / scale), 64, 4096))
-    theta_nodes = -np.pi + 2 * np.pi * np.arange(n_theta) / n_theta
-    theta_back = tmap.inverse(theta_nodes)
+    h_curve = s.f0 + cot_k(K0, p.rho)
+    weight = 1.0 - s.samples[2] ** 2
 
-    G = sin_k(K0, r_nodes)[None, :] * np.exp(
-        correction.radial_integral(r_nodes, theta_back))
+    def grid_with(n_theta):
+        theta_nodes = -np.pi + 2 * np.pi * np.arange(n_theta) / n_theta
+        G = sin_k(K0, r_nodes)[None, :] * np.exp(
+            correction.radial_integral(r_nodes, tmap.inverse(theta_nodes)))
+        grid = MetricGrid(r_nodes, theta_nodes, G)
+        h_grid = grid.value_and_h(p.rho, phi)[1]
+        return grid, float(np.max(np.abs(h_grid - h_curve) * weight))
+
+    n_theta = 64
+    grid, miss = grid_with(n_theta)
+    while miss > TOL_GEO / 2 and n_theta < 4096:
+        del grid  # one grid at a time: a rejected doubling rebuilds it
+        grid, finer = grid_with(2 * n_theta)
+        if not finer < miss:
+            del grid
+            grid = grid_with(n_theta)[0]
+            break
+        n_theta, miss = 2 * n_theta, finer
+
     # the curve samples are spent: the result does not keep them alive
-    return SynthesisResult(metric=MetricGrid(r_nodes, theta_nodes, G),
-                           phi=phi, theta_map=tmap, correction=correction,
+    return SynthesisResult(metric=grid, phi=phi, theta_map=tmap,
+                           correction=correction,
                            summary=replace(s, samples=None),
                            decomposition=decomp)
 
@@ -615,10 +629,6 @@ def _sample_holder(values, r_nodes, theta_nodes, alpha, rng, resolution,
         partial.append(np.max(dv_t / arc[None, :] ** alpha))
     # np.max, unlike the builtin, keeps a NaN partial maximum
     return float(np.max(partial))
-
-
-# tolerance of geodesic_residual: |rho'' - h (1 - rho'^2)| along the curve
-TOL_GEO = 1e-5
 
 
 def verify_synthesis(res, p, consts, seed=0):

@@ -15,7 +15,7 @@ CALIBRATE_SIZES = dict(n_grid=1, n_closed=3, n_riccati=8, n_whitney=12,
 CALIBRATION_DIGESTS = {
     0: "5a92eab64f4f163e336a97118954c8ef300126e5f3de91fe5646a21d69d9e946",
     # one round trip: the synthesis records are measured too
-    1: "fc69d38758bfb1b0499fbfc90f7dff391f10aaf86f453a9297e51377a8e08e9f",
+    1: "94a7126a3fc9e41073520218ce85f93ae2bddfc3854ad92496cd81eb43df9b50",
 }
 
 

@@ -113,7 +113,7 @@ def test_synthesize_and_verify(sphere_csv, tmp_path, capsys):
 # sha256 of the grid file synthesize writes for roundtrip_suite(1,
 # seed=1)[0] read from its CSV, the round trip the CI step runs
 ROUNDTRIP_GRID_DIGEST = \
-    "be573389695612ca4d3c804367cf9c74ab124937d03255c9391d46d4022499ba"
+    "061c33c2b53881649a1d388982f60ba3291928619d38e07bd663e8e30f8e3a8e"
 
 
 def test_roundtrip_grid_file_digest(tmp_path):
@@ -127,7 +127,7 @@ def test_roundtrip_grid_file_digest(tmp_path):
 
 # sha256 of the --plot-csv file synthesize writes for the same round trip
 ROUNDTRIP_PLOT_DIGEST = \
-    "4532ff9aca98a6c5a76e9b098907698503b365b6a4a7cbd9d04be3fa90d3fd65"
+    "fefb45291c393f9e52da2aedd40883c7f8b1e868312191422fb101053e49cc28"
 
 
 def test_roundtrip_plot_csv_digest(tmp_path):

@@ -543,6 +543,57 @@ def test_fine_bump_checks_synthesizes_and_verifies(consts):
                          if not r.passed]
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_roundtrip_grids_sit_on_the_dyadic_lattice(consts, alpha):
+    """Every r node is 2^(j/64): no gap shrinks at the ends, so the
+    radial finite differences read the constant curvature and the round
+    trips verify with a Hölder seminorm of exactly 0, at alpha = 1 too."""
+    c = dataclasses.replace(consts, alpha=alpha)
+    for entry in roundtrip_suite(8, seed=1):
+        res = synthesize(entry["profile"], c)
+        j = 64 * np.log2(res.metric.r_nodes)
+        assert np.max(np.abs(j - np.round(j))) <= 1e-9
+        rep = verify_synthesis(res, entry["profile"], c)
+        assert rep.verdict, entry["label"]
+        assert rep.record("curvature_holder").margin == 0.0, entry["label"]
+
+
+@pytest.mark.parametrize("eps, n_theta", [(1e-1, 4096), (1e-2, 64),
+                                          (1e-3, 64)])
+def test_bump_grid_rows_follow_the_curve(consts, eps, n_theta):
+    """The theta rows double until the grid's h meets the curve's: the
+    coarse bump, whose feature spans the disc, gets the most rows, and
+    the fine ones keep 64; each passes the geodesic record."""
+    p = perturbed_cone_profile(eps, 1.0)
+    grid = synthesize(p, consts).metric
+    assert grid.theta_nodes.size == n_theta
+    assert verify_grid(grid, p, consts).record(
+        "geodesic_residual").margin <= 1.0
+
+
+def test_fine_bump_synthesis_memory_is_bounded(consts):
+    """The eps = 1e-3 bump is met at 64 rows, so its synthesis holds no
+    4096-row grid."""
+    import tracemalloc
+    p = perturbed_cone_profile(1e-3, 1.0)
+    tracemalloc.start()
+    try:
+        synthesize(p, consts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_doubling_stops_at_a_data_floor(consts):
+    """On 40,001 samples of sqrt(1e-4 + t^2) the grid's miss of the
+    curve's h is the samples' rounding floor, which 128 rows do not
+    reduce: the grid keeps 64 rows."""
+    t = np.linspace(-0.04, 0.04, 40_001)
+    p = DistanceProfile(t, np.sqrt(1e-4 + t * t))
+    assert synthesize(p, consts).metric.theta_nodes.size == 64
+
+
 def _dense_cumulative_radial(field, r_nodes, thetas, chunk=256):
     """Reference: the field's values on the full (theta, r) grid in row
     chunks, then the cumulative trapezoid of those values along each
@@ -774,29 +825,29 @@ def test_case_iv_piece_reproduces_end_values(consts):
 # verify_synthesis(..., seed=1).to_json(), per profile and artifact
 SYNTH_DIGESTS = {
     ("roundtrip0", "G"):
-        "5cd9e9b29d015261d20e14370e3ddcc5fc007c5f81396137bd9dbdb840f36349",
+        "6fd57850f9c00c3ded639c1eaeb2c5db7b2cca2f5e4caec7c7d1bbe4f76bd09a",
     ("roundtrip0", "phi"):
         "7577188943fd750906142ee97dded45ac4f6c1f4c6d7547fa28671293f07d6a2",
     ("roundtrip0", "nodes_to"):
         "1ad046329fd4c5809ec82af371db76782ecf509a8aa5aaf4e441b926159af9ab",
     ("roundtrip0", "verify"):
-        "95d1ddfd75c70842e420f1cdd17034375d3fc611fcbbbf90693fc3581c31e9f6",
+        "d47340f2debb4b90299fb9ae30824c4e94ccb6b14105cba492d32dbc9fc07ae9",
     ("roundtrip1", "G"):
-        "5cb0d432ba7fe557f4534033e8a0dd6cc4cf3dd796bbdda412283881f2cf2434",
+        "c2e1fee99ab7c6d1065ad92bcf87a63221bf0f0d17890f8aa7a3af0bfdb62b0d",
     ("roundtrip1", "phi"):
         "6bb31e02b0747d30b1f80736d71ab16c00bb7ca1fd04264ec01e2a9b05226b3a",
     ("roundtrip1", "nodes_to"):
         "c970d86f5d132c8c9168b5db0a8898697fd5b5edb7a3fbd5df00824918fd60bf",
     ("roundtrip1", "verify"):
-        "83efbba9cde3e6652ee78eb5d476b3000f2191bfc2418a97464876eb15d41346",
+        "ecc92f797d5a26eb99cfc701339fb57b2d95be637110c943a03e91581ec51a4c",
     ("bump", "G"):
-        "993fdd7d139a59bc6174b8daca422a4c42859f001797ae4afb7db7a75e69b840",
+        "cfe2557eecbcd421061622bbb635da534b507e107466432bbf4ce10b67c32a17",
     ("bump", "phi"):
         "5f6e644c6a53b488d0332728642c2e9c099e12cfdcce065f13d05cb336f8c304",
     ("bump", "nodes_to"):
         "97d9302cc13734d5aac35f9ca3d318e3e6f3f74350410461d54e9add44da323f",
     ("bump", "verify"):
-        "2f8ed89505fa060d6dbf9e9bf9b807a53bbd843b7ee915aff2a65675038dfe2a",
+        "f1242ccdb51b609ed54433daabd4136f7c8d5f56aadcd9b14eed37582eb04ede",
 }
 
 
