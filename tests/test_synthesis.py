@@ -12,7 +12,7 @@ from geoprofile import (synthesize, verify_synthesis, verify_grid,
 from geoprofile import whitney
 from geoprofile.profiles import DistanceProfile
 from geoprofile.synthesis import (bump_weight, bump_weight_prime, LN2,
-                                  assemble_metric, _sample_holder,
+                                  assemble_metric, _grid_holder,
                                   _PieceField,
                                   RadialCorrectionField, _dyadic_r_nodes)
 from geoprofile.surfaces import (flat_profile, spherical_profile,
@@ -367,14 +367,93 @@ def test_defect_injection_flagged(consts):
     assert not rep.record("curvature_holder").passed
 
 
-def test_sample_holder_nan_gives_nan():
+@pytest.mark.parametrize("node", [(17, 123), (0, 50)],
+                         ids=["interior", "theta_row_0"])
+def test_grid_holder_nan_gives_nan(node):
+    """NaN on an interior node, or on theta row 0, whose circle pairs
+    wrap across the cut, gives NaN."""
     values = np.ones((64, 200))
-    values[17, 123] = np.nan
+    values[node] = np.nan
     r_nodes = np.geomspace(1e-3, 0.05, 200)
-    theta_nodes = -np.pi + 2 * np.pi * np.arange(64) / 64
-    got = _sample_holder(values, r_nodes, theta_nodes, 0.5,
-                         np.random.default_rng(0), np.zeros_like(values))
-    assert np.isnan(got)
+    assert np.isnan(_grid_holder(values, r_nodes, 0.5, np.zeros(200)))
+
+
+def _grid_holder_unpruned(values, r_nodes, alpha, resolution):
+    """The sweep's pairs, every one evaluated: along the rays at offsets
+    round(sqrt(2)^k) and n_r - 1, around the circles at those offsets up
+    to n_theta/2."""
+    n_t, n_r = values.shape
+
+    def spans(n):
+        s = np.unique(np.minimum(np.round(np.sqrt(2.0) ** np.arange(40)),
+                                 n - 1)).astype(int)
+        return s[s > 0]
+
+    partial = [0.0]
+    for s in spans(n_r):
+        dv = (np.abs(values[:, s:] - values[:, :-s])
+              - resolution[s:] - resolution[:-s])
+        den = (r_nodes[s:] - r_nodes[:-s]) ** alpha
+        partial.append(np.max(np.maximum(dv, 0.0) / den))
+    for s in spans(n_t // 2 + 1):
+        dv = (np.abs(np.roll(values, -s, axis=0) - values)
+              - resolution - resolution)
+        den = (2.0 * r_nodes * np.sin(np.pi * s / n_t)) ** alpha
+        partial.append(np.max(np.maximum(dv, 0.0) / den))
+    return float(np.max(partial))
+
+
+def test_grid_holder_pruning_changes_nothing():
+    """On random grids (uneven r, per-r resolution, some NaNs) the pruned
+    sweep equals the same pairs evaluated without the bound, bit for
+    bit."""
+    rng = np.random.default_rng(52)
+    finite = 0
+    for case in range(60):
+        n_t = int(rng.choice([2, 3, 8, 31, 64]))
+        n_r = int(rng.integers(2, 160))
+        r_nodes = np.cumsum(rng.uniform(0.1, 3.0, n_r)) * 1e-3
+        values = (np.sin(rng.uniform(5, 200) * r_nodes)[None, :]
+                  * np.cos(np.arange(n_t) * 2 * np.pi / n_t)[:, None]
+                  + rng.normal(0, rng.uniform(0, 0.2), (n_t, n_r)))
+        resolution = rng.uniform(0, 0.3, n_r) * (case % 3 != 0)
+        if case % 5 == 4:
+            values[tuple(rng.integers((n_t, n_r), size=(2, 2)).T)] = np.nan
+        alpha = float(rng.uniform(0.1, 1.0))
+        got = _grid_holder(values, r_nodes, alpha, resolution)
+        want = _grid_holder_unpruned(values, r_nodes, alpha, resolution)
+        assert got == want or np.isnan(got) and np.isnan(want), case
+        finite += not np.isnan(got)
+    assert finite >= 48  # NaN, which compares trivially, stays rare
+
+
+def test_curvature_holder_reads_the_exact_seminorm(consts):
+    """On a wave disc the record reads the exact seminorm of K_fd over the
+    nodes at r >= m/4 (outside them K_fd lies within its resolution) to
+    1%, and never above it."""
+    p = checker_suite(4, seed=0)[3]["profile"]
+    grid = synthesize(p, consts).metric
+    K_fd, K_res = grid.curvature_fd()
+    got = _grid_holder(K_fd, grid.r_nodes, consts.alpha, K_res[0])
+    rep = verify_grid(grid, p, consts)
+    assert rep.record("curvature_holder").margin == got / (
+        consts.c_k_holder * consts.H ** (1 + consts.alpha / 2))
+    out = grid.r_nodes >= p.m / 4
+    R, TH = np.meshgrid(grid.r_nodes[out], grid.theta_nodes)
+    pts = np.column_stack([(R * np.cos(TH)).ravel(),
+                           (R * np.sin(TH)).ravel()])
+    exact = holder_seminorm_pairs(K_fd[:, out].ravel(), pts, consts.alpha,
+                                  resolution=K_res[:, out].ravel())
+    assert 0.99 * exact <= got <= exact, (got, exact)
+
+
+def test_verify_reads_no_seed(consts):
+    """Verification draws no random numbers: the seed moves no byte."""
+    p = perturbed_cone_profile(3e-2, 1.0)
+    res = synthesize(p, consts)
+    reports = {verify_synthesis(res, p, consts, seed=s).to_json()
+               for s in (0, 1, 7)}
+    assert len(reports) == 1
 
 
 def test_nonuniform_sampled_roundtrip(consts):
@@ -847,7 +926,7 @@ SYNTH_DIGESTS = {
     ("bump", "nodes_to"):
         "97d9302cc13734d5aac35f9ca3d318e3e6f3f74350410461d54e9add44da323f",
     ("bump", "verify"):
-        "f1242ccdb51b609ed54433daabd4136f7c8d5f56aadcd9b14eed37582eb04ede",
+        "5edca7d02b43d8c8ecd24a0267f04e3da062978196e35976f9143e8e730e0771",
 }
 
 
